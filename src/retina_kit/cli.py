@@ -15,14 +15,14 @@ from pathlib import Path
 import numpy as np
 
 from .anchors import generate_anchors
-from .boxes import BBox
 from .checkpoint import canonical_json, load_checkpoint
 from .config import load_run_config, run_config_to_dict
 from .data import preprocess
 from .errors import NumericError, RetinaKitError, ValidationError
 from .evaluation import coco_map
 from .gradcheck import run_gradcheck
-from .postprocess import Detection, write_detections
+from .outputs import atomic_write
+from .postprocess import Detections, write_detections
 from .ppm import load_ppm, save_ppm
 from .synth import synth_generate
 from .training import (
@@ -65,16 +65,11 @@ def cmd_eval(args) -> int:
 
     if args.replay_gt:
         # debug path: ground truth replayed as unit-score detections
-        all_dets = []
-        all_gts = {}
-        for s in samples:
-            _, gts = prepare_eval_input(s, cfg)
-            all_gts[s.image_id] = gts
-            all_dets.extend(
-                Detection(box=b, score=1.0, class_id=0, image_id=s.image_id) for b in gts
-            )
-        report = coco_map(all_dets, all_gts, cfg.eval)
-        dets = all_dets
+        all_gts = {s.image_id: prepare_eval_input(s, cfg)[1] for s in samples}
+        dets = Detections.concat(
+            Detections.for_image(img_id, gts, np.ones(len(gts))) for img_id, gts in all_gts.items()
+        )
+        report = coco_map(dets, all_gts, cfg.eval)
     else:
         ckpt = load_checkpoint(args.checkpoint)
         params = load_params_for_config(ckpt, cfg)
@@ -87,17 +82,18 @@ def cmd_eval(args) -> int:
         report["warning"] = "empty manifest: no images were evaluated"
     out.mkdir(parents=True, exist_ok=True)
     write_detections(dets, out / "detections.jsonl")
-    (out / "report.json").write_text(canonical_json(report) + "\n", encoding="utf-8")
+    with atomic_write(out / "report.json") as f:
+        f.write(canonical_json(report) + "\n")
     print(f"mAP {report['map']:.4f} over {report['num_images']} images -> {out / 'report.json'}")
     return 0
 
 
-def _burn_outline(image: np.ndarray, det: Detection) -> None:
+def _burn_outline(image: np.ndarray, box) -> None:
     h, w = image.shape[1], image.shape[2]
-    x1 = int(np.clip(round(det.box.x1), 0, w - 1))
-    y1 = int(np.clip(round(det.box.y1), 0, h - 1))
-    x2 = int(np.clip(round(det.box.x2) - 1, 0, w - 1))
-    y2 = int(np.clip(round(det.box.y2) - 1, 0, h - 1))
+    x1 = int(np.clip(round(box[0]), 0, w - 1))
+    y1 = int(np.clip(round(box[1]), 0, h - 1))
+    x2 = int(np.clip(round(box[2]) - 1, 0, w - 1))
+    y2 = int(np.clip(round(box[3]) - 1, 0, h - 1))
     color = np.array([255.0, 0.0, 0.0])[:, None]
     image[:, y1, x1 : x2 + 1] = color
     image[:, y2, x1 : x2 + 1] = color
@@ -124,14 +120,8 @@ def cmd_detect(args) -> int:
         # detections live in the network input frame; map back to the source image
         sx, sy = w / in_w, h / in_h
         annotated = image.copy()
-        for det in dets:
-            scaled = Detection(
-                box=BBox(det.box.x1 * sx, det.box.y1 * sy, det.box.x2 * sx, det.box.y2 * sy),
-                score=det.score,
-                class_id=det.class_id,
-                image_id=det.image_id,
-            )
-            _burn_outline(annotated, scaled)
+        for box in (dets.boxes * np.array([sx, sy, sx, sy])).tolist():
+            _burn_outline(annotated, box)
         save_ppm(annotated, out / "annotated.ppm")
     print(f"{len(dets)} detections -> {out / 'detections.jsonl'}")
     return 0

@@ -76,6 +76,8 @@ def resize_bilinear(image, out_w: int, out_h: int) -> np.ndarray:
         raise ValidationError(f"resize target must be positive, got {out_w}x{out_h}")
     img = np.asarray(image)
     _, h, w = img.shape
+    if (out_w, out_h) == (w, h):
+        return img.copy()
     ys = (np.arange(out_h, dtype=np.float64) + 0.5) * (h / out_h) - 0.5
     xs = (np.arange(out_w, dtype=np.float64) + 0.5) * (w / out_w) - 0.5
     y0 = np.floor(ys)

@@ -4,43 +4,47 @@ Matching is greedy in score order per image; true/false-positive flags are
 pooled globally (score descending, then image id, then per-image index) and
 summarized with 101-point interpolated AP. mAP averages AP over the sweep;
 a single pedestrian class means there is no class-averaging step.
+
+As in the COCOeval protocol (Lin et al., arXiv:1405.0312), neither the
+per-image score order nor the pooled order depends on the IoU threshold, so
+each is computed once and every threshold is matched in the same pass.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .boxes import boxes_to_array, iou_matrix
+from .boxes import iou_matrix
 from .errors import ValidationError
-from .postprocess import Detection, EvalConfig
+from .postprocess import Detections, EvalConfig
 
 RECALL_POINTS = 101
+_RECALL_GRID = np.arange(RECALL_POINTS) / 100.0
 
 
-def match_detections(dets: list[Detection], gts, iou_thresh: float):
-    """Greedy TP/FP flags for one image and one class.
+def match_detections(det_boxes, gts, iou_thresholds):
+    """Greedy TP/FP flags for one image at every threshold of the sweep.
 
-    dets must arrive sorted by descending score. Each detection takes the
-    unmatched gt of highest IoU when that IoU is >= iou_thresh (ties to the
-    lower gt index); every gt matches at most one detection.
+    det_boxes (D, 4) must arrive sorted by descending score. At each threshold
+    t on its own, each detection takes the unmatched gt of highest IoU when
+    that IoU is >= t (ties to the lower gt index); every gt matches at most one
+    detection.
 
-    Returns (tp_flags bool (D,), gt_matched bool (G,)).
+    Returns (tp_flags bool (T, D), gt_matched bool (T, G)).
     """
-    gt_arr = boxes_to_array(gts)
-    d = len(dets)
-    g = gt_arr.shape[0]
-    tp = np.zeros(d, dtype=bool)
-    matched = np.zeros(g, dtype=bool)
-    if d == 0 or g == 0:
-        return tp, matched
-    det_arr = boxes_to_array([det.box for det in dets])
-    ious = iou_matrix(det_arr, gt_arr)
-    for i in range(d):
-        row = np.where(matched, -1.0, ious[i])
-        j = int(np.argmax(row))
-        if row[j] >= iou_thresh:
-            tp[i] = True
-            matched[j] = True
+    ious = iou_matrix(det_boxes, gts)
+    thresholds = np.asarray(iou_thresholds, dtype=np.float64)
+    tp = np.zeros((thresholds.size, ious.shape[0]), dtype=bool)
+    matched = np.zeros((thresholds.size, ious.shape[1]), dtype=bool)
+    rows = np.arange(thresholds.size)
+    # a detection whose best IoU misses every threshold is a false positive
+    # everywhere and matches nothing, so only the others need the greedy step
+    for i in np.nonzero(ious.max(axis=1, initial=-np.inf) >= thresholds.min())[0]:
+        cand = np.where(matched, -1.0, ious[i])
+        j = cand.argmax(axis=1)
+        hit = cand[rows, j] >= thresholds
+        tp[:, i] = hit
+        matched[rows[hit], j[hit]] = True
     return tp, matched
 
 
@@ -59,45 +63,39 @@ def average_precision(tp_flags, total_gt_count: int) -> float:
     tp_cum = np.cumsum(flags)
     precision = tp_cum / np.arange(1, flags.size + 1, dtype=np.float64)
     recall = tp_cum / float(total_gt_count)
-    best_at_or_after = np.maximum.accumulate(precision[::-1])[::-1]
-    first_k = np.searchsorted(recall, np.arange(RECALL_POINTS) / 100.0, side="left")
-    vals = [float(best_at_or_after[k]) if k < flags.size else 0.0 for k in first_k]
-    return sum(vals) / float(RECALL_POINTS)
+    best_at_or_after = np.append(np.maximum.accumulate(precision[::-1])[::-1], 0.0)
+    vals = best_at_or_after[np.searchsorted(recall, _RECALL_GRID, side="left")]
+    # the built-in sum, left to right like the reference evaluator: np.sum's
+    # pairwise order can change the last bit
+    return sum(vals.tolist()) / float(RECALL_POINTS)
 
 
-def _sorted_image_dets(dets: list[Detection]) -> list[Detection]:
-    return sorted(dets, key=lambda d: -d.score)
+def coco_map(dets: Detections, all_gts: dict, config: EvalConfig) -> dict:
+    """Evaluate detections against {image_id: boxes} ground truth.
 
-
-def coco_map(all_dets: list[Detection], all_gts: dict, config: EvalConfig) -> dict:
-    """Evaluate detections against {image_id: [BBox, ...]} ground truth.
-
+    Ground-truth boxes per image are a BBox sequence or an (G, 4) array.
     Returns a JSON-ready report with the per-threshold AP array, their mean,
     and AP at 0.50 / 0.75 when those thresholds are in the sweep.
     """
-    known = set(all_gts)
-    for det in all_dets:
-        if det.image_id not in known:
-            raise ValidationError(f"detection references unknown image_id {det.image_id}")
-
+    unknown = dets.image_ids[~np.isin(dets.image_ids, list(all_gts))]
+    if unknown.size:
+        raise ValidationError(f"detection references unknown image_id {unknown[0]}")
     total_gt = sum(len(v) for v in all_gts.values())
-    by_image: dict = {img_id: [] for img_id in all_gts}
-    for det in all_dets:
-        by_image[det.image_id].append(det)
 
-    sorted_dets = {img_id: _sorted_image_dets(v) for img_id, v in by_image.items()}
+    # per image, descending score; ties keep input order
+    order = np.lexsort((-dets.scores, dets.image_ids))
+    image_ids = dets.image_ids[order]
+    boxes = dets.boxes[order]
+    images, starts, counts = np.unique(image_ids, return_index=True, return_counts=True)
+    tp = np.zeros((len(config.iou_thresholds), len(order)), dtype=bool)
+    for img_id, lo, n in zip(images.tolist(), starts.tolist(), counts.tolist()):
+        tp[:, lo : lo + n], _ = match_detections(
+            boxes[lo : lo + n], all_gts[img_id], config.iou_thresholds
+        )
 
-    aps = []
-    for thresh in config.iou_thresholds:
-        pooled = []
-        for img_id in sorted(all_gts):
-            dets_i = sorted_dets[img_id]
-            tp, _ = match_detections(dets_i, all_gts[img_id], thresh)
-            for idx, det in enumerate(dets_i):
-                pooled.append((-det.score, img_id, idx, bool(tp[idx])))
-        pooled.sort(key=lambda row: row[:3])
-        flags = [row[3] for row in pooled]
-        aps.append(average_precision(flags, total_gt))
+    rank = np.arange(len(order)) - np.repeat(starts, counts)
+    pooled = np.lexsort((rank, image_ids, -dets.scores[order]))
+    aps = [average_precision(flags, total_gt) for flags in tp[:, pooled]]
 
     def ap_at(value):
         for t, ap in zip(config.iou_thresholds, aps):
@@ -113,5 +111,5 @@ def coco_map(all_dets: list[Detection], all_gts: dict, config: EvalConfig) -> di
         "ap75": ap_at(0.75),
         "num_images": len(all_gts),
         "total_gts": total_gt,
-        "undefined": total_gt == 0 and not all_dets,
+        "undefined": total_gt == 0 and len(dets) == 0,
     }

@@ -8,16 +8,17 @@ deltas against their anchors, clip to the image, then greedy NMS per class.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .anchors import AnchorGrid
 from .boxes import BBox, boxes_to_array, clip_boxes, decode_boxes, iou_matrix
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 from .layers import sigmoid
 from .network import flatten_level_outputs
+from .outputs import atomic_write
 
 _DEFAULT_SWEEP = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
 
@@ -58,6 +59,51 @@ class Detection:
             raise ValueError(f"detection score must be in [0, 1], got {self.score}")
 
 
+@dataclass(frozen=True)
+class Detections:
+    """Detections as parallel arrays, row i being one detection.
+
+    boxes (N, 4) float64 corners, scores (N,) float64, image_ids (N,) int64
+    and class_ids (N,) int64. This is the in-memory form from decode to
+    coco_map; `Detection` objects are the per-row form of detections.jsonl.
+    """
+
+    boxes: np.ndarray
+    scores: np.ndarray
+    image_ids: np.ndarray
+    class_ids: np.ndarray
+
+    def __len__(self) -> int:
+        return self.scores.shape[0]
+
+    @classmethod
+    def for_image(cls, image_id: int, boxes, scores, class_ids=None) -> "Detections":
+        boxes = boxes_to_array(boxes)
+        n = boxes.shape[0]
+        return cls(
+            boxes=boxes,
+            scores=np.asarray(scores, dtype=np.float64).reshape(n),
+            image_ids=np.full(n, image_id, dtype=np.int64),
+            class_ids=np.asarray(np.zeros(n) if class_ids is None else class_ids, np.int64),
+        )
+
+    @classmethod
+    def concat(cls, parts) -> "Detections":
+        parts = list(parts) or [cls.for_image(0, [], [])]
+        return cls(
+            **{f.name: np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(cls)}
+        )
+
+    @classmethod
+    def from_list(cls, dets: list[Detection]) -> "Detections":
+        return cls(
+            boxes=boxes_to_array([d.box for d in dets]),
+            scores=np.array([d.score for d in dets], dtype=np.float64),
+            image_ids=np.array([d.image_id for d in dets], dtype=np.int64),
+            class_ids=np.array([d.class_id for d in dets], dtype=np.int64),
+        )
+
+
 def nms_indices(boxes: np.ndarray, scores: np.ndarray, iou_thresh: float, max_out: int):
     """Greedy keep-indices; ties go to the lower original index."""
     order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
@@ -90,8 +136,8 @@ def decode_detections(
     image_w: float,
     image_h: float,
     image_id: int = 0,
-) -> list[Detection]:
-    """Head maps for one image -> final detections, NMS included."""
+) -> Detections:
+    """Head maps for one image -> final detections, NMS included, best score first."""
     n_levels = len(grid.per_level_counts)
     if len(outputs) != n_levels:
         raise ValidationError(f"expected {n_levels} level outputs, got {len(outputs)}")
@@ -129,47 +175,36 @@ def decode_detections(
             cand_scores.append(s[chosen])
             cand_classes.append(np.full(chosen.size, k, dtype=np.int64))
     if not cand_boxes:
-        return []
+        return Detections.for_image(image_id, [], [])
 
     boxes = np.concatenate(cand_boxes, axis=0)
     scores = np.concatenate(cand_scores, axis=0)
     classes = np.concatenate(cand_classes, axis=0)
 
-    final: list[Detection] = []
+    kept = []
     for k in range(num_classes):
         mask = np.nonzero(classes == k)[0]
-        if mask.size == 0:
-            continue
         keep = nms_indices(
             boxes[mask], scores[mask], config.nms_iou, config.max_detections_per_image
         )
-        for j in keep:
-            i = int(mask[j])
-            final.append(
-                Detection(
-                    box=BBox(*boxes[i]),
-                    score=float(scores[i]),
-                    class_id=k,
-                    image_id=image_id,
-                )
+        kept.append(mask[keep])
+    kept = np.concatenate(kept)
+    kept = kept[np.argsort(-scores[kept], kind="stable")[: config.max_detections_per_image]]
+    if not np.isfinite(boxes[kept]).all():
+        raise NumericError(f"image {image_id}: decoded detection boxes are not finite")
+    return Detections.for_image(image_id, boxes[kept], scores[kept], classes[kept])
+
+
+def write_detections(dets: Detections, path) -> None:
+    rows = zip(
+        dets.image_ids.tolist(), dets.boxes.tolist(), dets.scores.tolist(), dets.class_ids.tolist()
+    )
+    with atomic_write(path) as f:
+        for image_id, box, score, class_id in rows:
+            f.write(
+                json.dumps({"image_id": image_id, "box": box, "score": score, "class": class_id})
+                + "\n"
             )
-    final.sort(key=lambda d: -d.score)
-    return final[: config.max_detections_per_image]
-
-
-def write_detections(dets: list[Detection], path) -> None:
-    lines = [
-        json.dumps(
-            {
-                "image_id": d.image_id,
-                "box": [d.box.x1, d.box.y1, d.box.x2, d.box.y2],
-                "score": d.score,
-                "class": d.class_id,
-            }
-        )
-        for d in dets
-    ]
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
 def read_detections(path) -> list[Detection]:

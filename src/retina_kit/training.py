@@ -39,8 +39,7 @@ from .network import (
     unflatten_row_grads,
 )
 from .optim import AdamState, adam_step
-from .parallel import worker_map
-from .postprocess import decode_detections
+from .postprocess import Detections, decode_detections
 from .ppm import load_ppm
 
 STREAM_INIT = 202
@@ -92,22 +91,14 @@ def infer_detections(params, cfg: RunConfig, grid, tensor, image_id: int):
 
 
 def evaluate_params(params, cfg: RunConfig, samples: list[LoadedSample], grid):
-    """Full eval over samples; returns (report dict, detections list).
-
-    Per-image inference runs on the worker pool; detections and ground truth
-    are pooled by sample order, so the result is pool-size independent.
-    """
-
-    def run_one(sample):
-        tensor, gts = prepare_eval_input(sample, cfg)
-        dets = infer_detections(params, cfg, grid, tensor, sample.image_id)
-        return dets, gts
-
-    results = worker_map(run_one, samples)
-    all_dets = [d for dets, _ in results for d in dets]
-    all_gts = {s.image_id: gts for s, (_, gts) in zip(samples, results)}
-    report = coco_map(all_dets, all_gts, cfg.eval)
-    return report, all_dets
+    """Full eval over samples, one image at a time; returns (report dict, Detections)."""
+    parts = []
+    all_gts = {}
+    for sample in samples:
+        tensor, all_gts[sample.image_id] = prepare_eval_input(sample, cfg)
+        parts.append(infer_detections(params, cfg, grid, tensor, sample.image_id))
+    dets = Detections.concat(parts)
+    return coco_map(dets, all_gts, cfg.eval), dets
 
 
 @dataclass

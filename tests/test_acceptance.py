@@ -28,7 +28,14 @@ from retina_kit.experiments import desk_config, focal_vs_ce, make_split, write_r
 from retina_kit.gradcheck import run_gradcheck
 from retina_kit.losses import LossConfig, sigmoid_focal_loss
 from retina_kit.optim import AdamState
-from retina_kit.postprocess import Detection, EvalConfig, nms, read_detections, write_detections
+from retina_kit.postprocess import (
+    Detection,
+    Detections,
+    EvalConfig,
+    nms,
+    read_detections,
+    write_detections,
+)
 from retina_kit.ppm import load_ppm, save_ppm
 
 EPOCHS = 30
@@ -165,7 +172,7 @@ def test_criterion_5_evaluator_oracle_equivalence():
             dets_by_image[img] = dets
             gts_by_image[img] = gts
             all_dets.extend(Detection(box=b, score=s, image_id=img) for b, s in dets)
-        report = coco_map(all_dets, gts_by_image, cfg)
+        report = coco_map(Detections.from_list(all_dets), gts_by_image, cfg)
         naive_aps, naive_map = naive_coco_map(dets_by_image, gts_by_image, cfg.iou_thresholds)
         exact = exact and report["ap_per_threshold"] == naive_aps and report["map"] == naive_map
         aps = report["ap_per_threshold"]
@@ -312,7 +319,7 @@ def test_criterion_10_format_round_trips(tmp_path):
         )
         for _ in range(60)
     ]
-    write_detections(dets, tmp_path / "d.jsonl")
+    write_detections(Detections.from_list(dets), tmp_path / "d.jsonl")
     dback = read_detections(tmp_path / "d.jsonl")
     det_ok = all(
         a.box.as_tuple() == b.box.as_tuple() and a.score == b.score and a.image_id == b.image_id

@@ -7,7 +7,7 @@ import pytest
 from retina_kit.checkpoint import load_checkpoint
 from retina_kit.cli import main
 from retina_kit.config import run_config_from_dict, run_config_to_dict
-from retina_kit.postprocess import read_detections
+from retina_kit.postprocess import Detections, read_detections
 
 TINY = {
     "seed": 11,
@@ -186,7 +186,7 @@ class TestEvalCommand:
         cfg = load_run_config(tiny_cfg_path)
         samples = load_samples(manifest)
         gts = {s.image_id: prepare_eval_input(s, cfg)[1] for s in samples}
-        replay = coco_map(dets, gts, cfg.eval)
+        replay = coco_map(Detections.from_list(dets), gts, cfg.eval)
         assert replay["map"] == pytest.approx(report["map"], abs=1e-12)
         assert replay["ap_per_threshold"] == pytest.approx(report["ap_per_threshold"], abs=1e-12)
 
@@ -271,17 +271,40 @@ class TestExitCodes:
         path.write_text('{"training": {"lr": -1}}')
         assert main(["synth", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
 
-    def test_env_thread_cap_validated(self, tiny_cfg_path, tmp_path, monkeypatch):
-        monkeypatch.setenv("RETINA_KIT_THREADS", "zero")
-        data = tmp_path / "d"
-        assert main(["synth", "--config", tiny_cfg_path, "--out", str(data)]) == 0  # synth has no pool
-        empty = tmp_path / "empty.jsonl"
-        empty.write_text("")
-        from retina_kit.parallel import thread_count
-        from retina_kit.errors import ValidationError
+    def test_output_write_failing_partway_leaves_no_file(self, tiny_cfg_path, tmp_path,
+                                                         monkeypatch):
+        import retina_kit.outputs as outputs
 
-        with pytest.raises(ValidationError):
-            thread_count()
+        data = synth_dir(tiny_cfg_path, tmp_path)
+        written = []
+
+        class FullDisk:
+            """Takes the first line, then fails like a device out of space."""
+
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self.f.__exit__(*exc)
+
+            def write(self, text):
+                if written:
+                    raise OSError(28, "No space left on device")
+                written.append(text)
+                return self.f.write(text)
+
+        real_open = open
+        monkeypatch.setattr(outputs, "open", lambda *a, **kw: FullDisk(real_open(*a, **kw)),
+                            raising=False)
+        out = tmp_path / "eval"
+        code = main(["eval", "--config", tiny_cfg_path, "--manifest", str(data / "manifest.jsonl"),
+                     "--out", str(out), "--replay-gt"])
+        assert code == 3
+        assert len(written) == 1  # the failure came after the first line
+        assert list(out.iterdir()) == []  # no detections.jsonl, report.json or *.partial
 
 
 class TestThreadPoolEquivalence:

@@ -2,14 +2,22 @@ import numpy as np
 import pytest
 
 from oracles import naive_average_precision, naive_coco_map, naive_match, random_box
-from retina_kit.boxes import BBox
+from retina_kit.boxes import BBox, boxes_to_array
 from retina_kit.errors import ValidationError
 from retina_kit.evaluation import average_precision, coco_map, match_detections
-from retina_kit.postprocess import Detection, EvalConfig
+from retina_kit.postprocess import Detection, Detections, EvalConfig
 
 
 def det(x1, y1, x2, y2, score, image_id=0):
     return Detection(box=BBox(x1, y1, x2, y2), score=score, image_id=image_id)
+
+
+def arrays(dets):
+    return Detections.from_list(dets)
+
+
+def boxes(dets):
+    return boxes_to_array([d.box for d in dets])
 
 
 def random_scene(rng, max_dets=10, max_gts=5, span=64):
@@ -26,42 +34,44 @@ def random_scene(rng, max_dets=10, max_gts=5, span=64):
 class TestMatch:
     def test_no_gts_all_fp(self):
         dets = [det(0, 0, 4, 4, 0.9), det(1, 1, 5, 5, 0.8)]
-        tp, matched = match_detections(dets, [], 0.5)
-        assert not tp.any() and matched.size == 0
+        tp, matched = match_detections(boxes(dets), [], [0.5])
+        assert tp.shape == (1, 2) and not tp.any() and matched.size == 0
 
     def test_exact_match_is_tp_at_any_threshold(self):
         g = BBox(3.0, 4.0, 13.0, 24.0)
-        d = Detection(box=g, score=0.9)
-        for thresh in (0.5, 0.75, 0.95, 1.0):
-            tp, matched = match_detections([d], [g], thresh)
-            assert tp[0] and matched[0]
+        tp, matched = match_detections(boxes_to_array([g]), [g], [0.5, 0.75, 0.95, 1.0])
+        assert tp.all() and matched.all()
 
     def test_each_gt_matches_once(self):
         g = BBox(0.0, 0.0, 10.0, 10.0)
         dets = [det(0, 0, 10, 10, 0.9), det(0, 0, 10, 10, 0.8)]
-        tp, _ = match_detections(dets, [g], 0.5)
-        assert tp.tolist() == [True, False]
+        tp, _ = match_detections(boxes(dets), [g], [0.5])
+        assert tp.tolist() == [[True, False]]
 
     def test_score_order_priority(self):
         # the higher-scored det takes the only gt even if listed later
         g = BBox(0.0, 0.0, 10.0, 10.0)
         dets = [det(0, 0, 10, 10, 0.9), det(1, 0, 11, 10, 0.7)]
-        tp, _ = match_detections(dets, [g], 0.5)
-        assert tp.tolist() == [True, False]
+        tp, _ = match_detections(boxes(dets), [g], [0.5])
+        assert tp.tolist() == [[True, False]]
 
     def test_matches_brute_force(self, rng):
+        thresholds = EvalConfig().iou_thresholds
         for _ in range(100):
             dets, gts = random_scene(rng)
             det_objs = sorted(
                 (Detection(box=b, score=s) for b, s in dets), key=lambda d: -d.score
             )
-            tp, _ = match_detections(det_objs, gts, 0.5)
-            boxes = [d.box for d in det_objs]
+            tp, matched = match_detections(boxes(det_objs), gts, thresholds)
+            det_boxes = [d.box for d in det_objs]
             scores = [d.score for d in det_objs]
-            order, naive_tp = naive_match(boxes, scores, gts, 0.5)
-            # inputs are pre-sorted, so the naive max-scan visits them in order
-            assert order == list(range(len(det_objs)))
-            assert tp.tolist() == naive_tp
+            # every threshold of the one-pass matcher equals its own greedy run
+            for row, used, thresh in zip(tp, matched, thresholds):
+                order, naive_tp = naive_match(det_boxes, scores, gts, thresh)
+                # inputs are pre-sorted, so the naive max-scan visits them in order
+                assert order == list(range(len(det_objs)))
+                assert row.tolist() == naive_tp
+                assert used.sum() == sum(naive_tp)
 
 
 class TestAveragePrecision:
@@ -108,24 +118,24 @@ class TestCocoMap:
             boxes = [random_box(rng, 0, 64, min_side=2) for _ in range(3)]
             gts[img] = boxes
             dets.extend(Detection(box=b, score=1.0, image_id=img) for b in boxes)
-        report = coco_map(dets, gts, self.cfg)
+        report = coco_map(arrays(dets), gts, self.cfg)
         assert report["map"] == 1.0
         assert report["ap50"] == 1.0 and report["ap75"] == 1.0
 
     def test_empty_detections(self, rng):
         gts = {0: [random_box(rng, 0, 64)], 1: []}
-        report = coco_map([], gts, self.cfg)
+        report = coco_map(arrays([]), gts, self.cfg)
         assert report["map"] == 0.0
         assert not report["undefined"]
 
     def test_no_gt_flags_undefined(self):
-        report = coco_map([], {0: [], 1: []}, self.cfg)
+        report = coco_map(arrays([]), {0: [], 1: []}, self.cfg)
         assert report["map"] == 0.0
         assert report["undefined"]
 
     def test_unknown_image_id_rejected(self):
         with pytest.raises(ValidationError, match="image_id"):
-            coco_map([det(0, 0, 2, 2, 0.5, image_id=7)], {0: []}, self.cfg)
+            coco_map(arrays([det(0, 0, 2, 2, 0.5, image_id=7)]), {0: []}, self.cfg)
 
     def test_matches_brute_force_exactly(self, rng):
         for _ in range(50):
@@ -137,7 +147,7 @@ class TestCocoMap:
                 dets_by_image[img] = dets
                 gts_by_image[img] = gts
                 all_dets.extend(Detection(box=b, score=s, image_id=img) for b, s in dets)
-            report = coco_map(all_dets, gts_by_image, self.cfg)
+            report = coco_map(arrays(all_dets), gts_by_image, self.cfg)
             naive_aps, naive_map = naive_coco_map(
                 dets_by_image, gts_by_image, self.cfg.iou_thresholds
             )
@@ -148,7 +158,7 @@ class TestCocoMap:
         for _ in range(50):
             dets, gts = random_scene(rng, max_dets=10, max_gts=5)
             all_dets = [Detection(box=b, score=s, image_id=0) for b, s in dets]
-            report = coco_map(all_dets, {0: gts}, self.cfg)
+            report = coco_map(arrays(all_dets), {0: gts}, self.cfg)
             aps = report["ap_per_threshold"]
             assert all(b <= a + 1e-15 for a, b in zip(aps, aps[1:]))
 
@@ -157,16 +167,16 @@ class TestCocoMap:
         # distinct scores so the canonical sort is unambiguous
         dets = [(b, (i + 1) / (len(dets) + 1)) for i, (b, s) in enumerate(dets)]
         all_dets = [Detection(box=b, score=s, image_id=0) for b, s in dets]
-        base = coco_map(all_dets, {0: gts}, self.cfg)
+        base = coco_map(arrays(all_dets), {0: gts}, self.cfg)
         perm = [all_dets[i] for i in rng.permutation(len(all_dets))]
-        shuffled = coco_map(perm, {0: gts}, self.cfg)
+        shuffled = coco_map(arrays(perm), {0: gts}, self.cfg)
         assert base["ap_per_threshold"] == shuffled["ap_per_threshold"]
 
     def test_ap_in_unit_interval(self, rng):
         for _ in range(20):
             dets, gts = random_scene(rng)
             report = coco_map(
-                [Detection(box=b, score=s, image_id=0) for b, s in dets], {0: gts}, self.cfg
+                arrays([Detection(box=b, score=s, image_id=0) for b, s in dets]), {0: gts}, self.cfg
             )
             assert all(0.0 <= a <= 1.0 for a in report["ap_per_threshold"])
             assert 0.0 <= report["map"] <= 1.0
@@ -176,7 +186,30 @@ class TestCocoMap:
         cfg = EvalConfig(iou_thresholds=(0.5, 0.95))
         dets, gts = random_scene(rng)
         report = coco_map(
-            [Detection(box=b, score=s, image_id=0) for b, s in dets], {0: gts}, cfg
+            arrays([Detection(box=b, score=s, image_id=0) for b, s in dets]), {0: gts}, cfg
         )
         assert len(report["ap_per_threshold"]) == 2
         assert report["ap75"] is None
+
+    def test_tied_scores_match_brute_force_exactly(self, rng):
+        # scores from a handful of values tie within and across images, so the
+        # pooled (score, image_id, per-image rank) tie-break decides the order
+        cfg = EvalConfig(iou_thresholds=(0.3, 0.45, 0.6, 0.85))
+        for _ in range(100):
+            dets_by_image = {}
+            gts_by_image = {}
+            all_dets = []
+            for img in rng.permutation(6).tolist():
+                n_d = int(rng.integers(0, 9))
+                n_g = int(rng.integers(0, 4))
+                dets = [
+                    (random_box(rng, 0, 32, min_side=2), float(rng.choice([0.25, 0.5, 0.75])))
+                    for _ in range(n_d)
+                ]
+                dets_by_image[img] = dets
+                gts_by_image[img] = [random_box(rng, 0, 32, min_side=2) for _ in range(n_g)]
+                all_dets.extend(Detection(box=b, score=s, image_id=img) for b, s in dets)
+            report = coco_map(arrays(all_dets), gts_by_image, cfg)
+            naive_aps, naive_map = naive_coco_map(dets_by_image, gts_by_image, cfg.iou_thresholds)
+            assert report["ap_per_threshold"] == naive_aps  # same floats
+            assert report["map"] == naive_map

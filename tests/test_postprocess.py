@@ -4,10 +4,11 @@ import pytest
 from oracles import naive_decode_detections, random_box
 from retina_kit.anchors import AnchorConfig, generate_anchors
 from retina_kit.boxes import BBox, iou
-from retina_kit.errors import ValidationError
+from retina_kit.errors import NumericError, ValidationError
 from retina_kit.network import NetworkConfig, forward, init_params
 from retina_kit.postprocess import (
     Detection,
+    Detections,
     EvalConfig,
     decode_detections,
     nms,
@@ -110,7 +111,7 @@ class TestDecode:
     def test_all_low_logits_give_nothing(self):
         n = len(self.grid)
         outs = head_maps_from_rows(self.grid, np.full((n, 1), -40.0), np.zeros((n, 4)))
-        assert decode_detections(outs, self.grid, self.eval_cfg, 64, 64) == []
+        assert len(decode_detections(outs, self.grid, self.eval_cfg, 64, 64)) == 0
 
     def test_single_hot_anchor(self):
         n = len(self.grid)
@@ -119,12 +120,11 @@ class TestDecode:
         outs = head_maps_from_rows(self.grid, flat_cls, np.zeros((n, 4)))
         dets = decode_detections(outs, self.grid, self.eval_cfg, 64, 64)
         assert len(dets) == 1
-        d = dets[0]
-        assert d.score == pytest.approx(1.0, abs=1e-12)
+        assert dets.scores[0] == pytest.approx(1.0, abs=1e-12)
         from retina_kit.boxes import clip_to_image
 
         want = clip_to_image(BBox(*self.grid.anchors[137]), 64, 64)
-        assert d.box.as_tuple() == pytest.approx(want.as_tuple(), abs=1e-9)
+        assert tuple(dets.boxes[0]) == pytest.approx(want.as_tuple(), abs=1e-9)
 
     def test_matches_naive_full_scan(self, rng):
         from retina_kit.layers import sigmoid
@@ -146,9 +146,9 @@ class TestDecode:
                 64,
             )
             assert len(got) == len(want)
-            for d, (box, score) in zip(got, want):
-                assert d.score == pytest.approx(score, rel=1e-12)
-                assert d.box.as_tuple() == pytest.approx(box.as_tuple(), abs=1e-9)
+            for got_box, got_score, (box, score) in zip(got.boxes, got.scores, want):
+                assert got_score == pytest.approx(score, rel=1e-12)
+                assert tuple(got_box) == pytest.approx(box.as_tuple(), abs=1e-9)
 
     def test_detection_count_capped(self, rng):
         cfg = EvalConfig(max_detections_per_image=5)
@@ -164,9 +164,19 @@ class TestDecode:
         outs = head_maps_from_rows(
             self.grid, rng.normal(0.0, 3.0, size=(n, 1)), rng.normal(0.0, 1.0, size=(n, 4))
         )
-        for d in decode_detections(outs, self.grid, self.eval_cfg, 64, 64):
-            assert 0.0 <= d.box.x1 <= d.box.x2 <= 64.0
-            assert 0.0 <= d.box.y1 <= d.box.y2 <= 64.0
+        for x1, y1, x2, y2 in decode_detections(outs, self.grid, self.eval_cfg, 64, 64).boxes:
+            assert 0.0 <= x1 <= x2 <= 64.0
+            assert 0.0 <= y1 <= y2 <= 64.0
+
+    def test_non_finite_boxes_rejected(self):
+        n = len(self.grid)
+        flat_cls = np.full((n, 1), -40.0)
+        flat_cls[137, 0] = 40.0
+        flat_box = np.zeros((n, 4))
+        flat_box[137, 0] = np.nan
+        outs = head_maps_from_rows(self.grid, flat_cls, flat_box)
+        with pytest.raises(NumericError, match="not finite"):
+            decode_detections(outs, self.grid, self.eval_cfg, 64, 64)
 
     def test_dim_mismatch_rejected(self):
         n = len(self.grid)
@@ -181,7 +191,7 @@ class TestDecode:
         img = rng.standard_normal((3, 64, 64)).astype(np.float32)
         outs, _ = forward(img, params, net_cfg, [8, 16])
         dets = decode_detections(outs, self.grid, self.eval_cfg, 64, 64)
-        assert isinstance(dets, list)
+        assert isinstance(dets, Detections)
 
 
 class TestDetectionsIo:
@@ -196,7 +206,7 @@ class TestDetectionsIo:
             for _ in range(50)
         ]
         path = tmp_path / "dets.jsonl"
-        write_detections(dets, path)
+        write_detections(Detections.from_list(dets), path)
         back = read_detections(path)
         assert len(back) == len(dets)
         for a, b in zip(dets, back):
