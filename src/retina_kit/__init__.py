@@ -24,7 +24,7 @@ from .evaluation import average_precision, coco_map, match_detections
 from .losses import LossConfig, sigmoid_focal_loss, smooth_l1, total_detection_loss
 from .network import NetworkConfig, backward, forward, init_params
 from .optim import AdamState, adam_step
-from .postprocess import Detection, Detections, EvalConfig, decode_detections, nms
+from .postprocess import Detections, EvalConfig, decode_detections, nms_indices
 from .ppm import load_ppm, save_ppm
 from .synth import SynthConfig, synth_generate
 

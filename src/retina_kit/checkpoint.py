@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .optim import AdamState
+from .outputs import atomic_write
 
 MAGIC = b"RKCK"
 FORMAT_VERSION = 1
@@ -92,7 +93,8 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     blob = ckpt.config_json.encode("utf-8")
     chunks.append(struct.pack("<I", len(blob)))
     chunks.append(blob)
-    Path(path).write_bytes(b"".join(chunks))
+    with atomic_write(path, binary=True) as f:
+        f.write(b"".join(chunks))
 
 
 def load_checkpoint(path) -> Checkpoint:

@@ -134,7 +134,8 @@ def cmd_gradcheck(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "gradcheck.json").write_text(text, encoding="utf-8")
+        with atomic_write(out / "gradcheck.json") as f:
+            f.write(text)
     for suite in report["suites"]:
         status = "pass" if suite["passed"] else "FAIL"
         print(f"{suite['name']}: max rel error {suite['max_rel_error']:.3e} "

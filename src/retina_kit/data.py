@@ -28,15 +28,10 @@ class ManifestError(ValidationError):
 class SampleRecord:
     image_path: str
     boxes: list[BBox]
-    labels: list[int]
 
     def __post_init__(self):
         if not self.image_path:
             raise ValidationError("sample image_path must be non-empty")
-        if len(self.boxes) != len(self.labels):
-            raise ValidationError(
-                f"{self.image_path}: {len(self.boxes)} boxes vs {len(self.labels)} labels"
-            )
         for b in self.boxes:
             if b.area <= 0:
                 raise ValidationError(f"{self.image_path}: box {b.as_tuple()} has no area")
@@ -173,7 +168,7 @@ def augment(image, boxes, config: AugmentConfig, rng):
 
 
 def write_manifest(records, path) -> None:
-    """One JSON object per line: {"image", "boxes", "labels"}."""
+    """One JSON object per line: {"image", "boxes", "labels"}, every label 0."""
     lines = []
     for r in records:
         lines.append(
@@ -181,7 +176,7 @@ def write_manifest(records, path) -> None:
                 {
                     "image": r.image_path,
                     "boxes": [[b.x1, b.y1, b.x2, b.y2] for b in r.boxes],
-                    "labels": list(r.labels),
+                    "labels": [0] * len(r.boxes),
                 }
             )
         )
@@ -189,6 +184,7 @@ def write_manifest(records, path) -> None:
 
 
 def read_manifest(path) -> list[SampleRecord]:
+    """Parse a manifest; the detector is single-class, so every label must be 0."""
     records = []
     text = Path(path).read_text(encoding="utf-8")
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -202,11 +198,12 @@ def read_manifest(path) -> list[SampleRecord]:
             raise ManifestError(f"{path}: line {lineno}: expected image/boxes/labels keys")
         try:
             boxes = [BBox(*(float(v) for v in row)) for row in obj["boxes"]]
-            rec = SampleRecord(
-                image_path=str(obj["image"]),
-                boxes=boxes,
-                labels=[int(v) for v in obj["labels"]],
-            )
+            labels = [int(v) for v in obj["labels"]]
+            if len(labels) != len(boxes):
+                raise ValueError(f"{len(boxes)} boxes vs {len(labels)} labels")
+            if any(labels):
+                raise ValueError(f"labels {labels} must all be 0: the detector is single-class")
+            rec = SampleRecord(image_path=str(obj["image"]), boxes=boxes)
         except (TypeError, ValueError) as e:
             raise ManifestError(f"{path}: line {lineno}: {e}") from e
         records.append(rec)

@@ -158,7 +158,7 @@ def _small_instance(rng):
     gts = [BBox(1.0, 1.0, 9.0, 13.0), BBox(6.0, 2.0, 14.0, 15.0)]
     assignment = assign_targets(grid, gts, cfg)
     n = len(grid)
-    logits = rng.standard_normal((n, 1)) * 2.0
+    logits = rng.standard_normal(n) * 2.0
     deltas = rng.standard_normal((n, 4)) * 0.3
     return assignment, logits, deltas
 
@@ -217,18 +217,18 @@ def check_end_to_end(cfg: RunConfig, rng, perturb=None, n_params=200) -> float:
     grid = generate_anchors(cfg.anchors, 16, 16)
     gts = [BBox(2.0, 1.0, 8.0, 13.0), BBox(7.0, 3.0, 13.0, 15.0)]
     assignment = assign_targets(grid, gts, cfg.anchors)
-    a, k = net_cfg.num_anchors_per_cell, net_cfg.num_classes
+    a = net_cfg.num_anchors_per_cell
 
     def scalar():
         outputs, _ = forward(image, params, net_cfg, strides)
-        flat_cls, flat_box = flatten_level_outputs(outputs, a, k)
+        flat_cls, flat_box = flatten_level_outputs(outputs, a)
         val, _, _ = total_detection_loss(flat_cls, flat_box, assignment, cfg.loss)
         return val
 
     outputs, cache = forward(image, params, net_cfg, strides)
-    flat_cls, flat_box = flatten_level_outputs(outputs, a, k)
+    flat_cls, flat_box = flatten_level_outputs(outputs, a)
     _, g_cls, g_box = total_detection_loss(flat_cls, flat_box, assignment, cfg.loss)
-    grads = backward(cache, unflatten_row_grads(g_cls, g_box, outputs, a, k))
+    grads = backward(cache, unflatten_row_grads(g_cls, g_box, outputs, a))
     if perturb is not None:
         grads = perturb("end_to_end", grads)
 

@@ -87,29 +87,24 @@ def smooth_l1(pred, target, beta: float):
 
 
 def total_detection_loss(
-    cls_logits,
-    box_deltas,
-    assignment: AnchorAssignment,
-    config: LossConfig,
-    gt_labels=None,
+    cls_logits, box_deltas, assignment: AnchorAssignment, config: LossConfig
 ):
     """Normalized detection loss over one image's anchors.
 
     Classification focal loss is summed over positive and negative anchors
     (ignored anchors contribute nothing, to loss or gradient); smooth-L1
     regression is summed over positives only. Both sums and both gradients
-    are divided by max(1, num_positive).
+    are divided by max(1, num_positive). The detector has one class, so
+    cls_logits holds one logit per anchor and the target is the anchor's
+    positive flag.
 
-    gt_labels maps gt index to class id; defaults to class 0 everywhere.
     Returns (scalar_loss, grad_wrt_cls_logits, grad_wrt_box_deltas).
     """
     logits = np.asarray(cls_logits)
     deltas = np.asarray(box_deltas)
     n = assignment.labels.shape[0]
-    if logits.ndim != 2 or logits.shape[0] != n:
-        raise ValidationError(
-            f"cls_logits must be ({n}, num_classes), got shape {logits.shape}"
-        )
+    if logits.shape != (n,):
+        raise ValidationError(f"cls_logits must be ({n},), got shape {logits.shape}")
     if deltas.shape != (n, 4):
         raise ValidationError(f"box_deltas must be ({n}, 4), got shape {deltas.shape}")
 
@@ -117,20 +112,9 @@ def total_detection_loss(
     valid = assignment.labels != IGNORE
     norm = max(1, assignment.num_positive)
 
-    targets = np.zeros_like(logits)
-    if np.any(pos):
-        gt_idx = assignment.matched_gt[pos]
-        if gt_labels is None:
-            cls_ids = np.zeros(gt_idx.shape[0], dtype=np.int64)
-        else:
-            cls_ids = np.asarray(gt_labels, dtype=np.int64)[gt_idx]
-        if np.any(cls_ids < 0) or np.any(cls_ids >= logits.shape[1]):
-            raise ValidationError("gt class id out of range for the classification head")
-        targets[np.nonzero(pos)[0], cls_ids] = 1.0
-
-    cls_elem, cls_grad = sigmoid_focal_loss(logits, targets, config)
+    cls_elem, cls_grad = sigmoid_focal_loss(logits, pos, config)
     cls_sum = float(np.sum(cls_elem[valid], dtype=np.float64))
-    grad_cls = np.where(valid[:, None], cls_grad, 0.0) / norm
+    grad_cls = np.where(valid, cls_grad, 0.0) / norm
 
     grad_box = np.zeros_like(deltas, dtype=cls_grad.dtype)
     reg_sum = 0.0

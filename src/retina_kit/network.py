@@ -30,7 +30,6 @@ class NetworkConfig:
     fpn_channels: int = 32
     head_depth: int = 2
     num_anchors_per_cell: int = 9
-    num_classes: int = 1
     prior_prob: float = 0.01
 
     def __post_init__(self):
@@ -43,8 +42,8 @@ class NetworkConfig:
             raise ValidationError(f"fpn_channels must be positive, got {self.fpn_channels}")
         if self.head_depth < 0:
             raise ValidationError(f"head_depth must be >= 0, got {self.head_depth}")
-        if self.num_anchors_per_cell <= 0 or self.num_classes <= 0:
-            raise ValidationError("num_anchors_per_cell and num_classes must be positive")
+        if self.num_anchors_per_cell <= 0:
+            raise ValidationError("num_anchors_per_cell must be positive")
         if not (0.0 < self.prior_prob < 1.0):
             raise ValidationError(f"prior_prob must be in (0, 1), got {self.prior_prob}")
 
@@ -113,10 +112,10 @@ def init_params(config: NetworkConfig, level_strides, rng) -> dict[str, np.ndarr
         for j in range(config.head_depth):
             params[f"{prefix}{j}.w"] = he(f, f, 3)
             params[f"{prefix}{j}.b"] = np.zeros(f, dtype=np.float32)
-    a, k = config.num_anchors_per_cell, config.num_classes
-    params["cls_out.w"] = small(a * k, f, 3)
+    a = config.num_anchors_per_cell
+    params["cls_out.w"] = small(a, f, 3)
     params["cls_out.b"] = np.full(
-        a * k, -math.log((1.0 - config.prior_prob) / config.prior_prob), dtype=np.float32
+        a, -math.log((1.0 - config.prior_prob) / config.prior_prob), dtype=np.float32
     )
     params["box_out.w"] = small(a * 4, f, 3)
     params["box_out.b"] = np.zeros(a * 4, dtype=np.float32)
@@ -282,39 +281,31 @@ def backward(cache, output_grads) -> dict[str, np.ndarray]:
     return grads
 
 
-def flatten_level_outputs(outputs, num_anchors: int, num_classes: int):
-    """Per-level (A*K, H, W) / (A*4, H, W) maps to flat per-anchor rows.
+def flatten_level_outputs(outputs, num_anchors: int):
+    """Per-level (A, H, W) / (A*4, H, W) maps to flat per-anchor rows.
 
-    Row order matches the anchor grid: level-major, then row, then column,
-    then anchor index within the cell.
+    Returns (N,) classification logits and (N, 4) box deltas. Row order
+    matches the anchor grid: level-major, then row, then column, then anchor
+    index within the cell.
     """
     cls_rows, box_rows = [], []
     for cls_map, box_map in outputs:
         _, h, w = cls_map.shape
-        cls_rows.append(
-            cls_map.reshape(num_anchors, num_classes, h, w)
-            .transpose(2, 3, 0, 1)
-            .reshape(-1, num_classes)
-        )
+        cls_rows.append(cls_map.transpose(1, 2, 0).reshape(-1))
         box_rows.append(
             box_map.reshape(num_anchors, 4, h, w).transpose(2, 3, 0, 1).reshape(-1, 4)
         )
     return np.concatenate(cls_rows, axis=0), np.concatenate(box_rows, axis=0)
 
 
-def unflatten_row_grads(cls_grad, box_grad, outputs, num_anchors: int, num_classes: int):
+def unflatten_row_grads(cls_grad, box_grad, outputs, num_anchors: int):
     """Inverse of flatten_level_outputs for gradients on the flat rows."""
     per_level = []
     off = 0
     for cls_map, box_map in outputs:
         _, h, w = cls_map.shape
         n = h * w * num_anchors
-        gc = (
-            cls_grad[off : off + n]
-            .reshape(h, w, num_anchors, num_classes)
-            .transpose(2, 3, 0, 1)
-            .reshape(cls_map.shape)
-        )
+        gc = cls_grad[off : off + n].reshape(h, w, num_anchors).transpose(2, 0, 1)
         gb = (
             box_grad[off : off + n]
             .reshape(h, w, num_anchors, 4)

@@ -8,11 +8,14 @@ from pathlib import Path
 
 
 @contextmanager
-def atomic_write(path):
-    """Yield a text file at `<path>.partial`, renamed over `path` once the block exits cleanly."""
+def atomic_write(path, binary: bool = False):
+    """Yield a file at `<path>.partial`, renamed over `path` once the block exits cleanly.
+
+    The file is UTF-8 text, or raw bytes when `binary` is set.
+    """
     partial = Path(f"{path}.partial")
     try:
-        with open(partial, "w", encoding="utf-8") as f:
+        with open(partial, "wb" if binary else "w", encoding=None if binary else "utf-8") as f:
             yield f
         os.replace(partial, path)
     except BaseException:

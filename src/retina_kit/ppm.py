@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
+from .outputs import atomic_write
 
 _WHITESPACE = b" \t\r\n\v\f"
 
@@ -95,4 +96,5 @@ def save_ppm(image, path) -> None:
     u8 = np.clip(np.rint(arr), 0, 255).astype(np.uint8)
     h, w = u8.shape[1], u8.shape[2]
     header = f"P6\n{w} {h}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + u8.transpose(1, 2, 0).tobytes())
+    with atomic_write(path, binary=True) as f:
+        f.write(header + u8.transpose(1, 2, 0).tobytes())

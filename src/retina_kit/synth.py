@@ -160,6 +160,6 @@ def synth_generate(config: SynthConfig, out_dir) -> list[SampleRecord]:
         img, boxes = render_sample(config, i)
         name = f"img_{i:05d}.ppm"
         save_ppm(img, out / name)
-        records.append(SampleRecord(image_path=name, boxes=boxes, labels=[0] * len(boxes)))
+        records.append(SampleRecord(image_path=name, boxes=boxes))
     write_manifest(records, out / "manifest.jsonl")
     return records

@@ -109,12 +109,13 @@ class TrainResult:
     final_val: dict | None
 
 
-def _image_grads(cfg, grid, params, tensor, boxes, a, k):
+def _image_grads(cfg, grid, params, tensor, boxes):
     assignment = assign_targets(grid, boxes, cfg.anchors)
     outputs, cache = forward(tensor, params, cfg.network, cfg.level_strides())
-    flat_cls, flat_box = flatten_level_outputs(outputs, a, k)
+    a = cfg.network.num_anchors_per_cell
+    flat_cls, flat_box = flatten_level_outputs(outputs, a)
     loss, g_cls, g_box = total_detection_loss(flat_cls, flat_box, assignment, cfg.loss)
-    level_grads = unflatten_row_grads(g_cls, g_box, outputs, a, k)
+    level_grads = unflatten_row_grads(g_cls, g_box, outputs, a)
     grads = backward(cache, level_grads)
     return loss, grads
 
@@ -134,8 +135,6 @@ def run_training(
 
     in_w, in_h = cfg.training.input_size
     grid = generate_anchors(cfg.anchors, in_w, in_h)
-    a = cfg.network.num_anchors_per_cell
-    k = cfg.network.num_classes
     config_echo = canonical_json(run_config_to_dict(cfg))
 
     if resume is not None:
@@ -178,7 +177,7 @@ def run_training(
                     tensor, boxes = prepared[idx]
                     aug_rng = np.random.default_rng([cfg.seed, STREAM_AUGMENT, epoch, int(idx)])
                     tensor, boxes = augment(tensor, boxes, cfg.augment, aug_rng)
-                    loss, grads = _image_grads(cfg, grid, params, tensor, boxes, a, k)
+                    loss, grads = _image_grads(cfg, grid, params, tensor, boxes)
                     if not math.isfinite(loss):
                         raise NumericError(
                             f"non-finite loss at epoch {epoch} batch {b // batch_size} "
@@ -209,9 +208,8 @@ def run_training(
             mf.flush()
             metrics.append(row)
 
+    # written through <name>.partial, so this also retires the periodic checkpoint
     save_checkpoint(ckpt_path, build_checkpoint(params, state, config_echo))
-    if partial_path.exists():
-        os.remove(partial_path)
     os.replace(metrics_partial, metrics_path)
     return TrainResult(
         checkpoint_path=str(ckpt_path),

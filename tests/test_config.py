@@ -54,6 +54,9 @@ def test_unknown_top_level_key_rejected():
 def test_unknown_section_key_rejected():
     with pytest.raises(ValidationError, match="training"):
         run_config_from_dict({"training": {"learning_rate": 0.1}})
+    # the detector is single-class, so the old class-count knob is unknown too
+    with pytest.raises(ValidationError, match="num_classes"):
+        run_config_from_dict({"network": {"num_classes": 1}})
 
 
 def test_cross_check_anchors_per_cell():

@@ -167,14 +167,15 @@ class TestManifest:
         for i in range(100):
             n = int(rng.integers(0, 4))
             boxes = [random_box(rng, 0, 64, min_side=1) for _ in range(n)]
-            records.append(SampleRecord(f"img_{i}.ppm", boxes, [0] * n))
+            records.append(SampleRecord(f"img_{i}.ppm", boxes))
         path = tmp_path / "m.jsonl"
         write_manifest(records, path)
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        assert all(r["labels"] == [0] * len(r["boxes"]) for r in rows)
         back = read_manifest(path)
         assert len(back) == len(records)
         for a, b in zip(records, back):
             assert a.image_path == b.image_path
-            assert a.labels == b.labels
             assert [x.as_tuple() for x in a.boxes] == [x.as_tuple() for x in b.boxes]
 
     def test_invalid_json_names_line(self, tmp_path):
@@ -203,6 +204,16 @@ class TestManifest:
         path = tmp_path / "count.jsonl"
         path.write_text('{"image": "a.ppm", "boxes": [[0, 0, 2, 2]], "labels": []}\n')
         with pytest.raises(ManifestError, match="line 1"):
+            read_manifest(path)
+
+    def test_non_zero_label_rejected(self, tmp_path):
+        path = tmp_path / "classes.jsonl"
+        rows = [
+            {"image": "a.ppm", "boxes": [[0, 0, 4, 4]], "labels": [0]},
+            {"image": "b.ppm", "boxes": [[0, 0, 4, 4], [5, 5, 9, 9]], "labels": [0, 1]},
+        ]
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        with pytest.raises(ManifestError, match=r"classes\.jsonl: line 2: .*single-class"):
             read_manifest(path)
 
 

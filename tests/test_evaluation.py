@@ -5,19 +5,24 @@ from oracles import naive_average_precision, naive_coco_map, naive_match, random
 from retina_kit.boxes import BBox, boxes_to_array
 from retina_kit.errors import ValidationError
 from retina_kit.evaluation import average_precision, coco_map, match_detections
-from retina_kit.postprocess import Detection, Detections, EvalConfig
+from retina_kit.postprocess import Detections, EvalConfig
 
 
 def det(x1, y1, x2, y2, score, image_id=0):
-    return Detection(box=BBox(x1, y1, x2, y2), score=score, image_id=image_id)
+    return BBox(x1, y1, x2, y2), score, image_id
 
 
 def arrays(dets):
-    return Detections.from_list(dets)
+    """Detections from (BBox, score, image_id) rows."""
+    return Detections(
+        boxes=boxes_to_array([b for b, _, _ in dets]),
+        scores=np.array([s for _, s, _ in dets], dtype=np.float64),
+        image_ids=np.array([i for _, _, i in dets], dtype=np.int64),
+    )
 
 
 def boxes(dets):
-    return boxes_to_array([d.box for d in dets])
+    return boxes_to_array([b for b, _, _ in dets])
 
 
 def random_scene(rng, max_dets=10, max_gts=5, span=64):
@@ -59,17 +64,15 @@ class TestMatch:
         thresholds = EvalConfig().iou_thresholds
         for _ in range(100):
             dets, gts = random_scene(rng)
-            det_objs = sorted(
-                (Detection(box=b, score=s) for b, s in dets), key=lambda d: -d.score
-            )
-            tp, matched = match_detections(boxes(det_objs), gts, thresholds)
-            det_boxes = [d.box for d in det_objs]
-            scores = [d.score for d in det_objs]
+            det_rows = sorted(dets, key=lambda d: -d[1])
+            det_boxes = [b for b, _ in det_rows]
+            scores = [s for _, s in det_rows]
+            tp, matched = match_detections(boxes_to_array(det_boxes), gts, thresholds)
             # every threshold of the one-pass matcher equals its own greedy run
             for row, used, thresh in zip(tp, matched, thresholds):
                 order, naive_tp = naive_match(det_boxes, scores, gts, thresh)
                 # inputs are pre-sorted, so the naive max-scan visits them in order
-                assert order == list(range(len(det_objs)))
+                assert order == list(range(len(det_rows)))
                 assert row.tolist() == naive_tp
                 assert used.sum() == sum(naive_tp)
 
@@ -117,7 +120,7 @@ class TestCocoMap:
         for img in range(5):
             boxes = [random_box(rng, 0, 64, min_side=2) for _ in range(3)]
             gts[img] = boxes
-            dets.extend(Detection(box=b, score=1.0, image_id=img) for b in boxes)
+            dets.extend((b, 1.0, img) for b in boxes)
         report = coco_map(arrays(dets), gts, self.cfg)
         assert report["map"] == 1.0
         assert report["ap50"] == 1.0 and report["ap75"] == 1.0
@@ -146,7 +149,7 @@ class TestCocoMap:
                 dets, gts = random_scene(rng, max_dets=8, max_gts=4)
                 dets_by_image[img] = dets
                 gts_by_image[img] = gts
-                all_dets.extend(Detection(box=b, score=s, image_id=img) for b, s in dets)
+                all_dets.extend((b, s, img) for b, s in dets)
             report = coco_map(arrays(all_dets), gts_by_image, self.cfg)
             naive_aps, naive_map = naive_coco_map(
                 dets_by_image, gts_by_image, self.cfg.iou_thresholds
@@ -157,7 +160,7 @@ class TestCocoMap:
     def test_ap_monotone_in_threshold(self, rng):
         for _ in range(50):
             dets, gts = random_scene(rng, max_dets=10, max_gts=5)
-            all_dets = [Detection(box=b, score=s, image_id=0) for b, s in dets]
+            all_dets = [(b, s, 0) for b, s in dets]
             report = coco_map(arrays(all_dets), {0: gts}, self.cfg)
             aps = report["ap_per_threshold"]
             assert all(b <= a + 1e-15 for a, b in zip(aps, aps[1:]))
@@ -166,7 +169,7 @@ class TestCocoMap:
         dets, gts = random_scene(rng, max_dets=10, max_gts=5)
         # distinct scores so the canonical sort is unambiguous
         dets = [(b, (i + 1) / (len(dets) + 1)) for i, (b, s) in enumerate(dets)]
-        all_dets = [Detection(box=b, score=s, image_id=0) for b, s in dets]
+        all_dets = [(b, s, 0) for b, s in dets]
         base = coco_map(arrays(all_dets), {0: gts}, self.cfg)
         perm = [all_dets[i] for i in rng.permutation(len(all_dets))]
         shuffled = coco_map(arrays(perm), {0: gts}, self.cfg)
@@ -176,7 +179,7 @@ class TestCocoMap:
         for _ in range(20):
             dets, gts = random_scene(rng)
             report = coco_map(
-                arrays([Detection(box=b, score=s, image_id=0) for b, s in dets]), {0: gts}, self.cfg
+                arrays([(b, s, 0) for b, s in dets]), {0: gts}, self.cfg
             )
             assert all(0.0 <= a <= 1.0 for a in report["ap_per_threshold"])
             assert 0.0 <= report["map"] <= 1.0
@@ -186,7 +189,7 @@ class TestCocoMap:
         cfg = EvalConfig(iou_thresholds=(0.5, 0.95))
         dets, gts = random_scene(rng)
         report = coco_map(
-            arrays([Detection(box=b, score=s, image_id=0) for b, s in dets]), {0: gts}, cfg
+            arrays([(b, s, 0) for b, s in dets]), {0: gts}, cfg
         )
         assert len(report["ap_per_threshold"]) == 2
         assert report["ap75"] is None
@@ -208,7 +211,7 @@ class TestCocoMap:
                 ]
                 dets_by_image[img] = dets
                 gts_by_image[img] = [random_box(rng, 0, 32, min_side=2) for _ in range(n_g)]
-                all_dets.extend(Detection(box=b, score=s, image_id=img) for b, s in dets)
+                all_dets.extend((b, s, img) for b, s in dets)
             report = coco_map(arrays(all_dets), gts_by_image, cfg)
             naive_aps, naive_map = naive_coco_map(dets_by_image, gts_by_image, cfg.iou_thresholds)
             assert report["ap_per_threshold"] == naive_aps  # same floats

@@ -156,7 +156,7 @@ def small_scene(rng, n_gts=2):
     grid = generate_anchors(cfg, 16, 16)
     gts = [BBox(1.0, 1.0, 9.0, 13.0), BBox(6.0, 2.0, 14.0, 15.0)][:n_gts]
     assignment = assign_targets(grid, gts, cfg)
-    logits = rng.standard_normal((len(grid), 1)) * 2.0
+    logits = rng.standard_normal(len(grid)) * 2.0
     deltas = rng.standard_normal((len(grid), 4)) * 0.3
     return assignment, logits, deltas
 
@@ -173,7 +173,7 @@ class TestTotalLoss:
     def test_perfect_prediction(self):
         rng = np.random.default_rng(0)
         assignment, logits, deltas = small_scene(rng)
-        logits = np.where(assignment.labels[:, None] == 1, 40.0, -40.0).astype(np.float64)
+        logits = np.where(assignment.labels == 1, 40.0, -40.0).astype(np.float64)
         deltas = assignment.deltas.copy()
         total, _, _ = total_detection_loss(logits, deltas, assignment, LossConfig())
         assert total < 1e-12
@@ -185,9 +185,7 @@ class TestTotalLoss:
         total, _, _ = total_detection_loss(logits, deltas, assignment, LossConfig())
         cls, _ = sigmoid_focal_loss(
             logits,
-            np.where(
-                (assignment.labels == 1)[:, None], 1.0, 0.0
-            ),
+            np.where(assignment.labels == 1, 1.0, 0.0),
             LossConfig(),
         )
         valid = assignment.labels != -1
@@ -208,7 +206,7 @@ class TestTotalLoss:
         bumped[ignore_idx] += 7.5
         after = total_detection_loss(bumped, deltas, assignment, LossConfig())
         assert after[0] == base[0]
-        assert np.array_equal(after[1][ignore_idx], np.zeros((ignore_idx.size, 1)))
+        assert np.array_equal(after[1][ignore_idx], np.zeros(ignore_idx.size))
         assert np.array_equal(
             np.delete(after[1], ignore_idx, axis=0), np.delete(base[1], ignore_idx, axis=0)
         )
@@ -217,6 +215,9 @@ class TestTotalLoss:
         assignment, logits, deltas = small_scene(rng)
         with pytest.raises(ValidationError):
             total_detection_loss(logits[:-1], deltas, assignment, LossConfig())
+        # (N, 1) would be a class axis; the single-class head takes (N,)
+        with pytest.raises(ValidationError):
+            total_detection_loss(logits[:, None], deltas, assignment, LossConfig())
         with pytest.raises(ValidationError):
             total_detection_loss(logits, deltas[:, :3], assignment, LossConfig())
 

@@ -97,9 +97,9 @@ class TestFlatten:
         cfg, params = make_net()
         img = rng.standard_normal((3, 64, 64)).astype(np.float32)
         outputs, _ = forward(img, params, cfg, STRIDES)
-        flat_cls, flat_box = flatten_level_outputs(outputs, 9, 1)
-        assert flat_cls.shape == (720, 1) and flat_box.shape == (720, 4)
-        back = unflatten_row_grads(flat_cls, flat_box, outputs, 9, 1)
+        flat_cls, flat_box = flatten_level_outputs(outputs, 9)
+        assert flat_cls.shape == (720,) and flat_box.shape == (720, 4)
+        back = unflatten_row_grads(flat_cls, flat_box, outputs, 9)
         for (gc, gb), (c, b) in zip(back, outputs):
             assert np.array_equal(gc, c) and np.array_equal(gb, b)
 
@@ -112,9 +112,9 @@ class TestFlatten:
         probe = np.zeros_like(cls0)
         a_idx, r, c = 5, 2, 3
         probe[a_idx, r, c] = 1.0
-        flat, _ = flatten_level_outputs([(probe, box0), (np.zeros_like(cls1), box1)], 9, 1)
+        flat, _ = flatten_level_outputs([(probe, box0), (np.zeros_like(cls1), box1)], 9)
         row = (r * 8 + c) * 9 + a_idx
-        assert flat[row, 0] == 1.0
+        assert flat[row] == 1.0
         assert flat.sum() == 1.0
 
 
@@ -201,12 +201,12 @@ class TestTrainingStep:
 
             def loss_of(p):
                 outs, cache = forward(img, p, net_cfg, STRIDES)
-                fc, fb = flatten_level_outputs(outs, 9, 1)
+                fc, fb = flatten_level_outputs(outs, 9)
                 val, gc, gb = total_detection_loss(fc, fb, assignment, loss_cfg)
                 return val, outs, cache, gc, gb
 
             before, outs, cache, gc, gb = loss_of(params)
-            grads = backward(cache, unflatten_row_grads(gc, gb, outs, 9, 1))
+            grads = backward(cache, unflatten_row_grads(gc, gb, outs, 9))
             state = AdamState.zeros_like(params)
             adam_step(params, grads, state, lr=1e-3)
             after, _, _, _, _ = loss_of(params)

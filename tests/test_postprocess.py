@@ -3,22 +3,28 @@ import pytest
 
 from oracles import naive_decode_detections, random_box
 from retina_kit.anchors import AnchorConfig, generate_anchors
-from retina_kit.boxes import BBox, iou
+from retina_kit.boxes import BBox, boxes_to_array, iou
 from retina_kit.errors import NumericError, ValidationError
 from retina_kit.network import NetworkConfig, forward, init_params
 from retina_kit.postprocess import (
-    Detection,
     Detections,
     EvalConfig,
     decode_detections,
-    nms,
+    nms_indices,
     read_detections,
     write_detections,
 )
 
 
-def det(x1, y1, x2, y2, score, image_id=0):
-    return Detection(box=BBox(x1, y1, x2, y2), score=score, image_id=image_id)
+def det(x1, y1, x2, y2, score):
+    return BBox(x1, y1, x2, y2), score
+
+
+def run_nms(dets, iou_thresh, max_out):
+    """nms_indices over (BBox, score) rows."""
+    boxes = boxes_to_array([b for b, _ in dets])
+    scores = np.array([s for _, s in dets], dtype=np.float64)
+    return nms_indices(boxes, scores, iou_thresh, max_out)
 
 
 class TestEvalConfig:
@@ -44,50 +50,45 @@ class TestEvalConfig:
 
 class TestNms:
     def test_single_detection_survives(self):
-        d = det(0, 0, 4, 4, 0.5)
-        assert nms([d], 0.5, 10) == [d]
+        assert run_nms([det(0, 0, 4, 4, 0.5)], 0.5, 10) == [0]
 
     def test_duplicate_suppressed(self):
         hi = det(0, 0, 4, 4, 0.9)
         lo = det(0, 0, 4, 4, 0.8)
-        assert nms([lo, hi], 0.5, 10) == [hi]
+        assert run_nms([lo, hi], 0.5, 10) == [1]
 
     def test_disjoint_boxes_both_survive(self):
         a = det(0, 0, 4, 4, 0.2)
         b = det(10, 10, 14, 14, 0.9)
-        out = nms([a, b], 0.5, 10)
-        assert out == [b, a]  # sorted by descending score
+        assert run_nms([a, b], 0.5, 10) == [1, 0]  # sorted by descending score
 
     def test_iou_exactly_at_threshold_survives(self):
         # suppression requires IoU strictly greater than the threshold
         a = det(0, 0, 4, 4, 0.9)
         b = det(2, 0, 6, 4, 0.8)  # IoU = 2*4 / (16+16-8) = 1/3
-        out = nms([a, b], 1 / 3, 10)
-        assert len(out) == 2
+        assert len(run_nms([a, b], 1 / 3, 10)) == 2
 
     def test_max_out_caps_results(self):
         dets = [det(i * 10, 0, i * 10 + 4, 4, 0.5 + 0.01 * i) for i in range(8)]
-        assert len(nms(dets, 0.5, 3)) == 3
+        assert len(run_nms(dets, 0.5, 3)) == 3
 
     def test_tie_breaks_to_lower_index(self):
         a = det(0, 0, 4, 4, 0.7)
         b = det(0, 0, 4, 4, 0.7)
-        out = nms([a, b], 0.5, 10)
-        assert out == [a]
+        assert run_nms([a, b], 0.5, 10) == [0]
 
     def test_survivors_pairwise_below_threshold(self, rng):
         for _ in range(200):
             dets = [
-                Detection(box=random_box(rng, 0, 64, min_side=2), score=float(rng.uniform(0, 1)))
-                for _ in range(12)
+                (random_box(rng, 0, 64, min_side=2), float(rng.uniform(0, 1))) for _ in range(12)
             ]
-            out = nms(dets, 0.5, 100)
-            scores = [d.score for d in out]
+            keep = run_nms(dets, 0.5, 100)
+            scores = [dets[i][1] for i in keep]
             assert scores == sorted(scores, reverse=True)
-            assert {id(d) for d in out} <= {id(d) for d in dets}
-            for i in range(len(out)):
-                for j in range(i + 1, len(out)):
-                    assert iou(out[i].box, out[j].box) <= 0.5
+            assert len(set(keep)) == len(keep) and set(keep) <= set(range(len(dets)))
+            for i in range(len(keep)):
+                for j in range(i + 1, len(keep)):
+                    assert iou(dets[keep[i]][0], dets[keep[j]][0]) <= 0.5
 
 
 def head_maps_from_rows(grid, flat_cls, flat_box):
@@ -96,7 +97,7 @@ def head_maps_from_rows(grid, flat_cls, flat_box):
     for li, (rows, cols) in enumerate(grid.per_level_shapes):
         sl = grid.level_slice(li)
         a = grid.per_level_counts[li] // (rows * cols)
-        cls_map = flat_cls[sl].reshape(rows, cols, a, 1).transpose(2, 3, 0, 1).reshape(a, rows, cols)
+        cls_map = flat_cls[sl].reshape(rows, cols, a).transpose(2, 0, 1)
         box_map = flat_box[sl].reshape(rows, cols, a, 4).transpose(2, 3, 0, 1).reshape(a * 4, rows, cols)
         outs.append((cls_map, box_map))
     return outs
@@ -110,13 +111,13 @@ class TestDecode:
 
     def test_all_low_logits_give_nothing(self):
         n = len(self.grid)
-        outs = head_maps_from_rows(self.grid, np.full((n, 1), -40.0), np.zeros((n, 4)))
+        outs = head_maps_from_rows(self.grid, np.full(n, -40.0), np.zeros((n, 4)))
         assert len(decode_detections(outs, self.grid, self.eval_cfg, 64, 64)) == 0
 
     def test_single_hot_anchor(self):
         n = len(self.grid)
-        flat_cls = np.full((n, 1), -40.0)
-        flat_cls[137, 0] = 40.0
+        flat_cls = np.full(n, -40.0)
+        flat_cls[137] = 40.0
         outs = head_maps_from_rows(self.grid, flat_cls, np.zeros((n, 4)))
         dets = decode_detections(outs, self.grid, self.eval_cfg, 64, 64)
         assert len(dets) == 1
@@ -131,12 +132,12 @@ class TestDecode:
 
         for _ in range(10):
             n = len(self.grid)
-            flat_cls = rng.normal(-4.0, 2.5, size=(n, 1))
+            flat_cls = rng.normal(-4.0, 2.5, size=n)
             flat_box = rng.normal(0.0, 0.3, size=(n, 4))
             outs = head_maps_from_rows(self.grid, flat_cls, flat_box)
             got = decode_detections(outs, self.grid, self.eval_cfg, 64, 64)
             want = naive_decode_detections(
-                sigmoid(flat_cls[:, 0]),
+                sigmoid(flat_cls),
                 flat_box,
                 self.grid.anchors,
                 self.eval_cfg.score_threshold,
@@ -154,7 +155,7 @@ class TestDecode:
         cfg = EvalConfig(max_detections_per_image=5)
         n = len(self.grid)
         outs = head_maps_from_rows(
-            self.grid, rng.normal(2.0, 1.0, size=(n, 1)), np.zeros((n, 4))
+            self.grid, rng.normal(2.0, 1.0, size=n), np.zeros((n, 4))
         )
         dets = decode_detections(outs, self.grid, cfg, 64, 64)
         assert len(dets) <= 5
@@ -162,7 +163,7 @@ class TestDecode:
     def test_boxes_clipped_to_image(self, rng):
         n = len(self.grid)
         outs = head_maps_from_rows(
-            self.grid, rng.normal(0.0, 3.0, size=(n, 1)), rng.normal(0.0, 1.0, size=(n, 4))
+            self.grid, rng.normal(0.0, 3.0, size=n), rng.normal(0.0, 1.0, size=(n, 4))
         )
         for x1, y1, x2, y2 in decode_detections(outs, self.grid, self.eval_cfg, 64, 64).boxes:
             assert 0.0 <= x1 <= x2 <= 64.0
@@ -170,8 +171,8 @@ class TestDecode:
 
     def test_non_finite_boxes_rejected(self):
         n = len(self.grid)
-        flat_cls = np.full((n, 1), -40.0)
-        flat_cls[137, 0] = 40.0
+        flat_cls = np.full(n, -40.0)
+        flat_cls[137] = 40.0
         flat_box = np.zeros((n, 4))
         flat_box[137, 0] = np.nan
         outs = head_maps_from_rows(self.grid, flat_cls, flat_box)
@@ -180,10 +181,14 @@ class TestDecode:
 
     def test_dim_mismatch_rejected(self):
         n = len(self.grid)
-        outs = head_maps_from_rows(self.grid, np.zeros((n, 1)), np.zeros((n, 4)))
-        wrong = [(outs[0][0][:, :4, :], outs[0][1])] + outs[1:]
-        with pytest.raises(ValidationError):
-            decode_detections(wrong, self.grid, self.eval_cfg, 64, 64)
+        outs = head_maps_from_rows(self.grid, np.zeros(n), np.zeros((n, 4)))
+        (cls0, box0), rest = outs[0], outs[1:]
+        spatial = [(cls0[:, :4, :], box0)] + rest
+        # 2A channels would read as a second class; the head has exactly one
+        two_class = [(np.concatenate([cls0, cls0]), box0)] + rest
+        for wrong in (spatial, two_class):
+            with pytest.raises(ValidationError):
+                decode_detections(wrong, self.grid, self.eval_cfg, 64, 64)
 
     def test_wired_to_network_outputs(self, rng):
         net_cfg = NetworkConfig()
@@ -196,25 +201,28 @@ class TestDecode:
 
 class TestDetectionsIo:
     def test_round_trip(self, tmp_path, rng):
-        dets = [
-            Detection(
-                box=random_box(rng, 0, 64, min_side=1),
-                score=float(rng.uniform(0, 1)),
-                class_id=0,
-                image_id=int(rng.integers(0, 5)),
-            )
-            for _ in range(50)
-        ]
+        dets = Detections(
+            boxes=boxes_to_array([random_box(rng, 0, 64, min_side=1) for _ in range(50)]),
+            scores=rng.uniform(0, 1, size=50),
+            image_ids=rng.integers(0, 5, size=50),
+        )
         path = tmp_path / "dets.jsonl"
-        write_detections(Detections.from_list(dets), path)
+        write_detections(dets, path)
         back = read_detections(path)
-        assert len(back) == len(dets)
-        for a, b in zip(dets, back):
-            assert a.box.as_tuple() == b.box.as_tuple()
-            assert a.score == b.score and a.image_id == b.image_id
+        assert isinstance(back, Detections)
+        assert np.array_equal(back.boxes, dets.boxes)
+        assert np.array_equal(back.scores, dets.scores)
+        assert np.array_equal(back.image_ids, dets.image_ids)
 
     def test_bad_line_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"image_id": 0, "box": [0, 0, 1, 1]}\n')
-        with pytest.raises(ValidationError, match="line 1"):
-            read_detections(path)
+        good = '{"image_id": 0, "box": [0, 0, 1, 1], "score": 0.5}\n'
+        for bad in (
+            '{"image_id": 0, "box": [0, 0, 1, 1]}',
+            '{"image_id": 0, "box": [2, 0, 1, 1], "score": 0.5}',
+            '{"image_id": 0, "box": [0, 0, NaN, 1], "score": 0.5}',
+            '{"image_id": 0, "box": [0, 0, 1, 1], "score": 1.5}',
+        ):
+            path.write_text(good + bad + "\n")
+            with pytest.raises(ValidationError, match="line 2"):
+                read_detections(path)
