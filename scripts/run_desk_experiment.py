@@ -5,10 +5,9 @@ Usage: python scripts/run_desk_experiment.py [workdir] [--seed N] [--gamma G]
 """
 
 import argparse
-import json
 from pathlib import Path
 
-from retina_kit.experiments import desk_config, make_split, train_and_eval
+from retina_kit.experiments import desk_config, make_split, train_and_eval, write_report
 
 
 def main():
@@ -24,7 +23,7 @@ def main():
     train_m, val_m = make_split(cfg, workdir)
     report = train_and_eval(cfg, train_m, val_m, workdir / "run")
     out = workdir / "report.json"
-    out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    write_report(report, out)
     print(f"val mAP {report['map']:.4f}, AP@0.50 {report['ap50']:.4f} -> {out}")
 
 

@@ -6,17 +6,7 @@ a COCO-protocol mAP evaluator.
 """
 
 from .anchors import AnchorConfig, AnchorGrid, AnchorLevel, assign_targets, generate_anchors
-from .boxes import (
-    BBox,
-    BoxDelta,
-    AffineTransform,
-    clip_to_image,
-    decode,
-    encode,
-    iou,
-    iou_matrix,
-    transform_box,
-)
+from .boxes import AffineTransform, BBox, iou_matrix
 from .config import RunConfig, load_run_config, run_config_from_dict, run_config_to_dict
 from .data import AugmentConfig, SampleRecord, augment, preprocess, read_manifest, write_manifest
 from .errors import NumericError, RetinaKitError, ValidationError

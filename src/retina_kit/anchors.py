@@ -161,7 +161,7 @@ def generate_anchors(config: AnchorConfig, image_w: int, image_h: int) -> Anchor
 
 
 def assign_targets(grid: AnchorGrid, gts, config: AnchorConfig) -> AnchorAssignment:
-    """Label every anchor against the ground-truth boxes.
+    """Label every anchor against the (G, 4) ground-truth boxes.
 
     An anchor is POSITIVE when its best IoU is >= pos_iou (matched to the
     argmax gt, lowest index on ties), NEGATIVE below neg_iou, IGNORE in

@@ -1,9 +1,9 @@
-"""Axis-aligned box geometry.
+"""Axis-aligned box geometry on (N, 4) float64 corner arrays.
 
 IoU, clipping, affine transforms, and the anchor-relative offset
 parameterization used by the regression head: center shifts are measured in
 anchor widths/heights, sizes as log ratios, so encode and decode are exact
-inverses.
+inverses. `BBox` is the validated row type for boxes parsed from files.
 """
 
 from __future__ import annotations
@@ -52,24 +52,6 @@ class BBox:
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x1, self.y1, self.x2, self.y2)
-
-
-@dataclass(frozen=True)
-class BoxDelta:
-    """Anchor-relative offsets (tx, ty, tw, th); tw/th live in log space."""
-
-    tx: float
-    ty: float
-    tw: float
-    th: float
-
-    def __post_init__(self):
-        vals = (self.tx, self.ty, self.tw, self.th)
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError(f"box delta must be finite, got {vals}")
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.tx, self.ty, self.tw, self.th)
 
 
 @dataclass
@@ -136,17 +118,6 @@ class AffineTransform:
         return pts @ self.matrix[:, :2].T + self.matrix[:, 2]
 
 
-def iou(a: BBox, b: BBox) -> float:
-    """Intersection over union in [0, 1]; 0 when the union has zero area."""
-    iw = min(a.x2, b.x2) - max(a.x1, b.x1)
-    ih = min(a.y2, b.y2) - max(a.y1, b.y1)
-    inter = iw * ih if iw > 0.0 and ih > 0.0 else 0.0
-    union = a.area + b.area - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
-
-
 def boxes_to_array(boxes) -> np.ndarray:
     """(N, 4) float64 corner array from a BBox sequence or array-like."""
     if isinstance(boxes, np.ndarray):
@@ -154,14 +125,20 @@ def boxes_to_array(boxes) -> np.ndarray:
     return np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)
 
 
+def box_areas(boxes) -> np.ndarray:
+    """(N,) width times height of each row."""
+    b = boxes_to_array(boxes)
+    return (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+
+
 def iou_matrix(boxes_a, boxes_b) -> np.ndarray:
-    """Pairwise IoU, entry (i, j) = iou(boxes_a[i], boxes_b[j])."""
+    """Pairwise IoU in [0, 1] of rows i and j; 0 where the union has zero area."""
     a = boxes_to_array(boxes_a)
     b = boxes_to_array(boxes_b)
     if a.shape[0] == 0 or b.shape[0] == 0:
         return np.zeros((a.shape[0], b.shape[0]))
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    area_a = box_areas(a)
+    area_b = box_areas(b)
     lt = np.maximum(a[:, None, :2], b[None, :, :2])
     rb = np.minimum(a[:, None, 2:], b[None, :, 2:])
     wh = np.clip(rb - lt, 0.0, None)
@@ -172,36 +149,8 @@ def iou_matrix(boxes_a, boxes_b) -> np.ndarray:
     return out
 
 
-def encode(gt: BBox, anchor: BBox) -> BoxDelta:
-    """Offsets that map `anchor` onto `gt`."""
-    if anchor.width <= 0.0 or anchor.height <= 0.0:
-        raise ValueError(f"degenerate anchor: {anchor.as_tuple()}")
-    if gt.width <= 0.0 or gt.height <= 0.0:
-        raise ValueError(f"degenerate ground-truth box: {gt.as_tuple()}")
-    ax, ay = anchor.center
-    gx, gy = gt.center
-    return BoxDelta(
-        tx=(gx - ax) / anchor.width,
-        ty=(gy - ay) / anchor.height,
-        tw=math.log(gt.width / anchor.width),
-        th=math.log(gt.height / anchor.height),
-    )
-
-
-def decode(anchor: BBox, delta: BoxDelta) -> BBox:
-    """Inverse of encode; log-size components clamped at DELTA_CLAMP."""
-    if anchor.width <= 0.0 or anchor.height <= 0.0:
-        raise ValueError(f"degenerate anchor: {anchor.as_tuple()}")
-    ax, ay = anchor.center
-    cx = ax + delta.tx * anchor.width
-    cy = ay + delta.ty * anchor.height
-    w = anchor.width * math.exp(min(delta.tw, DELTA_CLAMP))
-    h = anchor.height * math.exp(min(delta.th, DELTA_CLAMP))
-    return BBox(cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h)
-
-
 def encode_boxes(gts: np.ndarray, anchors: np.ndarray) -> np.ndarray:
-    """Vectorized encode over (N, 4) corner arrays."""
+    """Row-wise offsets that map each anchor onto its ground-truth box."""
     gts = np.asarray(gts, dtype=np.float64)
     anchors = np.asarray(anchors, dtype=np.float64)
     aw = anchors[:, 2] - anchors[:, 0]
@@ -218,7 +167,7 @@ def encode_boxes(gts: np.ndarray, anchors: np.ndarray) -> np.ndarray:
 
 
 def decode_boxes(anchors: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """Vectorized decode over (N, 4) arrays, with the DELTA_CLAMP guard."""
+    """Inverse of encode_boxes; log-size components clamped at DELTA_CLAMP."""
     anchors = np.asarray(anchors, dtype=np.float64)
     deltas = np.asarray(deltas, dtype=np.float64)
     aw = anchors[:, 2] - anchors[:, 0]
@@ -230,37 +179,20 @@ def decode_boxes(anchors: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     return np.stack([cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h], axis=1)
 
 
-def clip_to_image(box: BBox, width: float, height: float) -> BBox:
-    """Clamp every coordinate into [0, width] x [0, height]."""
-    if width <= 0 or height <= 0:
-        raise ValueError(f"image size must be positive, got {width}x{height}")
-    return BBox(
-        min(max(box.x1, 0.0), width),
-        min(max(box.y1, 0.0), height),
-        min(max(box.x2, 0.0), width),
-        min(max(box.y2, 0.0), height),
-    )
-
-
 def clip_boxes(boxes: np.ndarray, width: float, height: float) -> np.ndarray:
-    """Vectorized clip over an (N, 4) corner array."""
-    out = np.asarray(boxes, dtype=np.float64).copy()
+    """Clamp every coordinate into [0, width] x [0, height]."""
+    out = boxes_to_array(boxes).copy()
     out[:, 0::2] = np.clip(out[:, 0::2], 0.0, width)
     out[:, 1::2] = np.clip(out[:, 1::2], 0.0, height)
     return out
 
 
-def transform_box(box: BBox, t: AffineTransform) -> BBox:
-    """Axis-aligned envelope of the box's four corners mapped through t."""
-    corners = np.array(
-        [
-            [box.x1, box.y1],
-            [box.x2, box.y1],
-            [box.x1, box.y2],
-            [box.x2, box.y2],
-        ]
-    )
-    mapped = t.apply(corners)
-    x1, y1 = mapped.min(axis=0)
-    x2, y2 = mapped.max(axis=0)
-    return BBox(x1, y1, x2, y2)
+def transform_boxes(boxes, t: AffineTransform) -> np.ndarray:
+    """Axis-aligned envelope of each box's four corners mapped through t.
+
+    Corners go through one apply() call in the order (x1, y1), (x2, y1),
+    (x1, y2), (x2, y2) per box.
+    """
+    b = boxes_to_array(boxes)
+    mapped = t.apply(b[:, [0, 1, 2, 1, 0, 3, 2, 3]].reshape(-1, 2)).reshape(-1, 4, 2)
+    return np.concatenate([mapped.min(axis=1), mapped.max(axis=1)], axis=1)

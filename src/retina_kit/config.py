@@ -17,6 +17,7 @@ from .data import AugmentConfig
 from .errors import ValidationError
 from .losses import LossConfig
 from .network import NetworkConfig, check_level_strides
+from .outputs import atomic_write
 from .postprocess import EvalConfig
 from .synth import SynthConfig
 
@@ -155,4 +156,5 @@ def run_config_to_dict(cfg: RunConfig) -> dict:
 
 
 def save_run_config(cfg: RunConfig, path) -> None:
-    Path(path).write_text(json.dumps(run_config_to_dict(cfg), indent=2) + "\n", encoding="utf-8")
+    with atomic_write(path) as f:
+        f.write(json.dumps(run_config_to_dict(cfg), indent=2) + "\n")

@@ -14,8 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .boxes import AffineTransform, BBox, clip_to_image, transform_box
+from .boxes import AffineTransform, BBox, box_areas, boxes_to_array, clip_boxes, transform_boxes
 from .errors import ValidationError
+from .outputs import atomic_write
 
 IMAGENET_MEAN = (0.485, 0.456, 0.406)
 
@@ -27,14 +28,16 @@ class ManifestError(ValidationError):
 @dataclass
 class SampleRecord:
     image_path: str
-    boxes: list[BBox]
+    boxes: np.ndarray  # (G, 4) float64 corners
 
     def __post_init__(self):
         if not self.image_path:
             raise ValidationError("sample image_path must be non-empty")
-        for b in self.boxes:
-            if b.area <= 0:
-                raise ValidationError(f"{self.image_path}: box {b.as_tuple()} has no area")
+        self.boxes = boxes_to_array(self.boxes)
+        area = box_areas(self.boxes)
+        if np.any(area <= 0):
+            bad = tuple(self.boxes[area <= 0][0].tolist())
+            raise ValidationError(f"{self.image_path}: box {bad} has no area")
 
 
 @dataclass
@@ -145,7 +148,7 @@ def draw_augment_transform(width, height, config: AugmentConfig, rng) -> AffineT
 
 
 def augment(image, boxes, config: AugmentConfig, rng):
-    """Jitter one sample; returns (image, surviving boxes).
+    """Jitter one sample; returns (image, surviving (K, 4) boxes).
 
     Boxes follow the affine, get clipped to the image, and are dropped when
     the clipped area falls below min_box_area_px or below min_visible_frac of
@@ -154,33 +157,21 @@ def augment(image, boxes, config: AugmentConfig, rng):
     img = np.asarray(image)
     _, h, w = img.shape
     t = draw_augment_transform(w, h, config, rng)
-    out_img = warp_affine(img, t)
-    out_boxes = []
-    for b in boxes:
-        tb = transform_box(b, t)
-        cb = clip_to_image(tb, w, h)
-        if cb.area <= 0 or cb.area < config.min_box_area_px:
-            continue
-        if tb.area > 0 and cb.area / tb.area < config.min_visible_frac:
-            continue
-        out_boxes.append(cb)
-    return out_img, out_boxes
+    moved = transform_boxes(boxes, t)
+    clipped = clip_boxes(moved, w, h)
+    moved_area = box_areas(moved)
+    area = box_areas(clipped)
+    visible = np.divide(area, moved_area, out=np.ones_like(area), where=moved_area > 0)
+    keep = (area > 0) & (area >= config.min_box_area_px) & (visible >= config.min_visible_frac)
+    return warp_affine(img, t), clipped[keep]
 
 
 def write_manifest(records, path) -> None:
     """One JSON object per line: {"image", "boxes", "labels"}, every label 0."""
-    lines = []
-    for r in records:
-        lines.append(
-            json.dumps(
-                {
-                    "image": r.image_path,
-                    "boxes": [[b.x1, b.y1, b.x2, b.y2] for b in r.boxes],
-                    "labels": [0] * len(r.boxes),
-                }
-            )
-        )
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    with atomic_write(path) as f:
+        for r in records:
+            row = {"image": r.image_path, "boxes": r.boxes.tolist(), "labels": [0] * len(r.boxes)}
+            f.write(json.dumps(row) + "\n")
 
 
 def read_manifest(path) -> list[SampleRecord]:

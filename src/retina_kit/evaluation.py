@@ -71,9 +71,8 @@ def average_precision(tp_flags, total_gt_count: int) -> float:
 
 
 def coco_map(dets: Detections, all_gts: dict, config: EvalConfig) -> dict:
-    """Evaluate detections against {image_id: boxes} ground truth.
+    """Evaluate detections against {image_id: (G, 4) boxes} ground truth.
 
-    Ground-truth boxes per image are a BBox sequence or an (G, 4) array.
     Returns a JSON-ready report with the per-threshold AP array, their mean,
     and AP at 0.50 / 0.75 when those thresholds are in the sweep.
     """

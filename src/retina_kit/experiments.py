@@ -14,8 +14,9 @@ from pathlib import Path
 from .anchors import generate_anchors
 from .checkpoint import load_checkpoint
 from .config import RunConfig, run_config_from_dict
+from .outputs import atomic_write
 from .synth import synth_generate
-from .training import evaluate_params, load_samples, run_training
+from .training import evaluate_params, load_params_for_config, load_samples, run_training
 
 TRAIN_IMAGES = 300
 VAL_IMAGES = 60
@@ -42,8 +43,7 @@ def make_split(cfg: RunConfig, workdir) -> tuple[str, str]:
 def train_and_eval(cfg: RunConfig, train_manifest, val_manifest, out_dir) -> dict:
     """Train, then evaluate the final checkpoint on the validation split."""
     result = run_training(cfg, train_manifest, val_manifest=None, out_dir=out_dir)
-    ckpt = load_checkpoint(result.checkpoint_path)
-    params = ckpt.params()
+    params = load_params_for_config(load_checkpoint(result.checkpoint_path), cfg)
     in_w, in_h = cfg.training.input_size
     grid = generate_anchors(cfg.anchors, in_w, in_h)
     samples = load_samples(val_manifest)
@@ -82,4 +82,5 @@ def focal_vs_ce(base_seed: int, seeds: int, workdir, epochs: int = 30) -> dict:
 
 
 def write_report(report: dict, path) -> None:
-    Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with atomic_write(path) as f:
+        f.write(json.dumps(report, indent=2, sort_keys=True) + "\n")

@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from .anchors import AnchorConfig, AnchorLevel, assign_targets, generate_anchors
-from .boxes import BBox
 from .config import RunConfig
 from .layers import conv2d_backward, conv2d_forward, upsample_nearest_x2, upsample_nearest_x2_backward
 from .losses import LossConfig, sigmoid_focal_loss, smooth_l1, total_detection_loss
@@ -155,7 +154,7 @@ def _small_instance(rng):
         neg_iou=0.3,
     )
     grid = generate_anchors(cfg, 16, 16)
-    gts = [BBox(1.0, 1.0, 9.0, 13.0), BBox(6.0, 2.0, 14.0, 15.0)]
+    gts = np.array([[1.0, 1.0, 9.0, 13.0], [6.0, 2.0, 14.0, 15.0]])
     assignment = assign_targets(grid, gts, cfg)
     n = len(grid)
     logits = rng.standard_normal(n) * 2.0
@@ -215,7 +214,7 @@ def check_end_to_end(cfg: RunConfig, rng, perturb=None, n_params=200) -> float:
     image = rng.standard_normal((net_cfg.input_channels, 16, 16)) * 0.3
 
     grid = generate_anchors(cfg.anchors, 16, 16)
-    gts = [BBox(2.0, 1.0, 8.0, 13.0), BBox(7.0, 3.0, 13.0, 15.0)]
+    gts = np.array([[2.0, 1.0, 8.0, 13.0], [7.0, 3.0, 13.0, 15.0]])
     assignment = assign_targets(grid, gts, cfg.anchors)
     a = net_cfg.num_anchors_per_cell
 

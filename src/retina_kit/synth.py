@@ -19,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .boxes import BBox
 from .data import SampleRecord, write_manifest
 from .errors import ValidationError
 from .ppm import save_ppm
@@ -123,8 +122,8 @@ def _background(config: SynthConfig) -> np.ndarray:
     return np.broadcast_to(ramp[None, :, None], (3, h, w)).copy()
 
 
-def render_sample(config: SynthConfig, index: int) -> tuple[np.ndarray, list[BBox]]:
-    """One deterministic (image, boxes) pair for the given sample index."""
+def render_sample(config: SynthConfig, index: int) -> tuple[np.ndarray, np.ndarray]:
+    """One deterministic (image, (G, 4) boxes) pair for the given sample index."""
     rng = np.random.default_rng([config.seed, STREAM_SYNTH, index])
     w, h = config.image_size
     img = _background(config)
@@ -142,10 +141,10 @@ def render_sample(config: SynthConfig, index: int) -> tuple[np.ndarray, list[BBo
         mask = template_mask(t_w, t_h)
         region = img[:, y0 : y0 + t_h, x0 : x0 + t_w]
         region[:, mask] = intensity
-        boxes.append(BBox(float(x0), float(y0), float(x0 + t_w), float(y0 + t_h)))
+        boxes.append((x0, y0, x0 + t_w, y0 + t_h))
     if config.noise_std > 0:
         img = img + rng.normal(0.0, config.noise_std * 255.0, size=img.shape)
-    return np.clip(img, 0.0, 255.0), boxes
+    return np.clip(img, 0.0, 255.0), np.array(boxes, dtype=np.float64).reshape(-1, 4)
 
 
 def synth_generate(config: SynthConfig, out_dir) -> list[SampleRecord]:

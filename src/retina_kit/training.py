@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from .anchors import assign_targets, generate_anchors
-from .boxes import BBox
 from .checkpoint import (
     Checkpoint,
     build_checkpoint,
@@ -50,7 +49,7 @@ STREAM_AUGMENT = 404
 @dataclass
 class LoadedSample:
     image: np.ndarray  # (3, H, W) float32 in [0, 255]
-    boxes: list[BBox]  # original-image pixels
+    boxes: np.ndarray  # (G, 4) corners in original-image pixels
     image_id: int
     path: str
 
@@ -72,16 +71,13 @@ def load_samples(manifest_path) -> list[LoadedSample]:
     return samples
 
 
-def scale_boxes(boxes, sx: float, sy: float) -> list[BBox]:
-    return [BBox(b.x1 * sx, b.y1 * sy, b.x2 * sx, b.y2 * sy) for b in boxes]
-
-
 def prepare_eval_input(sample: LoadedSample, cfg: RunConfig):
     """Preprocessed input tensor plus ground truth in the input pixel frame."""
     in_w, in_h = cfg.training.input_size
     _, h, w = sample.image.shape
     tensor = preprocess(sample.image, (in_w, in_h))
-    return tensor, scale_boxes(sample.boxes, in_w / w, in_h / h)
+    sx, sy = in_w / w, in_h / h
+    return tensor, sample.boxes * np.array([sx, sy, sx, sy])
 
 
 def infer_detections(params, cfg: RunConfig, grid, tensor, image_id: int):
@@ -139,8 +135,7 @@ def run_training(
 
     if resume is not None:
         ckpt = load_checkpoint(resume)
-        params = ckpt.params()
-        check_param_shapes(params, cfg)
+        params = load_params_for_config(ckpt, cfg)
         state = ckpt.adam_state()
     else:
         rng = np.random.default_rng([cfg.seed, STREAM_INIT])
@@ -202,7 +197,7 @@ def run_training(
                 row["val_map"] = report["map"]
                 row["val_ap50"] = report["ap50"]
                 final_val = report
-            if scheduled or last:
+            if scheduled and not last:
                 save_checkpoint(partial_path, build_checkpoint(params, state, config_echo))
             mf.write(json.dumps(row) + "\n")
             mf.flush()
@@ -237,6 +232,14 @@ def check_param_shapes(params: dict, cfg: RunConfig) -> None:
 
 
 def load_params_for_config(ckpt: Checkpoint, cfg: RunConfig) -> dict:
+    """The checkpoint's parameters, once they fit cfg and every tensor is finite.
+
+    Every checkpoint a run reads comes through here: `eval`, `detect` and
+    `train --resume`. The Adam moments are checked too.
+    """
     params = ckpt.params()
     check_param_shapes(params, cfg)
+    for name, tensor in ckpt.tensors.items():
+        if not np.isfinite(tensor).all():
+            raise NumericError(f"checkpoint tensor '{name}' has non-finite values")
     return params

@@ -1,8 +1,10 @@
 """Independent brute-force oracles.
 
 Everything here is deliberately naive: explicit loops, no sorting shortcuts,
-no shared code with the implementations under test beyond the public scalar
-iou/encode helpers where the contract says so.
+one box at a time. Nothing is imported from the package except the `BBox`
+row type and the anchor label constants, so no code is shared with the
+implementations under test. `transform_box` takes the affine as given and
+maps its corners with the transform's own `apply`.
 """
 
 from __future__ import annotations
@@ -12,7 +14,87 @@ import math
 import numpy as np
 
 from retina_kit.anchors import IGNORE, NEGATIVE, POSITIVE
-from retina_kit.boxes import BBox, iou
+from retina_kit.boxes import BBox
+
+DELTA_CLAMP = math.log(1000.0 / 16.0)
+
+
+def iou(a: BBox, b: BBox) -> float:
+    """Intersection over union in [0, 1]; 0 when the union has zero area."""
+    iw = min(a.x2, b.x2) - max(a.x1, b.x1)
+    ih = min(a.y2, b.y2) - max(a.y1, b.y1)
+    inter = iw * ih if iw > 0.0 and ih > 0.0 else 0.0
+    union = a.area + b.area - inter
+    if union <= 0.0:
+        return 0.0
+    return inter / union
+
+
+def encode(gt: BBox, anchor: BBox) -> tuple[float, float, float, float]:
+    """Offsets (tx, ty, tw, th) that map `anchor` onto `gt`."""
+    if anchor.width <= 0.0 or anchor.height <= 0.0:
+        raise ValueError(f"degenerate anchor: {anchor.as_tuple()}")
+    if gt.width <= 0.0 or gt.height <= 0.0:
+        raise ValueError(f"degenerate ground-truth box: {gt.as_tuple()}")
+    ax, ay = anchor.center
+    gx, gy = gt.center
+    return (
+        (gx - ax) / anchor.width,
+        (gy - ay) / anchor.height,
+        math.log(gt.width / anchor.width),
+        math.log(gt.height / anchor.height),
+    )
+
+
+def decode(anchor: BBox, delta) -> BBox:
+    """Inverse of encode; log-size components clamped at DELTA_CLAMP."""
+    tx, ty, tw, th = delta
+    ax, ay = anchor.center
+    cx = ax + tx * anchor.width
+    cy = ay + ty * anchor.height
+    w = anchor.width * math.exp(min(tw, DELTA_CLAMP))
+    h = anchor.height * math.exp(min(th, DELTA_CLAMP))
+    return BBox(cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h)
+
+
+def clip_to_image(box: BBox, width: float, height: float) -> BBox:
+    """Clamp every coordinate into [0, width] x [0, height]."""
+    return BBox(
+        min(max(box.x1, 0.0), width),
+        min(max(box.y1, 0.0), height),
+        min(max(box.x2, 0.0), width),
+        min(max(box.y2, 0.0), height),
+    )
+
+
+def transform_box(box: BBox, t) -> BBox:
+    """Axis-aligned envelope of the box's four corners mapped through t."""
+    corners = np.array(
+        [
+            [box.x1, box.y1],
+            [box.x2, box.y1],
+            [box.x1, box.y2],
+            [box.x2, box.y2],
+        ]
+    )
+    mapped = t.apply(corners)
+    x1, y1 = mapped.min(axis=0)
+    x2, y2 = mapped.max(axis=0)
+    return BBox(x1, y1, x2, y2)
+
+
+def naive_augment_boxes(boxes, t, width, height, min_box_area_px, min_visible_frac):
+    """Augmentation's box rule one box at a time: transform, clip, survive."""
+    out = []
+    for b in boxes:
+        tb = transform_box(b, t)
+        cb = clip_to_image(tb, width, height)
+        if cb.area <= 0 or cb.area < min_box_area_px:
+            continue
+        if tb.area > 0 and cb.area / tb.area < min_visible_frac:
+            continue
+        out.append(cb)
+    return out
 
 
 def naive_conv2d(inp, weights, bias, stride):
@@ -163,14 +245,12 @@ def naive_decode_detections(flat_scores, flat_deltas, anchors, score_thresh, nms
     flat_scores: (N,) already-sigmoided single-class scores.
     Returns list of (BBox, score) sorted by descending score.
     """
-    from retina_kit.boxes import clip_to_image, decode, BoxDelta
-
     candidates = []
     for i in range(len(flat_scores)):
         if flat_scores[i] < score_thresh:
             continue
         anchor = BBox(*anchors[i])
-        box = decode(anchor, BoxDelta(*flat_deltas[i]))
+        box = decode(anchor, flat_deltas[i])
         box = clip_to_image(box, image_w, image_h)
         candidates.append((box, float(flat_scores[i])))
     kept = []

@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 
 from oracles import (
+    iou,
     logsumexp_bce,
     naive_coco_map,
     random_box,
     random_round_trip_pair,
 )
-from retina_kit.boxes import BBox, boxes_to_array, decode, encode, iou
+from retina_kit.boxes import box_areas, boxes_to_array, decode_boxes, encode_boxes, iou_matrix
 from retina_kit.checkpoint import load_checkpoint
 from retina_kit.cli import main
 from retina_kit.config import run_config_from_dict, run_config_to_dict
@@ -124,19 +125,18 @@ def test_criterion_3_focal_reduction():
 
 def test_criterion_4_geometry_oracles():
     rng = np.random.default_rng(11)
-    worst_rt = 0.0
-    for _ in range(10_000):
-        g, a = random_round_trip_pair(rng)
-        rt = decode(a, encode(g, a))
-        worst_rt = max(
-            worst_rt, max(abs(x - y) for x, y in zip(rt.as_tuple(), g.as_tuple()))
-        )
+    pairs = [random_round_trip_pair(rng) for _ in range(10_000)]
+    gts = boxes_to_array([g for g, _ in pairs])
+    anchors = boxes_to_array([a for _, a in pairs])
+    rt = decode_boxes(anchors, encode_boxes(gts, anchors))
+    worst_rt = float(np.max(np.abs(rt - gts)))
     sym_ok = True
     for _ in range(10_000):
         a = random_box(rng)
         b = random_box(rng)
-        v = iou(a, b)
-        sym_ok = sym_ok and v == iou(b, a) and 0.0 <= v <= 1.0
+        v = iou_matrix([a], [b])[0, 0]
+        sym_ok = sym_ok and v == iou_matrix([b], [a])[0, 0] and v == iou(a, b)
+        sym_ok = sym_ok and 0.0 <= v <= 1.0
     nms_ok = True
     for _ in range(1000):
         dets = [
@@ -253,30 +253,28 @@ def test_criterion_8_determinism(trained, split, desk_cfg_path, workdir):
 def test_criterion_9_augmentation_contract():
     rng = np.random.default_rng(17)
     img = rng.integers(0, 256, size=(3, 64, 64)).astype(np.float32)
-    boxes = [BBox(4.0, 6.0, 20.0, 40.0), BBox(30.0, 10.0, 50.0, 56.0)]
+    boxes = np.array([[4.0, 6.0, 20.0, 40.0], [30.0, 10.0, 50.0, 56.0]])
     identity = AugmentConfig(
         translate_frac=0.0, max_rot_deg=0.0, scale_min=1.0, scale_max=1.0, hflip_prob=0.0
     )
     out_img, out_boxes = augment(img, boxes, identity, np.random.default_rng(0))
-    identity_ok = np.array_equal(out_img, img) and [b.as_tuple() for b in out_boxes] == [
-        b.as_tuple() for b in boxes
-    ]
+    identity_ok = np.array_equal(out_img, img) and out_boxes.tolist() == boxes.tolist()
 
     cfg = AugmentConfig()
     bounds_ok = True
     for _ in range(1000):
         bxs = [random_box(rng, 0, 64, min_side=3) for _ in range(int(rng.integers(1, 4)))]
-        _, out = augment(img, bxs, cfg, rng)
-        for b in out:
-            bounds_ok = bounds_ok and 0.0 <= b.x1 <= b.x2 <= 64.0
-            bounds_ok = bounds_ok and 0.0 <= b.y1 <= b.y2 <= 64.0
-            bounds_ok = bounds_ok and b.area > 0.0
+        _, out = augment(img, boxes_to_array(bxs), cfg, rng)
+        for x1, y1, x2, y2 in out:
+            bounds_ok = bounds_ok and 0.0 <= x1 <= x2 <= 64.0
+            bounds_ok = bounds_ok and 0.0 <= y1 <= y2 <= 64.0
+        bounds_ok = bounds_ok and bool(np.all(box_areas(out) > 0.0))
 
     flip_cfg = AugmentConfig(
         translate_frac=0.0, max_rot_deg=0.0, scale_min=1.0, scale_max=1.0, hflip_prob=1.0
     )
-    _, flipped = augment(img, [BBox(10.0, 0.0, 20.0, 5.0)], flip_cfg, np.random.default_rng(3))
-    flip_ok = flipped[0].as_tuple() == pytest.approx((44.0, 0.0, 54.0, 5.0), abs=1e-9)
+    _, flipped = augment(img, np.array([[10.0, 0.0, 20.0, 5.0]]), flip_cfg, np.random.default_rng(3))
+    flip_ok = flipped[0] == pytest.approx((44.0, 0.0, 54.0, 5.0), abs=1e-9)
 
     ok = identity_ok and bounds_ok and bool(flip_ok)
     assert report_line(
@@ -297,9 +295,8 @@ def test_criterion_10_format_round_trips(tmp_path):
     records = []
     for i in range(40):
         n = int(rng.integers(0, 4))
-        records.append(
-            SampleRecord(f"im{i}.ppm", [random_box(rng, 0, 64, min_side=1) for _ in range(n)])
-        )
+        boxes = boxes_to_array([random_box(rng, 0, 64, min_side=1) for _ in range(n)])
+        records.append(SampleRecord(f"im{i}.ppm", boxes))
     write_manifest(records, tmp_path / "m.jsonl")
     back = read_manifest(tmp_path / "m.jsonl")
     on_disk = [json.loads(line) for line in (tmp_path / "m.jsonl").read_text().splitlines()]
@@ -307,7 +304,7 @@ def test_criterion_10_format_round_trips(tmp_path):
         len(back) == len(records)
         and all(
             a.image_path == b.image_path
-            and [x.as_tuple() for x in a.boxes] == [x.as_tuple() for x in b.boxes]
+            and a.boxes.tolist() == b.boxes.tolist()
             for a, b in zip(records, back)
         )
         and all(r["labels"] == [0] * len(r["boxes"]) for r in on_disk)

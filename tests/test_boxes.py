@@ -6,21 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import boxes
-from oracles import random_box, random_round_trip_pair
+from oracles import clip_to_image, encode, iou, random_box, random_round_trip_pair
 from retina_kit.boxes import (
     DELTA_CLAMP,
     AffineTransform,
     BBox,
-    BoxDelta,
-    clip_to_image,
-    decode,
+    box_areas,
+    boxes_to_array,
+    clip_boxes,
     decode_boxes,
-    encode,
     encode_boxes,
-    iou,
     iou_matrix,
-    transform_box,
+    transform_boxes,
 )
+
+
+def rows(*coords):
+    return np.array(coords, dtype=np.float64).reshape(-1, 4)
 
 
 class TestBBox:
@@ -39,7 +41,7 @@ class TestBBox:
         with pytest.raises(ValueError):
             BBox(0.0, 0.0, math.inf, 1.0)
         with pytest.raises(ValueError):
-            BoxDelta(0.0, math.nan, 0.0, 0.0)
+            BBox(0.0, math.nan, 1.0, 1.0)
 
     def test_zero_area_allowed(self):
         assert BBox(1.0, 1.0, 1.0, 1.0).area == 0.0
@@ -47,25 +49,27 @@ class TestBBox:
 
 class TestIou:
     def test_identity(self):
-        b = BBox(3.0, 4.0, 10.0, 20.0)
-        assert iou(b, b) == 1.0
+        b = rows(3.0, 4.0, 10.0, 20.0)
+        assert iou_matrix(b, b)[0, 0] == 1.0
 
     def test_disjoint(self):
-        assert iou(BBox(0, 0, 1, 1), BBox(5, 5, 6, 6)) == 0.0
+        assert iou_matrix(rows(0, 0, 1, 1), rows(5, 5, 6, 6))[0, 0] == 0.0
 
     def test_partial_overlap(self):
         # intersection 1x1 = 1, union 4 + 4 - 1 = 7
-        assert iou(BBox(0, 0, 2, 2), BBox(1, 1, 3, 3)) == pytest.approx(1 / 7, abs=1e-12)
+        v = iou_matrix(rows(0, 0, 2, 2), rows(1, 1, 3, 3))[0, 0]
+        assert v == pytest.approx(1 / 7, abs=1e-12)
 
     def test_degenerate_union_is_zero(self):
-        z = BBox(2.0, 2.0, 2.0, 2.0)
-        assert iou(z, z) == 0.0
+        z = rows(2.0, 2.0, 2.0, 2.0)
+        assert iou_matrix(z, z)[0, 0] == 0.0
 
     @given(boxes(), boxes())
     def test_symmetric_and_bounded(self, a, b):
-        v = iou(a, b)
-        assert v == iou(b, a)
+        v = iou_matrix([a], [b])[0, 0]
+        assert v == iou_matrix([b], [a])[0, 0]
         assert 0.0 <= v <= 1.0
+        assert v == iou(a, b)
 
     def test_matrix_matches_pairwise(self, rng):
         a = [random_box(rng) for _ in range(3)]
@@ -88,45 +92,47 @@ class TestIou:
 
 class TestEncodeDecode:
     def test_encode_identity(self):
-        b = BBox(0, 0, 10, 10)
-        assert encode(b, b).as_tuple() == (0.0, 0.0, 0.0, 0.0)
+        b = rows(0, 0, 10, 10)
+        assert encode_boxes(b, b).tolist() == [[0.0, 0.0, 0.0, 0.0]]
 
     def test_encode_shift(self):
-        d = encode(BBox(5, 5, 15, 15), BBox(0, 0, 10, 10))
-        assert d.as_tuple() == pytest.approx((0.5, 0.5, 0.0, 0.0))
+        d = encode_boxes(rows(5, 5, 15, 15), rows(0, 0, 10, 10))
+        assert d[0] == pytest.approx((0.5, 0.5, 0.0, 0.0))
 
     def test_encode_width_change(self):
-        d = encode(BBox(0, 0, 20, 10), BBox(0, 0, 10, 10))
-        assert d.as_tuple() == pytest.approx((0.5, 0.0, math.log(2.0), 0.0))
+        d = encode_boxes(rows(0, 0, 20, 10), rows(0, 0, 10, 10))
+        assert d[0] == pytest.approx((0.5, 0.0, math.log(2.0), 0.0))
 
     def test_encode_rejects_degenerate(self):
-        flat = BBox(0, 0, 0, 10)
+        flat = rows(0, 0, 0, 10)
         with pytest.raises(ValueError):
-            encode(flat, BBox(0, 0, 10, 10))
+            encode_boxes(flat, rows(0, 0, 10, 10))
         with pytest.raises(ValueError):
-            encode(BBox(0, 0, 10, 10), flat)
+            encode_boxes(rows(0, 0, 10, 10), flat)
 
     def test_decode_identity(self):
-        a = BBox(2, 3, 12, 23)
-        assert decode(a, BoxDelta(0, 0, 0, 0)).as_tuple() == pytest.approx(a.as_tuple())
+        a = rows(2, 3, 12, 23)
+        assert decode_boxes(a, np.zeros((1, 4)))[0] == pytest.approx(a[0])
 
     def test_decode_known_width(self):
-        out = decode(BBox(0, 0, 10, 10), BoxDelta(0.0, 0.0, math.log(2.0), 0.0))
-        assert out.as_tuple() == pytest.approx((-5.0, 0.0, 15.0, 10.0), abs=1e-9)
+        out = decode_boxes(rows(0, 0, 10, 10), rows(0.0, 0.0, math.log(2.0), 0.0))
+        assert out[0] == pytest.approx((-5.0, 0.0, 15.0, 10.0), abs=1e-9)
 
     def test_decode_clamps_log_sizes(self):
-        out = decode(BBox(0, 0, 10, 10), BoxDelta(0.0, 0.0, 1000.0, 1000.0))
-        assert out.width == pytest.approx(10.0 * math.exp(DELTA_CLAMP), rel=1e-9)
-        assert math.isfinite(out.area)
+        out = decode_boxes(rows(0, 0, 10, 10), rows(0.0, 0.0, 1000.0, 1000.0))
+        assert out[0, 2] - out[0, 0] == pytest.approx(10.0 * math.exp(DELTA_CLAMP), rel=1e-9)
+        assert np.isfinite(box_areas(out)).all()
 
     def test_round_trip_random(self, rng):
         # sides span [1, 512]; size ratios stay under the decode clamp, the
         # only region where decode can invert encode
-        for _ in range(1000):
-            g, a = random_round_trip_pair(rng)
-            rt = decode(a, encode(g, a))
-            for got, want in zip(rt.as_tuple(), g.as_tuple()):
-                assert abs(got - want) < 1e-4
+        pairs = [random_round_trip_pair(rng) for _ in range(1000)]
+        gts = boxes_to_array([g for g, _ in pairs])
+        anchors = boxes_to_array([a for _, a in pairs])
+        deltas = encode_boxes(gts, anchors)
+        assert np.allclose(deltas, [encode(g, a) for g, a in pairs], rtol=0.0, atol=1e-9)
+        rt = decode_boxes(anchors, deltas)
+        assert np.max(np.abs(rt - gts)) < 1e-4
 
     def test_array_round_trip(self, rng):
         pairs = [random_round_trip_pair(rng) for _ in range(100)]
@@ -138,39 +144,40 @@ class TestEncodeDecode:
 
 class TestClip:
     def test_interior_unchanged(self):
-        b = BBox(1, 1, 5, 5)
-        assert clip_to_image(b, 10, 10).as_tuple() == b.as_tuple()
+        b = rows(1, 1, 5, 5)
+        assert clip_boxes(b, 10, 10).tolist() == b.tolist()
 
     def test_clamps_negative(self):
-        assert clip_to_image(BBox(-5, -5, 3, 3), 10, 10).as_tuple() == (0, 0, 3, 3)
+        assert clip_boxes(rows(-5, -5, 3, 3), 10, 10).tolist() == [[0, 0, 3, 3]]
 
     def test_fully_outside_collapses(self):
-        out = clip_to_image(BBox(20, 20, 30, 30), 10, 10)
-        assert out.as_tuple() == (10, 10, 10, 10)
-        assert out.area == 0.0
+        out = clip_boxes(rows(20, 20, 30, 30), 10, 10)
+        assert out.tolist() == [[10, 10, 10, 10]]
+        assert box_areas(out)[0] == 0.0
 
     @given(boxes(lo=-100, hi=300))
     def test_idempotent(self, b):
-        once = clip_to_image(b, 128, 128)
-        assert clip_to_image(once, 128, 128).as_tuple() == once.as_tuple()
+        once = clip_boxes([b], 128, 128)
+        assert clip_boxes(once, 128, 128).tolist() == once.tolist()
+        assert once.tolist() == [list(clip_to_image(b, 128, 128).as_tuple())]
 
 
 class TestTransforms:
     def test_identity(self):
-        b = BBox(1, 2, 5, 9)
-        assert transform_box(b, AffineTransform.identity()).as_tuple() == b.as_tuple()
+        b = rows(1, 2, 5, 9)
+        assert transform_boxes(b, AffineTransform.identity()).tolist() == b.tolist()
 
     def test_translation(self):
-        out = transform_box(BBox(0, 0, 4, 4), AffineTransform.translation(3, -2))
-        assert out.as_tuple() == pytest.approx((3, -2, 7, 2))
+        out = transform_boxes(rows(0, 0, 4, 4), AffineTransform.translation(3, -2))
+        assert out[0] == pytest.approx((3, -2, 7, 2))
 
     def test_rotation_90(self):
-        out = transform_box(BBox(0, 0, 2, 4), AffineTransform.rotation_deg(90.0))
-        assert out.as_tuple() == pytest.approx((-4, 0, 0, 2), abs=1e-9)
+        out = transform_boxes(rows(0, 0, 2, 4), AffineTransform.rotation_deg(90.0))
+        assert out[0] == pytest.approx((-4, 0, 0, 2), abs=1e-9)
 
     def test_hflip_box(self):
-        out = transform_box(BBox(10, 0, 20, 5), AffineTransform.hflip(64))
-        assert out.as_tuple() == pytest.approx((44, 0, 54, 5))
+        out = transform_boxes(rows(10, 0, 20, 5), AffineTransform.hflip(64))
+        assert out[0] == pytest.approx((44, 0, 54, 5))
 
     @given(
         st.floats(-50, 50), st.floats(-50, 50), st.floats(-50, 50), st.floats(-50, 50)

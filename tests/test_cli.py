@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from retina_kit.checkpoint import load_checkpoint
+from retina_kit.checkpoint import load_checkpoint, save_checkpoint
 from retina_kit.cli import main
 from retina_kit.config import run_config_from_dict, run_config_to_dict
 from retina_kit.postprocess import read_detections
@@ -126,6 +126,40 @@ class TestTrainCommand:
         assert a.adam_state().step == b.adam_state().step
         for name in a.tensors:
             assert np.array_equal(a.tensors[name], b.tensors[name]), name
+
+    def test_last_epoch_checkpoint_saved_once(self, tiny_cfg_path, tmp_path, monkeypatch):
+        import retina_kit.training as training
+
+        saved = []
+        real_save = training.save_checkpoint
+
+        def recording_save(path, ckpt):
+            saved.append(Path(path).name)
+            real_save(path, ckpt)
+
+        monkeypatch.setattr(training, "save_checkpoint", recording_save)
+        manifest = str(synth_dir(tiny_cfg_path, tmp_path) / "manifest.jsonl")
+        # TINY: 2 epochs, eval_every 1; the last epoch's state goes only to the final save
+        every = tmp_path / "every"
+        assert main(["train", "--config", tiny_cfg_path, "--manifest", manifest,
+                     "--out", str(every)]) == 0
+        assert saved == ["checkpoint.rkck.partial", "checkpoint.rkck"]
+
+        cfg = dict(TINY)
+        cfg["training"] = {**TINY["training"], "eval_every": 10}
+        cfg_path = tmp_path / "never.json"
+        cfg_path.write_text(json.dumps(cfg))
+        saved.clear()
+        never = tmp_path / "never"
+        assert main(["train", "--config", str(cfg_path), "--manifest", manifest,
+                     "--out", str(never)]) == 0
+        assert saved == ["checkpoint.rkck"]
+        a = load_checkpoint(every / "checkpoint.rkck")
+        b = load_checkpoint(never / "checkpoint.rkck")
+        assert list(a.tensors) == list(b.tensors)
+        for name in a.tensors:
+            assert a.tensors[name].tobytes() == b.tensors[name].tobytes(), name
+        assert sorted(p.name for p in every.iterdir()) == ["checkpoint.rkck", "metrics.jsonl"]
 
     def test_missing_image_is_validation_error(self, tiny_cfg_path, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
@@ -285,8 +319,42 @@ class TestExitCodes:
         assert main(["synth", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
 
     @pytest.mark.parametrize(
+        "command, tensor",
+        [
+            pytest.param("eval", "stem0.w", id="eval"),
+            pytest.param("detect", "cls_out.w", id="detect"),
+            pytest.param("train", "stem0.w.m", id="train-resume"),
+        ],
+    )
+    def test_non_finite_checkpoint_exits_two(self, tiny_cfg_path, tmp_path, capsys,
+                                             command, tensor):
+        data = synth_dir(tiny_cfg_path, tmp_path)
+        manifest = str(data / "manifest.jsonl")
+        run = tmp_path / "run"
+        assert main(["train", "--config", tiny_cfg_path, "--manifest", manifest,
+                     "--out", str(run)]) == 0
+        ckpt = load_checkpoint(run / "checkpoint.rkck")
+        ckpt.tensors[tensor].reshape(-1)[0] = np.nan
+        bad = tmp_path / "nan.rkck"
+        save_checkpoint(bad, ckpt)
+        argv = {
+            "eval": ["eval", "--manifest", manifest, "--checkpoint", str(bad)],
+            "detect": ["detect", "--checkpoint", str(bad), "--image",
+                       str(data / "img_00000.ppm"), "--annotate"],
+            # the checkpoint already holds every epoch, so no training step would run
+            "train": ["train", "--manifest", manifest, "--resume", str(bad)],
+        }[command]
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(argv + ["--config", tiny_cfg_path, "--out", str(out)]) == 2
+        assert f"checkpoint tensor '{tensor}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "command, target, left",
         [
+            pytest.param("synth", "manifest.jsonl", [f"img_{i:05d}.ppm" for i in range(12)],
+                         id="synth"),
             pytest.param("eval", "detections.jsonl", [], id="eval"),
             pytest.param("train", "checkpoint.rkck", ["metrics.jsonl.partial"], id="train"),
             pytest.param("detect", "annotated.ppm", ["detections.jsonl"], id="detect"),
@@ -299,7 +367,9 @@ class TestExitCodes:
 
         data = synth_dir(tiny_cfg_path, tmp_path)
         manifest = str(data / "manifest.jsonl")
-        if command == "eval":
+        if command == "synth":
+            argv = ["synth"]
+        elif command == "eval":
             argv = ["eval", "--manifest", manifest, "--replay-gt"]
         elif command == "train":
             argv = ["train", "--manifest", manifest]

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import random_box
-from retina_kit.boxes import AffineTransform, BBox
+from oracles import naive_augment_boxes, random_box
+from retina_kit.boxes import AffineTransform, BBox, box_areas, boxes_to_array, transform_boxes
 from retina_kit.data import (
     IMAGENET_MEAN,
     AugmentConfig,
@@ -87,43 +87,42 @@ class TestWarp:
 class TestAugment:
     def test_identity_config_is_exact_identity(self, rng):
         img = rng.integers(0, 256, size=(3, 16, 16)).astype(np.float32)
-        boxes = [BBox(2.0, 3.0, 10.0, 12.0)]
+        boxes = np.array([[2.0, 3.0, 10.0, 12.0]])
         cfg = AugmentConfig(**IDENTITY_AUG)
         out_img, out_boxes = augment(img, boxes, cfg, np.random.default_rng(0))
         assert np.array_equal(out_img, img)
-        assert [b.as_tuple() for b in out_boxes] == [b.as_tuple() for b in boxes]
+        assert out_boxes.tolist() == boxes.tolist()
 
     def test_pure_translation_shifts_boxes(self):
         img = np.zeros((3, 32, 32), np.float32)
-        boxes = [BBox(5.0, 6.0, 15.0, 20.0)]
+        boxes = np.array([[5.0, 6.0, 15.0, 20.0]])
         t = AffineTransform.translation(3.0, -2.0)
-        from retina_kit.boxes import transform_box
-
-        moved = transform_box(boxes[0], t)
-        assert moved.as_tuple() == pytest.approx((8.0, 4.0, 18.0, 18.0))
+        moved = transform_boxes(boxes, t)
+        assert moved[0] == pytest.approx((8.0, 4.0, 18.0, 18.0))
 
     def test_hflip_box_arithmetic(self):
         img = np.zeros((3, 16, 64), np.float32)
         cfg = AugmentConfig(**{**IDENTITY_AUG, "hflip_prob": 1.0})
-        _, out_boxes = augment(img, [BBox(10.0, 0.0, 20.0, 5.0)], cfg, np.random.default_rng(1))
-        assert out_boxes[0].as_tuple() == pytest.approx((44.0, 0.0, 54.0, 5.0))
+        boxes = np.array([[10.0, 0.0, 20.0, 5.0]])
+        _, out_boxes = augment(img, boxes, cfg, np.random.default_rng(1))
+        assert out_boxes[0] == pytest.approx((44.0, 0.0, 54.0, 5.0))
 
     def test_boxes_always_in_bounds_positive_area(self, rng):
         cfg = AugmentConfig()
         for _ in range(200):
             img = np.zeros((3, 64, 64), np.float32)
-            boxes = [random_box(rng, 0, 64, min_side=3) for _ in range(3)]
+            boxes = boxes_to_array([random_box(rng, 0, 64, min_side=3) for _ in range(3)])
             _, out = augment(img, boxes, cfg, rng)
-            for b in out:
-                assert 0.0 <= b.x1 <= b.x2 <= 64.0
-                assert 0.0 <= b.y1 <= b.y2 <= 64.0
-                assert b.area > 0.0
+            for x1, y1, x2, y2 in out:
+                assert 0.0 <= x1 <= x2 <= 64.0
+                assert 0.0 <= y1 <= y2 <= 64.0
+            assert np.all(box_areas(out) > 0.0)
 
     def test_small_survivors_dropped(self):
         img = np.zeros((3, 32, 32), np.float32)
         cfg = AugmentConfig(**{**IDENTITY_AUG, "min_box_area_px": 16.0})
-        _, out = augment(img, [BBox(1.0, 1.0, 3.0, 3.0)], cfg, np.random.default_rng(0))
-        assert out == []
+        _, out = augment(img, np.array([[1.0, 1.0, 3.0, 3.0]]), cfg, np.random.default_rng(0))
+        assert out.shape == (0, 4)
 
     def test_clipped_slivers_dropped_by_visibility(self):
         img = np.zeros((3, 32, 32), np.float32)
@@ -142,18 +141,45 @@ class TestAugment:
             rng = np.random.default_rng(seed)
             t = draw_augment_transform(32, 32, cfg, np.random.default_rng(seed))
             if abs(t.matrix[0, 2]) > 12:
-                _, out = augment(img, [BBox(0.0, 0.0, 16.0, 16.0)], cfg, np.random.default_rng(seed))
+                box = np.array([[0.0, 0.0, 16.0, 16.0]])
+                _, out = augment(img, box, cfg, np.random.default_rng(seed))
                 dropped = dropped or len(out) == 0
         assert dropped
 
     def test_deterministic_given_seed(self, rng):
         img = rng.integers(0, 256, size=(3, 32, 32)).astype(np.float32)
-        boxes = [BBox(4.0, 4.0, 20.0, 28.0)]
+        boxes = np.array([[4.0, 4.0, 20.0, 28.0]])
         cfg = AugmentConfig()
         a_img, a_boxes = augment(img, boxes, cfg, np.random.default_rng(42))
         b_img, b_boxes = augment(img, boxes, cfg, np.random.default_rng(42))
         assert np.array_equal(a_img, b_img)
-        assert [b.as_tuple() for b in a_boxes] == [b.as_tuple() for b in b_boxes]
+        assert np.array_equal(a_boxes, b_boxes)
+
+    def test_boxes_match_per_box_oracle(self):
+        # Non-square images and boxes that straddle the border, so a clip that
+        # mixes up width and height, or a wrong corner set, changes the bits.
+        rng = np.random.default_rng(29)
+        configs = [
+            AugmentConfig(),
+            AugmentConfig(translate_frac=0.4, max_rot_deg=30.0, scale_min=0.6, scale_max=1.6),
+        ]
+        kept = dropped = 0
+        for i in range(1200):
+            cfg = configs[i % 2]
+            w, h = int(rng.integers(8, 48)), int(rng.integers(8, 48))
+            bxs = []
+            for _ in range(int(rng.integers(0, 5))):
+                x1, y1 = rng.uniform(-0.2 * w, w), rng.uniform(-0.2 * h, h)
+                bxs.append(BBox(x1, y1, x1 + rng.uniform(1, w / 2), y1 + rng.uniform(1, h / 2)))
+            seed = int(rng.integers(2**32))
+            img = np.zeros((1, h, w), np.float32)
+            _, got = augment(img, boxes_to_array(bxs), cfg, np.random.default_rng(seed))
+            t = draw_augment_transform(w, h, cfg, np.random.default_rng(seed))
+            want = naive_augment_boxes(bxs, t, w, h, cfg.min_box_area_px, cfg.min_visible_frac)
+            assert got.tobytes() == boxes_to_array(want).tobytes(), i
+            kept += len(want)
+            dropped += len(bxs) - len(want)
+        assert kept > 1000 and dropped > 200
 
 
 class TestManifest:
@@ -166,7 +192,7 @@ class TestManifest:
         records = []
         for i in range(100):
             n = int(rng.integers(0, 4))
-            boxes = [random_box(rng, 0, 64, min_side=1) for _ in range(n)]
+            boxes = boxes_to_array([random_box(rng, 0, 64, min_side=1) for _ in range(n)])
             records.append(SampleRecord(f"img_{i}.ppm", boxes))
         path = tmp_path / "m.jsonl"
         write_manifest(records, path)
@@ -176,7 +202,7 @@ class TestManifest:
         assert len(back) == len(records)
         for a, b in zip(records, back):
             assert a.image_path == b.image_path
-            assert [x.as_tuple() for x in a.boxes] == [x.as_tuple() for x in b.boxes]
+            assert a.boxes.tolist() == b.boxes.tolist()
 
     def test_invalid_json_names_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"

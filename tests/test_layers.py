@@ -5,7 +5,6 @@ from oracles import naive_conv2d, rel_err
 from retina_kit.errors import ValidationError
 from retina_kit.layers import (
     add,
-    add_backward,
     conv2d_backward,
     conv2d_forward,
     relu,
@@ -26,11 +25,6 @@ class TestElementwise:
         pre = np.array([-1.0, 0.0, 3.0])
         g = relu_backward(np.ones(3), pre)
         assert g.tolist() == [0.0, 0.0, 1.0]
-
-    def test_add_backward_duplicates(self):
-        g = np.arange(6.0).reshape(2, 3)
-        ga, gb = add_backward(g)
-        assert np.array_equal(ga, g) and np.array_equal(gb, g)
 
     def test_add_shape_mismatch(self):
         with pytest.raises(ValidationError):

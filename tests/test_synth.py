@@ -63,15 +63,15 @@ class TestGenerate:
         assert len(manifest) == cfg.num_images
         for rec in manifest:
             assert 1 <= len(rec.boxes) <= 3
-            for b in rec.boxes:
-                assert 0 <= b.x1 <= b.x2 <= 64
-                assert 0 <= b.y1 <= b.y2 <= 64
+            for x1, y1, x2, y2 in rec.boxes:
+                assert 0 <= x1 <= x2 <= 64
+                assert 0 <= y1 <= y2 <= 64
 
     def test_zero_pedestrians(self, tmp_path):
         cfg = small_config(pedestrians_per_image=(0, 0))
         synth_generate(cfg, tmp_path)
         manifest = read_manifest(tmp_path / "manifest.jsonl")
-        assert all(rec.boxes == [] for rec in manifest)
+        assert all(rec.boxes.shape == (0, 4) for rec in manifest)
 
     def test_deterministic_output_trees(self, tmp_path):
         cfg = small_config()
@@ -106,7 +106,7 @@ class TestGenerate:
         intensity = rng.uniform(*band) * 255.0
 
         box = records[0].boxes[0]
-        assert box.as_tuple() == (x0, y0, x0 + t_w, y0 + t_h)
+        assert box.tolist() == [x0, y0, x0 + t_w, y0 + t_h]
 
         img = load_ppm(tmp_path / "img_00000.ppm")
         mask = template_mask(t_w, t_h)
@@ -140,4 +140,4 @@ class TestGenerate:
         a_img, a_boxes = render_sample(cfg, 3)
         b_img, b_boxes = render_sample(cfg, 3)
         assert np.array_equal(a_img, b_img)
-        assert [b.as_tuple() for b in a_boxes] == [b.as_tuple() for b in b_boxes]
+        assert np.array_equal(a_boxes, b_boxes)
