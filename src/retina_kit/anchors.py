@@ -47,7 +47,7 @@ class AnchorConfig:
         self.ratios = tuple(float(r) for r in self.ratios)
         if not self.levels:
             raise ValidationError("anchor config needs at least one pyramid level")
-        strides = [lvl.stride for lvl in self.levels]
+        strides = self.strides
         if any(s <= 0 for s in strides):
             raise ValidationError(f"anchor strides must be positive, got {strides}")
         if any(b - a <= 0 for a, b in zip(strides, strides[1:])):
@@ -64,6 +64,10 @@ class AnchorConfig:
             )
 
     @property
+    def strides(self) -> tuple[int, ...]:
+        return tuple(lvl.stride for lvl in self.levels)
+
+    @property
     def num_anchors_per_cell(self) -> int:
         return len(self.scales) * len(self.ratios)
 
@@ -78,8 +82,6 @@ class AnchorGrid:
 
     anchors: np.ndarray
     per_level_counts: list[int]
-    per_level_shapes: list[tuple[int, int]]  # (rows, cols) per level
-    image_size: tuple[int, int]  # (width, height)
 
     def __len__(self) -> int:
         return self.anchors.shape[0]
@@ -122,7 +124,6 @@ def generate_anchors(config: AnchorConfig, image_w: int, image_h: int) -> Anchor
 
     per_level = []
     counts = []
-    shapes = []
     for lvl in config.levels:
         rows = -(-image_h // lvl.stride)
         cols = -(-image_w // lvl.stride)
@@ -151,13 +152,7 @@ def generate_anchors(config: AnchorConfig, image_w: int, image_h: int) -> Anchor
         ).reshape(-1, 4)
         per_level.append(boxes)
         counts.append(boxes.shape[0])
-        shapes.append((rows, cols))
-    return AnchorGrid(
-        anchors=np.concatenate(per_level, axis=0),
-        per_level_counts=counts,
-        per_level_shapes=shapes,
-        image_size=(image_w, image_h),
-    )
+    return AnchorGrid(anchors=np.concatenate(per_level, axis=0), per_level_counts=counts)
 
 
 def assign_targets(grid: AnchorGrid, gts, config: AnchorConfig) -> AnchorAssignment:

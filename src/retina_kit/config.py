@@ -2,7 +2,7 @@
 
 Every section materializes its defaults when serialized, so two run reports
 are comparable by diff. Cross-module consistency (anchor strides vs stem
-stages, input size vs max stride, anchors per cell) is enforced at load.
+stages, input size vs max stride) is enforced at load.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from .data import AugmentConfig
 from .errors import ValidationError
 from .losses import LossConfig
 from .network import NetworkConfig, check_level_strides
-from .outputs import atomic_write
 from .postprocess import EvalConfig
 from .synth import SynthConfig
 
@@ -61,24 +60,13 @@ class RunConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        self.validate_cross()
-
-    def validate_cross(self):
-        if self.network.num_anchors_per_cell != self.anchors.num_anchors_per_cell:
-            raise ValidationError(
-                f"network.num_anchors_per_cell={self.network.num_anchors_per_cell} but the "
-                f"anchor config implies {self.anchors.num_anchors_per_cell} (scales x ratios)"
-            )
-        check_level_strides(self.network, self.level_strides())
+        check_level_strides(self.network, self.anchors)
         s_max = self.anchors.max_stride
         w, h = self.training.input_size
         if w % s_max or h % s_max:
             raise ValidationError(
                 f"training input_size {w}x{h} must be divisible by the largest stride {s_max}"
             )
-
-    def level_strides(self) -> list[int]:
-        return [lvl.stride for lvl in self.anchors.levels]
 
 
 def _from_section(cls, raw: dict, where: str):
@@ -154,7 +142,3 @@ def run_config_to_dict(cfg: RunConfig) -> dict:
         out[name] = plain(getattr(cfg, name))
     return out
 
-
-def save_run_config(cfg: RunConfig, path) -> None:
-    with atomic_write(path) as f:
-        f.write(json.dumps(run_config_to_dict(cfg), indent=2) + "\n")

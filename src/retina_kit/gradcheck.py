@@ -14,7 +14,7 @@ from .anchors import AnchorConfig, AnchorLevel, assign_targets, generate_anchors
 from .config import RunConfig
 from .layers import conv2d_backward, conv2d_forward, upsample_nearest_x2, upsample_nearest_x2_backward
 from .losses import LossConfig, sigmoid_focal_loss, smooth_l1, total_detection_loss
-from .network import backward, flatten_level_outputs, forward, init_params, unflatten_row_grads
+from .network import INPUT_CHANNELS, backward, forward, init_params
 
 STREAM_GRADCHECK = 505
 
@@ -189,7 +189,7 @@ def check_total_loss(rng, perturb=None) -> float:
     return worst
 
 
-def _well_conditioned_params(net_cfg, strides, rng):
+def _well_conditioned_params(net_cfg, anchors, rng):
     """Network parameters at a fan-in-scaled random point.
 
     Central differences need pre-activations well away from the ReLU kinks;
@@ -198,7 +198,7 @@ def _well_conditioned_params(net_cfg, strides, rng):
     check redraws every weight at std sqrt(2 / fan_in) and keeps the biases
     (including the classification prior).
     """
-    params = {k: v.astype(np.float64) for k, v in init_params(net_cfg, strides, rng).items()}
+    params = {k: v.astype(np.float64) for k, v in init_params(net_cfg, anchors, rng).items()}
     for name, p in params.items():
         if name.endswith(".w"):
             fan_in = p[0].size
@@ -208,26 +208,21 @@ def _well_conditioned_params(net_cfg, strides, rng):
 
 def check_end_to_end(cfg: RunConfig, rng, perturb=None, n_params=200) -> float:
     """FD through forward + total_detection_loss + backward on a 16x16 image."""
-    net_cfg = cfg.network
-    strides = cfg.level_strides()
-    params = _well_conditioned_params(net_cfg, strides, rng)
-    image = rng.standard_normal((net_cfg.input_channels, 16, 16)) * 0.3
+    params = _well_conditioned_params(cfg.network, cfg.anchors, rng)
+    image = rng.standard_normal((INPUT_CHANNELS, 16, 16)) * 0.3
 
     grid = generate_anchors(cfg.anchors, 16, 16)
     gts = np.array([[2.0, 1.0, 8.0, 13.0], [7.0, 3.0, 13.0, 15.0]])
     assignment = assign_targets(grid, gts, cfg.anchors)
-    a = net_cfg.num_anchors_per_cell
 
     def scalar():
-        outputs, _ = forward(image, params, net_cfg, strides)
-        flat_cls, flat_box = flatten_level_outputs(outputs, a)
-        val, _, _ = total_detection_loss(flat_cls, flat_box, assignment, cfg.loss)
+        (cls_rows, box_rows), _ = forward(image, params, cfg.network, cfg.anchors)
+        val, _, _ = total_detection_loss(cls_rows, box_rows, assignment, cfg.loss)
         return val
 
-    outputs, cache = forward(image, params, net_cfg, strides)
-    flat_cls, flat_box = flatten_level_outputs(outputs, a)
-    _, g_cls, g_box = total_detection_loss(flat_cls, flat_box, assignment, cfg.loss)
-    grads = backward(cache, unflatten_row_grads(g_cls, g_box, outputs, a))
+    (cls_rows, box_rows), cache = forward(image, params, cfg.network, cfg.anchors)
+    _, g_cls, g_box = total_detection_loss(cls_rows, box_rows, assignment, cfg.loss)
+    grads = backward(cache, g_cls, g_box)
     if perturb is not None:
         grads = perturb("end_to_end", grads)
 

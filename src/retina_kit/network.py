@@ -7,9 +7,11 @@ x2 upsample + add top-down, then a 3x3 smoothing conv. The classification
 and box subnets (head_depth 3x3 conv + ReLU blocks, then a 3x3 output conv)
 share their parameters across levels.
 
-forward() returns per-level head maps plus a cache; backward() replays the
-cache and returns exact gradients for every parameter, summing shared-head
-gradients over levels.
+forward() takes the AnchorConfig (its strides pick the levels, scales x
+ratios fix the anchors per cell) and returns one logit and one box-delta row
+per anchor in generate_anchors order, plus a cache; backward() takes
+gradients on those rows and returns exact gradients for every parameter,
+summing shared-head gradients over levels.
 """
 
 from __future__ import annotations
@@ -20,30 +22,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import layers
+from .anchors import AnchorConfig
 from .errors import ValidationError
+
+INPUT_CHANNELS = 3  # load_ppm and preprocess always give RGB
 
 
 @dataclass
 class NetworkConfig:
-    input_channels: int = 3
     stem_channels: tuple[int, ...] = (8, 16, 32, 64)
     fpn_channels: int = 32
     head_depth: int = 2
-    num_anchors_per_cell: int = 9
     prior_prob: float = 0.01
 
     def __post_init__(self):
         self.stem_channels = tuple(int(c) for c in self.stem_channels)
         if not self.stem_channels or any(c <= 0 for c in self.stem_channels):
             raise ValidationError(f"stem_channels must be positive, got {self.stem_channels}")
-        if self.input_channels <= 0:
-            raise ValidationError(f"input_channels must be positive, got {self.input_channels}")
         if self.fpn_channels <= 0:
             raise ValidationError(f"fpn_channels must be positive, got {self.fpn_channels}")
         if self.head_depth < 0:
             raise ValidationError(f"head_depth must be >= 0, got {self.head_depth}")
-        if self.num_anchors_per_cell <= 0:
-            raise ValidationError("num_anchors_per_cell must be positive")
         if not (0.0 < self.prior_prob < 1.0):
             raise ValidationError(f"prior_prob must be in (0, 1), got {self.prior_prob}")
 
@@ -56,10 +55,10 @@ def stage_index_for_stride(stride: int) -> int:
     return k - 1
 
 
-def check_level_strides(config: NetworkConfig, level_strides) -> list[int]:
+def check_level_strides(config: NetworkConfig, anchors: AnchorConfig) -> list[int]:
     """Map anchor strides onto stem stages, rejecting strides the net lacks."""
     stages = []
-    for s in level_strides:
+    for s in anchors.strides:
         idx = stage_index_for_stride(s)
         if idx >= len(config.stem_channels):
             raise ValidationError(
@@ -70,13 +69,37 @@ def check_level_strides(config: NetworkConfig, level_strides) -> list[int]:
     for a, b in zip(stages, stages[1:]):
         if b != a + 1:
             # the x2 top-down merge only lines up for consecutive strides
-            raise ValidationError(
-                f"anchor strides {list(level_strides)} must double level to level"
-            )
+            raise ValidationError(f"anchor strides {anchors.strides} must double level to level")
     return stages
 
 
-def init_params(config: NetworkConfig, level_strides, rng) -> dict[str, np.ndarray]:
+def param_shapes(config: NetworkConfig, anchors: AnchorConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's shape, in the fixed order init_params draws them."""
+    stages = check_level_strides(config, anchors)
+    shapes: dict[str, tuple[int, ...]] = {}
+
+    def conv(name, c_out, c_in, k):
+        shapes[f"{name}.w"] = (c_out, c_in, k, k)
+        shapes[f"{name}.b"] = (c_out,)
+
+    c_in = INPUT_CHANNELS
+    for i, c_out in enumerate(config.stem_channels):
+        conv(f"stem{i}", c_out, c_in, 3)
+        c_in = c_out
+    f = config.fpn_channels
+    for li, stage in enumerate(stages):
+        conv(f"lateral{li}", f, config.stem_channels[stage], 1)
+        conv(f"smooth{li}", f, f, 3)
+    for prefix in ("cls", "box"):
+        for j in range(config.head_depth):
+            conv(f"{prefix}{j}", f, f, 3)
+    a = anchors.num_anchors_per_cell
+    conv("cls_out", a, f, 3)
+    conv("box_out", a * 4, f, 3)
+    return shapes
+
+
+def init_params(config: NetworkConfig, anchors: AnchorConfig, rng) -> dict[str, np.ndarray]:
     """Seeded float32 parameters in a fixed, name-ordered dict.
 
     Hidden convs draw from fan-in-scaled Gaussians (std sqrt(2 / fan_in));
@@ -87,38 +110,14 @@ def init_params(config: NetworkConfig, level_strides, rng) -> dict[str, np.ndarr
     but leaves the regression head underconverged inside the desk-scale
     epoch budget.
     """
-    stages = check_level_strides(config, level_strides)
-
-    def he(c_out, c_in, k):
-        std = math.sqrt(2.0 / (c_in * k * k))
-        return rng.normal(0.0, std, size=(c_out, c_in, k, k)).astype(np.float32)
-
-    def small(c_out, c_in, k):
-        return rng.normal(0.0, 0.01, size=(c_out, c_in, k, k)).astype(np.float32)
-
+    prior_bias = -math.log((1.0 - config.prior_prob) / config.prior_prob)
     params: dict[str, np.ndarray] = {}
-    c_in = config.input_channels
-    for i, c_out in enumerate(config.stem_channels):
-        params[f"stem{i}.w"] = he(c_out, c_in, 3)
-        params[f"stem{i}.b"] = np.zeros(c_out, dtype=np.float32)
-        c_in = c_out
-    f = config.fpn_channels
-    for li, stage in enumerate(stages):
-        params[f"lateral{li}.w"] = he(f, config.stem_channels[stage], 1)
-        params[f"lateral{li}.b"] = np.zeros(f, dtype=np.float32)
-        params[f"smooth{li}.w"] = he(f, f, 3)
-        params[f"smooth{li}.b"] = np.zeros(f, dtype=np.float32)
-    for prefix in ("cls", "box"):
-        for j in range(config.head_depth):
-            params[f"{prefix}{j}.w"] = he(f, f, 3)
-            params[f"{prefix}{j}.b"] = np.zeros(f, dtype=np.float32)
-    a = config.num_anchors_per_cell
-    params["cls_out.w"] = small(a, f, 3)
-    params["cls_out.b"] = np.full(
-        a, -math.log((1.0 - config.prior_prob) / config.prior_prob), dtype=np.float32
-    )
-    params["box_out.w"] = small(a * 4, f, 3)
-    params["box_out.b"] = np.zeros(a * 4, dtype=np.float32)
+    for name, shape in param_shapes(config, anchors).items():
+        if name.endswith(".b"):
+            params[name] = np.full(shape, prior_bias if name == "cls_out.b" else 0.0, np.float32)
+        else:
+            std = 0.01 if name.endswith("_out.w") else math.sqrt(2.0 / math.prod(shape[1:]))
+            params[name] = rng.normal(0.0, std, size=shape).astype(np.float32)
     return params
 
 
@@ -134,19 +133,18 @@ def _subnet_forward(x, params, prefix, depth):
     return out, {"ins": ins, "pres": pres, "out_in": h}
 
 
-def forward(image, params, config: NetworkConfig, level_strides):
-    """Run the net on one (C, H, W) image.
+def forward(image, params, config: NetworkConfig, anchors: AnchorConfig):
+    """Run the net on one (3, H, W) image.
 
-    Returns ([(cls_logits, box_deltas) per level], cache). Per-level spatial
-    dims equal ceil(H / stride) x ceil(W / stride) and match the anchor grid.
+    Returns ((cls_rows (N,), box_rows (N, 4)), cache): one logit and one
+    box-delta row per anchor, in the order generate_anchors lays them out
+    for an H x W image.
     """
     image = np.asarray(image)
-    if image.ndim != 3 or image.shape[0] != config.input_channels:
-        raise ValidationError(
-            f"expected ({config.input_channels}, H, W) image, got shape {image.shape}"
-        )
-    stages = check_level_strides(config, level_strides)
-    s_max = max(level_strides)
+    if image.ndim != 3 or image.shape[0] != INPUT_CHANNELS:
+        raise ValidationError(f"expected ({INPUT_CHANNELS}, H, W) image, got shape {image.shape}")
+    stages = check_level_strides(config, anchors)
+    s_max = anchors.max_stride
     if image.shape[1] % s_max or image.shape[2] % s_max:
         raise ValidationError(
             f"image dims {image.shape[1]}x{image.shape[2]} not divisible by stride {s_max}"
@@ -185,6 +183,7 @@ def forward(image, params, config: NetworkConfig, level_strides):
         outputs.append((cls_out, box_out))
         cls_caches.append(cls_cache)
         box_caches.append(box_cache)
+    cls_rows, box_rows = _flatten_level_outputs(outputs, anchors.num_anchors_per_cell)
 
     cache = {
         "params": params,
@@ -197,8 +196,9 @@ def forward(image, params, config: NetworkConfig, level_strides):
         "cls": cls_caches,
         "box": box_caches,
         "outputs": outputs,
+        "num_anchors": anchors.num_anchors_per_cell,
     }
-    return outputs, cache
+    return (cls_rows, box_rows), cache
 
 
 def _subnet_backward(grad_out, sub_cache, params, prefix, depth, grads):
@@ -217,19 +217,17 @@ def _subnet_backward(grad_out, sub_cache, params, prefix, depth, grads):
     return g
 
 
-def backward(cache, output_grads) -> dict[str, np.ndarray]:
-    """Exact reverse pass; output_grads is [(g_cls, g_box) per level]."""
+def backward(cache, cls_grad, box_grad) -> dict[str, np.ndarray]:
+    """Exact reverse pass from gradients on the (N,) / (N, 4) anchor rows."""
+    n = sum(cls_map.size for cls_map, _ in cache["outputs"])
+    got = (np.shape(cls_grad), np.shape(box_grad))
+    if got != ((n,), (n, 4)):
+        raise ValidationError(f"row gradients must have shapes ({n},) and ({n}, 4), got {got}")
+    output_grads = _unflatten_row_grads(cls_grad, box_grad, cache["outputs"], cache["num_anchors"])
     params = cache["params"]
     config: NetworkConfig = cache["config"]
     stages = cache["stages"]
     n_levels = len(stages)
-    if len(output_grads) != n_levels:
-        raise ValidationError(
-            f"expected gradients for {n_levels} levels, got {len(output_grads)}"
-        )
-    for li, ((g_cls, g_box), (cls_out, box_out)) in enumerate(zip(output_grads, cache["outputs"])):
-        if g_cls.shape != cls_out.shape or g_box.shape != box_out.shape:
-            raise ValidationError(f"output gradient shape mismatch at level {li}")
 
     grads = {name: np.zeros_like(p) for name, p in params.items()}
 
@@ -281,7 +279,7 @@ def backward(cache, output_grads) -> dict[str, np.ndarray]:
     return grads
 
 
-def flatten_level_outputs(outputs, num_anchors: int):
+def _flatten_level_outputs(outputs, num_anchors: int):
     """Per-level (A, H, W) / (A*4, H, W) maps to flat per-anchor rows.
 
     Returns (N,) classification logits and (N, 4) box deltas. Row order
@@ -298,8 +296,8 @@ def flatten_level_outputs(outputs, num_anchors: int):
     return np.concatenate(cls_rows, axis=0), np.concatenate(box_rows, axis=0)
 
 
-def unflatten_row_grads(cls_grad, box_grad, outputs, num_anchors: int):
-    """Inverse of flatten_level_outputs for gradients on the flat rows."""
+def _unflatten_row_grads(cls_grad, box_grad, outputs, num_anchors: int):
+    """Inverse of _flatten_level_outputs for gradients on the flat rows."""
     per_level = []
     off = 0
     for cls_map, box_map in outputs:

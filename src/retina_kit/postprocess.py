@@ -1,4 +1,4 @@
-"""Decode raw head outputs into scored detections, plus greedy NMS.
+"""Decode per-anchor head rows into scored detections, plus greedy NMS.
 
 The detector has one class, so each anchor carries one logit. Per level:
 sigmoid scores, drop below score_threshold and keep the top pre_nms_topk by
@@ -18,7 +18,6 @@ from .anchors import AnchorGrid
 from .boxes import BBox, boxes_to_array, clip_boxes, decode_boxes, iou_matrix
 from .errors import NumericError, ValidationError
 from .layers import sigmoid
-from .network import flatten_level_outputs
 from .outputs import atomic_write
 
 _DEFAULT_SWEEP = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
@@ -99,36 +98,25 @@ def nms_indices(boxes: np.ndarray, scores: np.ndarray, iou_thresh: float, max_ou
 
 
 def decode_detections(
-    outputs,
+    cls_rows,
+    box_rows,
     grid: AnchorGrid,
     config: EvalConfig,
     image_w: float,
     image_h: float,
     image_id: int = 0,
 ) -> Detections:
-    """Head maps for one image -> final detections, NMS included, best score first."""
-    n_levels = len(grid.per_level_counts)
-    if len(outputs) != n_levels:
-        raise ValidationError(f"expected {n_levels} level outputs, got {len(outputs)}")
-    rows0, cols0 = grid.per_level_shapes[0]
-    num_anchors = grid.per_level_counts[0] // (rows0 * cols0)
-    for li, (cls_map, box_map) in enumerate(outputs):
-        rows, cols = grid.per_level_shapes[li]
-        if cls_map.shape[1:] != (rows, cols) or box_map.shape[1:] != (rows, cols):
-            raise ValidationError(
-                f"level {li} spatial dims {cls_map.shape[1:]} do not match grid {(rows, cols)}"
-            )
-        if cls_map.shape[0] != num_anchors or box_map.shape[0] != num_anchors * 4:
-            raise ValidationError(
-                f"level {li} channel counts {cls_map.shape[0]} / {box_map.shape[0]} do not "
-                f"match {num_anchors} anchors of one class"
-            )
-
-    flat_cls, flat_box = flatten_level_outputs(outputs, num_anchors)
-    scores_all = sigmoid(flat_cls.astype(np.float64))
+    """One row per grid anchor for one image -> final detections, NMS included, best score first."""
+    n = len(grid)
+    got = (np.shape(cls_rows), np.shape(box_rows))
+    if got != ((n,), (n, 4)):
+        raise ValidationError(
+            f"expected ({n},) class and ({n}, 4) box rows, one per anchor of one class, got {got}"
+        )
+    scores_all = sigmoid(np.asarray(cls_rows, dtype=np.float64))
 
     chosen = []
-    for li in range(n_levels):
+    for li in range(len(grid.per_level_counts)):
         sl = grid.level_slice(li)
         s = scores_all[sl]
         idx = np.nonzero(s >= config.score_threshold)[0]
@@ -136,7 +124,7 @@ def decode_detections(
         chosen.append(sl.start + idx[order])
     chosen = np.concatenate(chosen)
 
-    boxes = clip_boxes(decode_boxes(grid.anchors[chosen], flat_box[chosen]), image_w, image_h)
+    boxes = clip_boxes(decode_boxes(grid.anchors[chosen], box_rows[chosen]), image_w, image_h)
     scores = scores_all[chosen]
     kept = nms_indices(boxes, scores, config.nms_iou, config.max_detections_per_image)
     if not np.isfinite(boxes[kept]).all():

@@ -30,13 +30,7 @@ from .data import augment, preprocess, read_manifest
 from .errors import NumericError, ValidationError
 from .evaluation import coco_map
 from .losses import total_detection_loss
-from .network import (
-    backward,
-    flatten_level_outputs,
-    forward,
-    init_params,
-    unflatten_row_grads,
-)
+from .network import backward, forward, init_params, param_shapes
 from .optim import AdamState, adam_step
 from .postprocess import Detections, decode_detections
 from .ppm import load_ppm
@@ -44,6 +38,15 @@ from .ppm import load_ppm
 STREAM_INIT = 202
 STREAM_SHUFFLE = 303
 STREAM_AUGMENT = 404
+
+# Dotted config fields (or "section." prefixes) a checkpoint's config echo is
+# compared on. Inference needs the anchor geometry and input frame the heads
+# were trained on; a resumed run needs every field but its length, its output
+# name and the synthetic-data recipe.
+INFERENCE_FIELDS = ("anchors.levels", "anchors.scales", "anchors.ratios", "training.input_size")
+RESUME_FREE_FIELDS = (
+    "training.epochs", "training.eval_every", "training.checkpoint_path", "synth."
+)
 
 
 @dataclass
@@ -82,8 +85,8 @@ def prepare_eval_input(sample: LoadedSample, cfg: RunConfig):
 
 def infer_detections(params, cfg: RunConfig, grid, tensor, image_id: int):
     in_w, in_h = cfg.training.input_size
-    outputs, _ = forward(tensor, params, cfg.network, cfg.level_strides())
-    return decode_detections(outputs, grid, cfg.eval, in_w, in_h, image_id=image_id)
+    (cls_rows, box_rows), _ = forward(tensor, params, cfg.network, cfg.anchors)
+    return decode_detections(cls_rows, box_rows, grid, cfg.eval, in_w, in_h, image_id=image_id)
 
 
 def evaluate_params(params, cfg: RunConfig, samples: list[LoadedSample], grid):
@@ -107,13 +110,9 @@ class TrainResult:
 
 def _image_grads(cfg, grid, params, tensor, boxes):
     assignment = assign_targets(grid, boxes, cfg.anchors)
-    outputs, cache = forward(tensor, params, cfg.network, cfg.level_strides())
-    a = cfg.network.num_anchors_per_cell
-    flat_cls, flat_box = flatten_level_outputs(outputs, a)
-    loss, g_cls, g_box = total_detection_loss(flat_cls, flat_box, assignment, cfg.loss)
-    level_grads = unflatten_row_grads(g_cls, g_box, outputs, a)
-    grads = backward(cache, level_grads)
-    return loss, grads
+    (cls_rows, box_rows), cache = forward(tensor, params, cfg.network, cfg.anchors)
+    loss, g_cls, g_box = total_detection_loss(cls_rows, box_rows, assignment, cfg.loss)
+    return loss, backward(cache, g_cls, g_box)
 
 
 def run_training(
@@ -135,11 +134,11 @@ def run_training(
 
     if resume is not None:
         ckpt = load_checkpoint(resume)
-        params = load_params_for_config(ckpt, cfg)
+        params = load_params_for_config(ckpt, cfg, resume=True)
         state = ckpt.adam_state()
     else:
         rng = np.random.default_rng([cfg.seed, STREAM_INIT])
-        params = init_params(cfg.network, cfg.level_strides(), rng)
+        params = init_params(cfg.network, cfg.anchors, rng)
         state = AdamState.zeros_like(params)
 
     out.mkdir(parents=True, exist_ok=True)
@@ -216,27 +215,65 @@ def run_training(
 
 def check_param_shapes(params: dict, cfg: RunConfig) -> None:
     """Compare a loaded parameter dict against what the config would build."""
-    rng = np.random.default_rng(0)
-    expected = init_params(cfg.network, cfg.level_strides(), rng)
-    for name, tensor in expected.items():
+    expected = param_shapes(cfg.network, cfg.anchors)
+    for name, shape in expected.items():
         if name not in params:
             raise ValidationError(f"checkpoint is missing tensor '{name}'")
-        if params[name].shape != tensor.shape:
+        if params[name].shape != shape:
             raise ValidationError(
                 f"checkpoint tensor '{name}' has shape {params[name].shape}, "
-                f"config expects {tensor.shape}"
+                f"config expects {shape}"
             )
     extra = set(params) - set(expected)
     if extra:
         raise ValidationError(f"checkpoint has unexpected tensors: {sorted(extra)}")
 
 
-def load_params_for_config(ckpt: Checkpoint, cfg: RunConfig) -> dict:
+def _leaves(tree: dict, prefix: str = "") -> dict:
+    """Nested config dict -> {"section.field": value}; lists stay whole."""
+    out = {}
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            out.update(_leaves(value, f"{prefix}{key}."))
+        else:
+            out[prefix + key] = value
+    return out
+
+
+def check_config_echo(ckpt: Checkpoint, cfg: RunConfig, resume: bool) -> None:
+    """Reject a checkpoint whose config echo differs from cfg where it matters.
+
+    Inference compares INFERENCE_FIELDS, a resumed run every field outside
+    RESUME_FREE_FIELDS. Only fields both sides have are compared, so an echo
+    that still carries a key this schema removed keeps loading.
+    """
+    try:
+        echo = _leaves(ckpt.config())
+    except (ValueError, AttributeError) as e:
+        raise ValidationError(f"checkpoint config echo is not a JSON object: {e}") from e
+    current = _leaves(json.loads(canonical_json(run_config_to_dict(cfg))))
+
+    def compared(key):
+        if resume:
+            return not key.startswith(RESUME_FREE_FIELDS)
+        return key.startswith(INFERENCE_FIELDS)
+
+    differing = [k for k, v in current.items() if compared(k) and k in echo and echo[k] != v]
+    if differing:
+        raise ValidationError(
+            f"checkpoint was trained under a different config; fields that differ: "
+            f"{', '.join(differing)}"
+        )
+
+
+def load_params_for_config(ckpt: Checkpoint, cfg: RunConfig, resume: bool = False) -> dict:
     """The checkpoint's parameters, once they fit cfg and every tensor is finite.
 
     Every checkpoint a run reads comes through here: `eval`, `detect` and
-    `train --resume`. The Adam moments are checked too.
+    `train --resume`. The config echo is compared first (see
+    check_config_echo); the Adam moments are checked for finiteness too.
     """
+    check_config_echo(ckpt, cfg, resume)
     params = ckpt.params()
     check_param_shapes(params, cfg)
     for name, tensor in ckpt.tensors.items():

@@ -331,7 +331,7 @@ def test_criterion_10_format_round_trips(tmp_path):
     from retina_kit.network import init_params
 
     cfg = run_config_from_dict({})
-    params = init_params(cfg.network, cfg.level_strides(), np.random.default_rng(5))
+    params = init_params(cfg.network, cfg.anchors, np.random.default_rng(5))
     ckpt = build_checkpoint(params, AdamState.zeros_like(params), run_config_to_dict(cfg))
     save_checkpoint(tmp_path / "a.rkck", ckpt)
     save_checkpoint(tmp_path / "b.rkck", load_checkpoint(tmp_path / "a.rkck"))

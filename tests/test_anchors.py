@@ -52,7 +52,6 @@ class TestGenerate:
         grid = generate_anchors(single_level_config(), 64, 64)
         assert len(grid) == 8 * 8 * 9
         assert grid.per_level_counts == [576]
-        assert grid.per_level_shapes == [(8, 8)]
 
     def test_two_level_count(self):
         grid = generate_anchors(AnchorConfig(), 64, 64)

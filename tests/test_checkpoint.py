@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from retina_kit.anchors import AnchorConfig
 from retina_kit.checkpoint import (
     Checkpoint,
     build_checkpoint,
@@ -91,16 +92,16 @@ def test_format_layout_is_as_documented(tmp_path):
 
 def test_forward_after_reload_is_bitwise_identical(tmp_path, rng):
     cfg = NetworkConfig()
-    params = init_params(cfg, [8, 16], np.random.default_rng(11))
+    anchors = AnchorConfig()
+    params = init_params(cfg, anchors, np.random.default_rng(11))
     state = AdamState.zeros_like(params)
     path = tmp_path / "net.rkck"
     save_checkpoint(path, build_checkpoint(params, state, {"seed": 11}))
     loaded = load_checkpoint(path).params()
     img = rng.standard_normal((3, 64, 64)).astype(np.float32)
-    out_a, _ = forward(img, params, cfg, [8, 16])
-    out_b, _ = forward(img, loaded, cfg, [8, 16])
-    for (ca, ba), (cb, bb) in zip(out_a, out_b):
-        assert np.array_equal(ca, cb) and np.array_equal(ba, bb)
+    (ca, ba), _ = forward(img, params, cfg, anchors)
+    (cb, bb), _ = forward(img, loaded, cfg, anchors)
+    assert np.array_equal(ca, cb) and np.array_equal(ba, bb)
 
 
 def test_canonical_json_is_stable():

@@ -419,6 +419,78 @@ class TestExitCodes:
         assert sorted(p.name for p in out.iterdir()) == left
 
 
+class TestConfigMismatch:
+    """A checkpoint is only read under the config it was trained with."""
+
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("trained")
+        cfg_path = tmp / "config.json"
+        cfg_path.write_text(json.dumps(TINY))
+        data = synth_dir(str(cfg_path), tmp)
+        run = tmp / "run"
+        assert main(["train", "--config", str(cfg_path), "--manifest",
+                     str(data / "manifest.jsonl"), "--out", str(run)]) == 0
+        return data, run / "checkpoint.rkck"
+
+    @staticmethod
+    def run_changed(trained, tmp_path, command, changes):
+        data, ckpt = trained
+        cfg = {**TINY, **{section: {**TINY.get(section, {}), **kv} for section, kv in changes.items()}}
+        cfg_path = tmp_path / "changed.json"
+        cfg_path.write_text(json.dumps(cfg))
+        manifest = str(data / "manifest.jsonl")
+        argv = {
+            "eval": ["eval", "--manifest", manifest, "--checkpoint", str(ckpt)],
+            "detect": ["detect", "--checkpoint", str(ckpt), "--image", str(data / "img_00000.ppm")],
+            "train": ["train", "--manifest", manifest, "--resume", str(ckpt)],
+        }[command]
+        return main(argv + ["--config", str(cfg_path), "--out", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize(
+        "command, changes, field",
+        [
+            # still 9 anchors per cell, so every tensor shape matches
+            pytest.param("eval", {"anchors": {"scales": [1.0, 1.5, 2.0]}}, "anchors.scales",
+                         id="eval-scales"),
+            pytest.param("detect", {"training": {"input_size": [96, 96]}},
+                         "training.input_size", id="detect-input-size"),
+            pytest.param("train", {"training": {"batch_size": 4}}, "training.batch_size",
+                         id="resume-batch-size"),
+            pytest.param("train", {"anchors": {"pos_iou": 0.6}}, "anchors.pos_iou",
+                         id="resume-pos-iou"),
+        ],
+    )
+    def test_mismatch_exits_one_naming_field(self, trained, tmp_path, capsys, command,
+                                             changes, field):
+        capsys.readouterr()
+        assert self.run_changed(trained, tmp_path, command, changes) == 1
+        err = capsys.readouterr().err
+        assert "different config" in err and field in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, changes",
+        [
+            pytest.param("eval", {"eval": {"score_threshold": 0.2}}, id="eval-score-threshold"),
+            pytest.param("train", {"training": {"eval_every": 2}, "synth": {"num_images": 5}},
+                         id="resume-eval-every-synth"),
+        ],
+    )
+    def test_unchecked_field_change_runs(self, trained, tmp_path, command, changes):
+        assert self.run_changed(trained, tmp_path, command, changes) == 0
+
+    def test_unreadable_echo_exits_one(self, trained, tmp_path, capsys):
+        data, ckpt_path = trained
+        ckpt = load_checkpoint(ckpt_path)
+        ckpt.config_json = "[]"
+        bad = tmp_path / "bad.rkck"
+        save_checkpoint(bad, ckpt)
+        capsys.readouterr()
+        assert self.run_changed((data, bad), tmp_path, "eval", {}) == 1
+        assert "config echo" in capsys.readouterr().err
+
+
 class TestEvalDeterminism:
     def test_eval_report_identical_across_runs(self, tiny_cfg_path, tmp_path):
         data = synth_dir(tiny_cfg_path, tmp_path)

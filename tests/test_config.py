@@ -7,7 +7,6 @@ from retina_kit.config import (
     load_run_config,
     run_config_from_dict,
     run_config_to_dict,
-    save_run_config,
 )
 from retina_kit.errors import ValidationError
 
@@ -18,7 +17,7 @@ def test_empty_dict_gives_defaults():
     assert cfg.training.lr == 0.001
     assert cfg.training.batch_size == 8
     assert cfg.loss.gamma == 2.0 and cfg.loss.alpha == 0.25
-    assert cfg.level_strides() == [8, 16]
+    assert cfg.anchors.strides == (8, 16)
 
 
 def test_synth_seed_inherits_run_seed():
@@ -41,7 +40,7 @@ def test_materialized_dict_has_every_section():
 def test_round_trip_through_json(tmp_path):
     cfg = run_config_from_dict({"seed": 5, "loss": {"gamma": 0.0}})
     path = tmp_path / "cfg.json"
-    save_run_config(cfg, path)
+    path.write_text(json.dumps(run_config_to_dict(cfg)))
     back = load_run_config(path)
     assert run_config_to_dict(back) == run_config_to_dict(cfg)
 
@@ -52,16 +51,17 @@ def test_unknown_top_level_key_rejected():
 
 
 def test_unknown_section_key_rejected():
-    with pytest.raises(ValidationError, match="training"):
-        run_config_from_dict({"training": {"learning_rate": 0.1}})
-    # the detector is single-class, so the old class-count knob is unknown too
-    with pytest.raises(ValidationError, match="num_classes"):
-        run_config_from_dict({"network": {"num_classes": 1}})
-
-
-def test_cross_check_anchors_per_cell():
-    with pytest.raises(ValidationError, match="num_anchors_per_cell"):
-        run_config_from_dict({"network": {"num_anchors_per_cell": 4}})
+    cases = [
+        ("training", "learning_rate", 0.1),
+        # removed knobs: the detector is single-class, the anchor count comes
+        # from anchors.scales x ratios and the input is always RGB
+        ("network", "num_classes", 1),
+        ("network", "num_anchors_per_cell", 9),
+        ("network", "input_channels", 3),
+    ]
+    for section, key, value in cases:
+        with pytest.raises(ValidationError, match=f"unknown keys in config section '{section}'.*{key}"):
+            run_config_from_dict({section: {key: value}})
 
 
 def test_cross_check_input_size_divisibility():
@@ -103,7 +103,7 @@ def test_custom_levels_parse():
             }
         }
     )
-    assert cfg.level_strides() == [4, 8, 16]
+    assert cfg.anchors.strides == (4, 8, 16)
 
 
 def test_default_config_is_self_consistent():

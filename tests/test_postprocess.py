@@ -91,18 +91,6 @@ class TestNms:
                     assert iou(dets[keep[i]][0], dets[keep[j]][0]) <= 0.5
 
 
-def head_maps_from_rows(grid, flat_cls, flat_box):
-    """Inverse of flatten for building synthetic head outputs in tests."""
-    outs = []
-    for li, (rows, cols) in enumerate(grid.per_level_shapes):
-        sl = grid.level_slice(li)
-        a = grid.per_level_counts[li] // (rows * cols)
-        cls_map = flat_cls[sl].reshape(rows, cols, a).transpose(2, 0, 1)
-        box_map = flat_box[sl].reshape(rows, cols, a, 4).transpose(2, 3, 0, 1).reshape(a * 4, rows, cols)
-        outs.append((cls_map, box_map))
-    return outs
-
-
 class TestDecode:
     def setup_method(self):
         self.anchor_cfg = AnchorConfig()
@@ -111,15 +99,14 @@ class TestDecode:
 
     def test_all_low_logits_give_nothing(self):
         n = len(self.grid)
-        outs = head_maps_from_rows(self.grid, np.full(n, -40.0), np.zeros((n, 4)))
-        assert len(decode_detections(outs, self.grid, self.eval_cfg, 64, 64)) == 0
+        dets = decode_detections(np.full(n, -40.0), np.zeros((n, 4)), self.grid, self.eval_cfg, 64, 64)
+        assert len(dets) == 0
 
     def test_single_hot_anchor(self):
         n = len(self.grid)
         flat_cls = np.full(n, -40.0)
         flat_cls[137] = 40.0
-        outs = head_maps_from_rows(self.grid, flat_cls, np.zeros((n, 4)))
-        dets = decode_detections(outs, self.grid, self.eval_cfg, 64, 64)
+        dets = decode_detections(flat_cls, np.zeros((n, 4)), self.grid, self.eval_cfg, 64, 64)
         assert len(dets) == 1
         assert dets.scores[0] == pytest.approx(1.0, abs=1e-12)
         want = clip_boxes(self.grid.anchors[137:138], 64, 64)[0]
@@ -132,8 +119,7 @@ class TestDecode:
             n = len(self.grid)
             flat_cls = rng.normal(-4.0, 2.5, size=n)
             flat_box = rng.normal(0.0, 0.3, size=(n, 4))
-            outs = head_maps_from_rows(self.grid, flat_cls, flat_box)
-            got = decode_detections(outs, self.grid, self.eval_cfg, 64, 64)
+            got = decode_detections(flat_cls, flat_box, self.grid, self.eval_cfg, 64, 64)
             want = naive_decode_detections(
                 sigmoid(flat_cls),
                 flat_box,
@@ -152,18 +138,15 @@ class TestDecode:
     def test_detection_count_capped(self, rng):
         cfg = EvalConfig(max_detections_per_image=5)
         n = len(self.grid)
-        outs = head_maps_from_rows(
-            self.grid, rng.normal(2.0, 1.0, size=n), np.zeros((n, 4))
-        )
-        dets = decode_detections(outs, self.grid, cfg, 64, 64)
+        dets = decode_detections(rng.normal(2.0, 1.0, size=n), np.zeros((n, 4)), self.grid, cfg, 64, 64)
         assert len(dets) <= 5
 
     def test_boxes_clipped_to_image(self, rng):
         n = len(self.grid)
-        outs = head_maps_from_rows(
-            self.grid, rng.normal(0.0, 3.0, size=n), rng.normal(0.0, 1.0, size=(n, 4))
+        dets = decode_detections(
+            rng.normal(0.0, 3.0, size=n), rng.normal(0.0, 1.0, size=(n, 4)), self.grid, self.eval_cfg, 64, 64
         )
-        for x1, y1, x2, y2 in decode_detections(outs, self.grid, self.eval_cfg, 64, 64).boxes:
+        for x1, y1, x2, y2 in dets.boxes:
             assert 0.0 <= x1 <= x2 <= 64.0
             assert 0.0 <= y1 <= y2 <= 64.0
 
@@ -173,27 +156,22 @@ class TestDecode:
         flat_cls[137] = 40.0
         flat_box = np.zeros((n, 4))
         flat_box[137, 0] = np.nan
-        outs = head_maps_from_rows(self.grid, flat_cls, flat_box)
         with pytest.raises(NumericError, match="not finite"):
-            decode_detections(outs, self.grid, self.eval_cfg, 64, 64)
+            decode_detections(flat_cls, flat_box, self.grid, self.eval_cfg, 64, 64)
 
     def test_dim_mismatch_rejected(self):
         n = len(self.grid)
-        outs = head_maps_from_rows(self.grid, np.zeros(n), np.zeros((n, 4)))
-        (cls0, box0), rest = outs[0], outs[1:]
-        spatial = [(cls0[:, :4, :], box0)] + rest
-        # 2A channels would read as a second class; the head has exactly one
-        two_class = [(np.concatenate([cls0, cls0]), box0)] + rest
-        for wrong in (spatial, two_class):
+        # 2N logits, or two per row, would read as a second class; the head has exactly one
+        for cls_shape in ((n - 1,), (2 * n,), (n, 2)):
             with pytest.raises(ValidationError):
-                decode_detections(wrong, self.grid, self.eval_cfg, 64, 64)
+                decode_detections(np.zeros(cls_shape), np.zeros((n, 4)), self.grid, self.eval_cfg, 64, 64)
 
     def test_wired_to_network_outputs(self, rng):
         net_cfg = NetworkConfig()
-        params = init_params(net_cfg, [8, 16], np.random.default_rng(2))
+        params = init_params(net_cfg, self.anchor_cfg, np.random.default_rng(2))
         img = rng.standard_normal((3, 64, 64)).astype(np.float32)
-        outs, _ = forward(img, params, net_cfg, [8, 16])
-        dets = decode_detections(outs, self.grid, self.eval_cfg, 64, 64)
+        (cls_rows, box_rows), _ = forward(img, params, net_cfg, self.anchor_cfg)
+        dets = decode_detections(cls_rows, box_rows, self.grid, self.eval_cfg, 64, 64)
         assert isinstance(dets, Detections)
 
 
