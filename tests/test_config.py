@@ -53,15 +53,23 @@ def test_unknown_top_level_key_rejected():
 def test_unknown_section_key_rejected():
     cases = [
         ("training", "learning_rate", 0.1),
-        # removed knobs: the detector is single-class, the anchor count comes
-        # from anchors.scales x ratios and the input is always RGB
+        # removed knobs: the detector is single-class and the input is always RGB
         ("network", "num_classes", 1),
-        ("network", "num_anchors_per_cell", 9),
         ("network", "input_channels", 3),
     ]
     for section, key, value in cases:
         with pytest.raises(ValidationError, match=f"unknown keys in config section '{section}'.*{key}"):
             run_config_from_dict({section: {key: value}})
+
+
+def test_cross_check_anchors_per_cell():
+    # the anchor count per cell is derived from anchors.scales x ratios, so a
+    # network-side count that could disagree with it is rejected outright
+    for count in (4, 9):
+        with pytest.raises(
+            ValidationError, match="unknown keys in config section 'network'.*num_anchors_per_cell"
+        ):
+            run_config_from_dict({"network": {"num_anchors_per_cell": count}})
 
 
 def test_cross_check_input_size_divisibility():
