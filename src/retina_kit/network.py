@@ -7,11 +7,14 @@ x2 upsample + add top-down, then a 3x3 smoothing conv. The classification
 and box subnets (head_depth 3x3 conv + ReLU blocks, then a 3x3 output conv)
 share their parameters across levels.
 
-forward() takes the AnchorConfig (its strides pick the levels, scales x
-ratios fix the anchors per cell) and returns one logit and one box-delta row
-per anchor in generate_anchors order, plus a cache; backward() takes
+_build spells that graph out once, as parameter shapes plus an ordered list
+of conv, relu and up_add ops over named tensors; param_shapes, forward() and
+backward() all read it. forward() takes the AnchorConfig (its strides pick
+the levels, scales x ratios fix the anchors per cell), records every op's
+output by name in its cache, and returns one logit and one box-delta row per
+anchor in generate_anchors order. backward() walks the ops in reverse from
 gradients on those rows and returns exact gradients for every parameter,
-summing shared-head gradients over levels.
+summing shared-head gradients over levels, level 0 first.
 """
 
 from __future__ import annotations
@@ -73,30 +76,66 @@ def check_level_strides(config: NetworkConfig, anchors: AnchorConfig) -> list[in
     return stages
 
 
-def param_shapes(config: NetworkConfig, anchors: AnchorConfig) -> dict[str, tuple[int, ...]]:
-    """Every parameter's shape, in the fixed order init_params draws them."""
+def _build(config: NetworkConfig, anchors: AnchorConfig):
+    """Parameter shapes, the ordered op list and each level's head outputs.
+
+    An op is (kind, out, ins, param, stride) over named tensors ("image" is
+    the input): "conv" uses params[param + ".w" / ".b"], "relu" gates, and
+    "up_add" adds a lateral to the nearest x2 upsample of the coarser merge.
+    """
     stages = check_level_strides(config, anchors)
     shapes: dict[str, tuple[int, ...]] = {}
+    ops: list[tuple] = []
 
-    def conv(name, c_out, c_in, k):
-        shapes[f"{name}.w"] = (c_out, c_in, k, k)
-        shapes[f"{name}.b"] = (c_out,)
+    def declare(param, c_out, c_in, k):
+        shapes[f"{param}.w"] = (c_out, c_in, k, k)
+        shapes[f"{param}.b"] = (c_out,)
 
-    c_in = INPUT_CHANNELS
+    def conv(param, x, stride=1, out=None):
+        ops.append(("conv", out or param, (x,), param, stride))
+        return out or param
+
+    def relu(x):
+        ops.append(("relu", f"{x}.relu", (x,), None, None))
+        return f"{x}.relu"
+
+    x, c_in = "image", INPUT_CHANNELS
     for i, c_out in enumerate(config.stem_channels):
-        conv(f"stem{i}", c_out, c_in, 3)
-        c_in = c_out
+        declare(f"stem{i}", c_out, c_in, 3)
+        x, c_in = relu(conv(f"stem{i}", x, 2)), c_out
     f = config.fpn_channels
     for li, stage in enumerate(stages):
-        conv(f"lateral{li}", f, config.stem_channels[stage], 1)
-        conv(f"smooth{li}", f, f, 3)
-    for prefix in ("cls", "box"):
-        for j in range(config.head_depth):
-            conv(f"{prefix}{j}", f, f, 3)
+        declare(f"lateral{li}", f, config.stem_channels[stage], 1)
+        declare(f"smooth{li}", f, f, 3)
+        conv(f"lateral{li}", f"stem{stage}.relu")
+    n_levels = len(stages)
+    merged = [f"merge{li}" for li in range(n_levels - 1)] + [f"lateral{n_levels - 1}"]
+    for li in reversed(range(n_levels - 1)):
+        ops.append(("up_add", merged[li], (f"lateral{li}", merged[li + 1]), None, None))
+    for li in range(n_levels):
+        conv(f"smooth{li}", merged[li])
+
     a = anchors.num_anchors_per_cell
-    conv("cls_out", a, f, 3)
-    conv("box_out", a * 4, f, 3)
-    return shapes
+    heads = {"cls": a, "box": a * 4}
+    for prefix in heads:
+        for j in range(config.head_depth):
+            declare(f"{prefix}{j}", f, f, 3)
+    for prefix, c_out in heads.items():
+        declare(f"{prefix}_out", c_out, f, 3)
+    # deepest level first: the reverse walk then sums each shared head
+    # parameter's gradients level 0 first, the order checkpoints depend on
+    for li in reversed(range(n_levels)):
+        for prefix in heads:
+            x = f"smooth{li}"
+            for j in range(config.head_depth):
+                x = relu(conv(f"{prefix}{j}", x, out=f"{prefix}{j}/{li}"))
+            conv(f"{prefix}_out", x, out=f"{prefix}_out/{li}")
+    return shapes, ops, [(f"cls_out/{li}", f"box_out/{li}") for li in range(n_levels)]
+
+
+def param_shapes(config: NetworkConfig, anchors: AnchorConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's shape, in the fixed order init_params draws them."""
+    return _build(config, anchors)[0]
 
 
 def init_params(config: NetworkConfig, anchors: AnchorConfig, rng) -> dict[str, np.ndarray]:
@@ -121,161 +160,71 @@ def init_params(config: NetworkConfig, anchors: AnchorConfig, rng) -> dict[str, 
     return params
 
 
-def _subnet_forward(x, params, prefix, depth):
-    ins, pres = [], []
-    h = x
-    for j in range(depth):
-        ins.append(h)
-        z = layers.conv2d_forward(h, params[f"{prefix}{j}.w"], params[f"{prefix}{j}.b"], 1)
-        pres.append(z)
-        h = layers.relu(z)
-    out = layers.conv2d_forward(h, params[f"{prefix}_out.w"], params[f"{prefix}_out.b"], 1)
-    return out, {"ins": ins, "pres": pres, "out_in": h}
-
-
 def forward(image, params, config: NetworkConfig, anchors: AnchorConfig):
     """Run the net on one (3, H, W) image.
 
     Returns ((cls_rows (N,), box_rows (N, 4)), cache): one logit and one
     box-delta row per anchor, in the order generate_anchors lays them out
-    for an H x W image.
+    for an H x W image. cache["tensors"] holds every op's output by name.
     """
     image = np.asarray(image)
     if image.ndim != 3 or image.shape[0] != INPUT_CHANNELS:
         raise ValidationError(f"expected ({INPUT_CHANNELS}, H, W) image, got shape {image.shape}")
-    stages = check_level_strides(config, anchors)
+    _, ops, heads = _build(config, anchors)
     s_max = anchors.max_stride
     if image.shape[1] % s_max or image.shape[2] % s_max:
         raise ValidationError(
             f"image dims {image.shape[1]}x{image.shape[2]} not divisible by stride {s_max}"
         )
 
-    stem_in, stem_pre, stem_out = [], [], []
-    x = image
-    for i in range(len(config.stem_channels)):
-        stem_in.append(x)
-        z = layers.conv2d_forward(x, params[f"stem{i}.w"], params[f"stem{i}.b"], 2)
-        stem_pre.append(z)
-        x = layers.relu(z)
-        stem_out.append(x)
-
-    laterals = [
-        layers.conv2d_forward(
-            stem_out[stage], params[f"lateral{li}.w"], params[f"lateral{li}.b"], 1
-        )
-        for li, stage in enumerate(stages)
-    ]
-    n_levels = len(stages)
-    merged = [None] * n_levels
-    merged[-1] = laterals[-1]
-    for li in range(n_levels - 2, -1, -1):
-        merged[li] = layers.add(laterals[li], layers.upsample_nearest_x2(merged[li + 1]))
-    pyramid = [
-        layers.conv2d_forward(merged[li], params[f"smooth{li}.w"], params[f"smooth{li}.b"], 1)
-        for li in range(n_levels)
-    ]
-
-    outputs = []
-    cls_caches, box_caches = [], []
-    for p in pyramid:
-        cls_out, cls_cache = _subnet_forward(p, params, "cls", config.head_depth)
-        box_out, box_cache = _subnet_forward(p, params, "box", config.head_depth)
-        outputs.append((cls_out, box_out))
-        cls_caches.append(cls_cache)
-        box_caches.append(box_cache)
-    cls_rows, box_rows = _flatten_level_outputs(outputs, anchors.num_anchors_per_cell)
-
-    cache = {
-        "params": params,
-        "config": config,
-        "stages": stages,
-        "stem_in": stem_in,
-        "stem_pre": stem_pre,
-        "stem_out": stem_out,
-        "merged": merged,
-        "cls": cls_caches,
-        "box": box_caches,
-        "outputs": outputs,
-        "num_anchors": anchors.num_anchors_per_cell,
-    }
-    return (cls_rows, box_rows), cache
-
-
-def _subnet_backward(grad_out, sub_cache, params, prefix, depth, grads):
-    gi, gw, gb = layers.conv2d_backward(
-        sub_cache["out_in"], params[f"{prefix}_out.w"], 1, grad_out
-    )
-    grads[f"{prefix}_out.w"] += gw
-    grads[f"{prefix}_out.b"] += gb
-    g = gi
-    for j in reversed(range(depth)):
-        g = layers.relu_backward(g, sub_cache["pres"][j])
-        gi, gw, gb = layers.conv2d_backward(sub_cache["ins"][j], params[f"{prefix}{j}.w"], 1, g)
-        grads[f"{prefix}{j}.w"] += gw
-        grads[f"{prefix}{j}.b"] += gb
-        g = gi
-    return g
+    tape = {"image": image}
+    for kind, out, ins, param, stride in ops:
+        x = tape[ins[0]]
+        if kind == "conv":
+            tape[out] = layers.conv2d_forward(x, params[f"{param}.w"], params[f"{param}.b"], stride)
+        elif kind == "relu":
+            tape[out] = layers.relu(x)
+        else:
+            tape[out] = layers.add(x, layers.upsample_nearest_x2(tape[ins[1]]))
+    a = anchors.num_anchors_per_cell
+    cache = {"params": params, "ops": ops, "tensors": tape, "heads": heads, "num_anchors": a}
+    return _flatten_level_outputs([(tape[c], tape[b]) for c, b in heads], a), cache
 
 
 def backward(cache, cls_grad, box_grad) -> dict[str, np.ndarray]:
-    """Exact reverse pass from gradients on the (N,) / (N, 4) anchor rows."""
-    n = sum(cls_map.size for cls_map, _ in cache["outputs"])
+    """Exact reverse pass from gradients on the (N,) / (N, 4) anchor rows.
+
+    Walks the op list in reverse. A tensor read by several ops gets the sum
+    of their gradients; an op whose output fed nothing is skipped, so a stem
+    stage past the deepest level gets exactly zero gradient.
+    """
+    tape, params = cache["tensors"], cache["params"]
+    outputs = [(tape[c], tape[b]) for c, b in cache["heads"]]
+    n = sum(cls_map.size for cls_map, _ in outputs)
     got = (np.shape(cls_grad), np.shape(box_grad))
     if got != ((n,), (n, 4)):
         raise ValidationError(f"row gradients must have shapes ({n},) and ({n}, 4), got {got}")
-    output_grads = _unflatten_row_grads(cls_grad, box_grad, cache["outputs"], cache["num_anchors"])
-    params = cache["params"]
-    config: NetworkConfig = cache["config"]
-    stages = cache["stages"]
-    n_levels = len(stages)
+    g = {}
+    level_grads = _unflatten_row_grads(cls_grad, box_grad, outputs, cache["num_anchors"])
+    for names, pair in zip(cache["heads"], level_grads):
+        g.update(zip(names, pair))
 
     grads = {name: np.zeros_like(p) for name, p in params.items()}
-
-    g_pyramid = []
-    for li in range(n_levels):
-        g_cls, g_box = output_grads[li]
-        gp = _subnet_backward(g_cls, cache["cls"][li], params, "cls", config.head_depth, grads)
-        gp = gp + _subnet_backward(
-            g_box, cache["box"][li], params, "box", config.head_depth, grads
-        )
-        g_pyramid.append(gp)
-
-    g_merged = []
-    for li in range(n_levels):
-        gi, gw, gb = layers.conv2d_backward(
-            cache["merged"][li], params[f"smooth{li}.w"], 1, g_pyramid[li]
-        )
-        grads[f"smooth{li}.w"] += gw
-        grads[f"smooth{li}.b"] += gb
-        g_merged.append(gi)
-    # top-down merge in reverse: level li fed upsample(merged[li+1])
-    for li in range(n_levels - 1):
-        g_merged[li + 1] = g_merged[li + 1] + layers.upsample_nearest_x2_backward(g_merged[li])
-
-    g_stem_feat = [None] * len(config.stem_channels)
-    for li, stage in enumerate(stages):
-        gi, gw, gb = layers.conv2d_backward(
-            cache["stem_out"][stage], params[f"lateral{li}.w"], 1, g_merged[li]
-        )
-        grads[f"lateral{li}.w"] += gw
-        grads[f"lateral{li}.b"] += gb
-        if g_stem_feat[stage] is None:
-            g_stem_feat[stage] = gi
+    for kind, out, ins, param, stride in reversed(cache["ops"]):
+        if out not in g:
+            continue
+        g_out = g.pop(out)
+        if kind == "conv":
+            gi, gw, gb = layers.conv2d_backward(tape[ins[0]], params[f"{param}.w"], stride, g_out)
+            grads[f"{param}.w"] += gw
+            grads[f"{param}.b"] += gb
+            g_ins = (gi,)
+        elif kind == "relu":
+            g_ins = (layers.relu_backward(g_out, tape[ins[0]]),)
         else:
-            g_stem_feat[stage] = g_stem_feat[stage] + gi
-
-    g_deeper = None
-    for i in reversed(range(len(config.stem_channels))):
-        g_feat = g_stem_feat[i]
-        if g_deeper is not None:
-            g_feat = g_deeper if g_feat is None else g_feat + g_deeper
-        if g_feat is None:
-            g_feat = np.zeros_like(cache["stem_out"][i])
-        g_pre = layers.relu_backward(g_feat, cache["stem_pre"][i])
-        gi, gw, gb = layers.conv2d_backward(cache["stem_in"][i], params[f"stem{i}.w"], 2, g_pre)
-        grads[f"stem{i}.w"] += gw
-        grads[f"stem{i}.b"] += gb
-        g_deeper = gi
+            g_ins = (g_out, layers.upsample_nearest_x2_backward(g_out))
+        for name, g_in in zip(ins, g_ins):
+            g[name] = g[name] + g_in if name in g else g_in
     return grads
 
 

@@ -115,6 +115,31 @@ def _image_grads(cfg, grid, params, tensor, boxes):
     return loss, backward(cache, g_cls, g_box)
 
 
+def _prior_metrics_rows(checkpoint_path, epochs: int) -> list[str]:
+    """The metrics rows of epochs 0..epochs-1 of the run that wrote a checkpoint.
+
+    They sit next to the checkpoint, in metrics.jsonl, or in
+    metrics.jsonl.partial for a periodic <checkpoint>.partial. The lines come
+    back verbatim, so a resumed run's metrics.jsonl matches a straight run's.
+    """
+    ckpt = Path(checkpoint_path)
+    name = "metrics.jsonl.partial" if ckpt.name.endswith(".partial") else "metrics.jsonl"
+    path = ckpt.with_name(name)
+    if not path.is_file():
+        raise ValidationError(f"cannot resume: metrics file {path} of the resumed run is missing")
+    lines = path.read_text(encoding="utf-8").splitlines()[:epochs]
+    try:
+        found = [json.loads(line)["epoch"] for line in lines]
+    except (ValueError, TypeError, KeyError):
+        found = None
+    if found != list(range(epochs)):
+        raise ValidationError(
+            f"cannot resume: {path} must begin with the rows of epochs 0..{epochs - 1}, "
+            f"one per epoch in order"
+        )
+    return lines
+
+
 def run_training(
     cfg: RunConfig,
     train_manifest,
@@ -132,14 +157,25 @@ def run_training(
     grid = generate_anchors(cfg.anchors, in_w, in_h)
     config_echo = canonical_json(run_config_to_dict(cfg))
 
+    n = len(train_samples)
+    batch_size = cfg.training.batch_size
+    steps_per_epoch = math.ceil(n / batch_size)
+    carried: list[str] = []
     if resume is not None:
         ckpt = load_checkpoint(resume)
         params = load_params_for_config(ckpt, cfg, resume=True)
         state = ckpt.adam_state()
+        if state.step % steps_per_epoch:
+            raise ValidationError(
+                f"checkpoint step {state.step} is not on an epoch boundary: {n} images at "
+                f"batch size {batch_size} make {steps_per_epoch} steps per epoch"
+            )
+        carried = _prior_metrics_rows(resume, state.step // steps_per_epoch)
     else:
         rng = np.random.default_rng([cfg.seed, STREAM_INIT])
         params = init_params(cfg.network, cfg.anchors, rng)
         state = AdamState.zeros_like(params)
+    start_epoch = state.step // steps_per_epoch
 
     out.mkdir(parents=True, exist_ok=True)
     ckpt_path = Path(cfg.training.checkpoint_path)
@@ -149,18 +185,14 @@ def run_training(
     metrics_path = out / "metrics.jsonl"
     metrics_partial = out / "metrics.jsonl.partial"
 
-    n = len(train_samples)
-    batch_size = cfg.training.batch_size
-    steps_per_epoch = math.ceil(n / batch_size)
-    start_epoch = state.step // steps_per_epoch if steps_per_epoch else 0
-
     # cache preprocessed inputs and input-frame boxes once; augmentation
     # operates in the input frame every epoch
     prepared = [prepare_eval_input(s, cfg) for s in train_samples]
 
-    metrics: list[dict] = []
+    metrics = [json.loads(line) for line in carried]
     final_val = None
     with open(metrics_partial, "w", encoding="utf-8") as mf:
+        mf.writelines(line + "\n" for line in carried)
         for epoch in range(start_epoch, cfg.training.epochs):
             order = np.random.default_rng([cfg.seed, STREAM_SHUFFLE, epoch]).permutation(n)
             loss_sum = 0.0

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import retina_kit
 from retina_kit.checkpoint import load_checkpoint, save_checkpoint
 from retina_kit.cli import main
 from retina_kit.config import run_config_from_dict, run_config_to_dict
@@ -126,6 +130,56 @@ class TestTrainCommand:
         assert a.adam_state().step == b.adam_state().step
         for name in a.tensors:
             assert np.array_equal(a.tensors[name], b.tensors[name]), name
+        assert (resumed / "metrics.jsonl").read_bytes() == (straight / "metrics.jsonl").read_bytes()
+
+    def test_resume_from_periodic_partial_checkpoint(self, tmp_path, monkeypatch):
+        import retina_kit.training as training
+
+        cfg = dict(TINY)
+        cfg["training"] = {**TINY["training"], "epochs": 4, "eval_every": 1}
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(cfg))
+        manifest = str(synth_dir(str(cfg_path), tmp_path) / "manifest.jsonl")
+        argv = ["train", "--config", str(cfg_path), "--manifest", manifest, "--out"]
+        straight = tmp_path / "straight"
+        assert main(argv + [str(straight)]) == 0
+
+        # cut the run at the first step of epoch 2 (2 steps per epoch)
+        real_step = training.adam_step
+
+        def failing_step(params, grads, state, lr):
+            if state.step == 4:
+                raise KeyboardInterrupt
+            real_step(params, grads, state, lr=lr)
+
+        monkeypatch.setattr(training, "adam_step", failing_step)
+        cut = tmp_path / "cut"
+        with pytest.raises(KeyboardInterrupt):
+            main(argv + [str(cut)])
+        monkeypatch.undo()
+        assert sorted(p.name for p in cut.iterdir()) == [
+            "checkpoint.rkck.partial", "metrics.jsonl.partial"]
+
+        assert main(argv + [str(cut), "--resume", str(cut / "checkpoint.rkck.partial")]) == 0
+        assert sorted(p.name for p in cut.iterdir()) == ["checkpoint.rkck", "metrics.jsonl"]
+        for name in ("checkpoint.rkck", "metrics.jsonl"):
+            assert (cut / name).read_bytes() == (straight / name).read_bytes(), name
+
+    def test_checkpoint_identical_across_blas_threads(self, tiny_cfg_path, tmp_path):
+        manifest = str(synth_dir(tiny_cfg_path, tmp_path) / "manifest.jsonl")
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = str(Path(retina_kit.__file__).parents[1])
+        ckpts = []
+        for name, threads in (("one", {"OPENBLAS_NUM_THREADS": "1"}), ("default", {})):
+            out = tmp_path / name
+            subprocess.run(
+                [sys.executable, "-m", "retina_kit.cli", "train", "--config", tiny_cfg_path,
+                 "--manifest", manifest, "--out", str(out)],
+                env={**env, **threads}, check=True, capture_output=True,
+            )
+            ckpts.append((out / "checkpoint.rkck").read_bytes())
+        assert ckpts[0] == ckpts[1]
 
     def test_last_epoch_checkpoint_saved_once(self, tiny_cfg_path, tmp_path, monkeypatch):
         import retina_kit.training as training
@@ -180,6 +234,73 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert "classes.jsonl: line 4" in err and "single-class" in err
         assert not (out / "checkpoint.rkck").exists()
+
+
+class TestResumeChecks:
+    """A resumed run continues a finished epoch of the run it names."""
+
+    @pytest.fixture(scope="class")
+    def finished(self, tmp_path_factory):
+        # TINY: 12 images at batch size 8, so 2 steps per epoch; step 4 after 2 epochs
+        tmp = tmp_path_factory.mktemp("finished")
+        cfg_path = tmp / "config.json"
+        cfg_path.write_text(json.dumps(TINY))
+        data = synth_dir(str(cfg_path), tmp)
+        run = tmp / "run"
+        assert main(["train", "--config", str(cfg_path), "--manifest",
+                     str(data / "manifest.jsonl"), "--out", str(run)]) == 0
+        return str(cfg_path), data, run
+
+    @staticmethod
+    def resume(finished, ckpt, out, manifest=None):
+        cfg_path, data, _ = finished
+        return main(["train", "--config", cfg_path, "--manifest",
+                     str(manifest or data / "manifest.jsonl"), "--out", str(out),
+                     "--resume", str(ckpt)])
+
+    def test_no_epochs_left_carries_rows(self, finished, tmp_path):
+        _, _, run = finished
+        out = tmp_path / "out"
+        assert self.resume(finished, run / "checkpoint.rkck", out) == 0
+        rows = (out / "metrics.jsonl").read_bytes()
+        assert rows == (run / "metrics.jsonl").read_bytes() and rows.count(b"\n") == 2
+        a = load_checkpoint(run / "checkpoint.rkck")
+        b = load_checkpoint(out / "checkpoint.rkck")
+        assert list(a.tensors) == list(b.tensors)
+        for name in a.tensors:
+            assert a.tensors[name].tobytes() == b.tensors[name].tobytes(), name
+
+    def test_step_off_epoch_boundary_exits_one(self, finished, tmp_path, capsys):
+        _, data, run = finished
+        lines = (data / "manifest.jsonl").read_text().splitlines(keepends=True)
+        twenty = data / "twenty.jsonl"
+        twenty.write_text("".join(lines + lines[:8]))  # 3 steps per epoch
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert self.resume(finished, run / "checkpoint.rkck", out, manifest=twenty) == 1
+        err = capsys.readouterr().err
+        assert "step 4" in err and "3 steps per epoch" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "metrics",
+        [
+            pytest.param(None, id="missing"),
+            pytest.param('{"epoch": 1, "train_loss": 1.0}\n', id="misnumbered"),
+        ],
+    )
+    def test_unusable_metrics_exits_one(self, finished, tmp_path, capsys, metrics):
+        _, _, run = finished
+        moved = tmp_path / "moved"
+        moved.mkdir()
+        (moved / "checkpoint.rkck").write_bytes((run / "checkpoint.rkck").read_bytes())
+        if metrics is not None:
+            (moved / "metrics.jsonl").write_text(metrics)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert self.resume(finished, moved / "checkpoint.rkck", out) == 1
+        assert str(moved / "metrics.jsonl") in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEvalCommand:

@@ -87,7 +87,8 @@ class TestForward:
         (cls_rows, box_rows), cache = forward(np.zeros((3, 64, 64), np.float32), params, cfg, ANCHORS)
         assert cls_rows.shape == (len(generate_anchors(ANCHORS, 64, 64)),) == (720,)
         assert box_rows.shape == (720, 4)
-        (cls0, box0), (cls1, box1) = cache["outputs"]
+        t = cache["tensors"]
+        cls0, box0, cls1, box1 = t["cls_out/0"], t["box_out/0"], t["cls_out/1"], t["box_out/1"]
         assert cls0.shape == (9, 8, 8) and box0.shape == (36, 8, 8)
         assert cls1.shape == (9, 4, 4) and box1.shape == (36, 4, 4)
 
@@ -117,7 +118,8 @@ class TestFlatten:
         cfg, params = make_net()
         img = rng.standard_normal((3, 64, 64)).astype(np.float32)
         (cls_rows, box_rows), cache = forward(img, params, cfg, ANCHORS)
-        outputs = cache["outputs"]
+        t = cache["tensors"]
+        outputs = [(t["cls_out/0"], t["box_out/0"]), (t["cls_out/1"], t["box_out/1"])]
         flat_cls, flat_box = _flatten_level_outputs(outputs, 9)
         assert flat_cls.shape == (720,) and flat_box.shape == (720, 4)
         assert np.array_equal(flat_cls, cls_rows) and np.array_equal(flat_box, box_rows)
@@ -130,7 +132,8 @@ class TestFlatten:
         cfg, params = make_net()
         img = np.zeros((3, 64, 64), np.float32)
         _, cache = forward(img, params, cfg, ANCHORS)
-        (cls0, box0), (cls1, box1) = cache["outputs"]
+        t = cache["tensors"]
+        cls0, box0, cls1, box1 = t["cls_out/0"], t["box_out/0"], t["cls_out/1"], t["box_out/1"]
         probe = np.zeros_like(cls0)
         a_idx, r, c = 5, 2, 3
         probe[a_idx, r, c] = 1.0
@@ -167,35 +170,80 @@ class TestBackward:
             backward(cache, np.zeros(cls_rows.shape[0] - 1), np.zeros_like(box_rows))
 
     def test_sum_of_outputs_matches_fd(self, rng):
-        # scalar = sum of all head outputs; check ~40 random parameters at a
-        # fan-in-scaled point (FD probes need headroom from the ReLU kinks)
-        from retina_kit.gradcheck import _well_conditioned_params
+        assert sum_of_outputs_fd_error(run_config_from_dict({"seed": 3}), rng) < 1e-3
 
-        cfg = run_config_from_dict({"seed": 3})
-        params = _well_conditioned_params(cfg.network, cfg.anchors, np.random.default_rng(5))
-        img = rng.standard_normal((3, 16, 16)) * 0.3
+    def test_shared_head_grads_sum_levels_in_order(self, rng):
+        # a shared head's gradient is the level-0-first sum of the per-level
+        # passes, bit for bit; with three levels any other order changes it
+        anchors = anchors_at(4, 8, 16)
+        cfg = NetworkConfig(head_depth=1)
+        params = init_params(cfg, anchors, np.random.default_rng(2))
+        img = rng.standard_normal((3, 32, 32)).astype(np.float32)
+        (cls_rows, box_rows), cache = forward(img, params, cfg, anchors)
+        gc = rng.standard_normal(cls_rows.shape).astype(np.float32)
+        gb = rng.standard_normal(box_rows.shape).astype(np.float32)
+        full = backward(cache, gc, gb)
+        grid = generate_anchors(anchors, 32, 32)
+        per_level = []
+        for li in range(3):
+            keep = np.zeros(len(grid), bool)
+            keep[grid.level_slice(li)] = True
+            per_level.append(backward(cache, np.where(keep, gc, 0), np.where(keep[:, None], gb, 0)))
+        for name, g in full.items():
+            summed = (per_level[0][name] + per_level[1][name]) + per_level[2][name]
+            if name.startswith(("cls", "box")):
+                assert np.array_equal(g, summed), name
+            else:
+                assert np.allclose(g, summed, rtol=1e-4, atol=1e-5 * np.abs(g).max()), name
 
-        def scalar():
-            (c, b), _ = forward(img, params, cfg.network, cfg.anchors)
-            return float(c.sum() + b.sum())
-
+    def test_stem_stage_past_deepest_level_gets_zero_grad(self, rng):
+        # stage 4 (stride 32) feeds nothing: one level at stride 16, no head blocks
+        cfg = run_config_from_dict({
+            "seed": 3,
+            "network": {"stem_channels": [8, 16, 32, 64, 64], "head_depth": 0},
+            "anchors": {"levels": [{"stride": 16, "base_size": 32}]},
+        })
+        params = init_params(cfg.network, cfg.anchors, np.random.default_rng(4))
+        img = rng.standard_normal((3, 32, 32)).astype(np.float32)
         (cls_rows, box_rows), cache = forward(img, params, cfg.network, cfg.anchors)
         grads = backward(cache, np.ones_like(cls_rows), np.ones_like(box_rows))
-        names = sorted(params)
-        worst = 0.0
-        for _ in range(40):
-            name = names[int(rng.integers(0, len(names)))]
-            flat = params[name].reshape(-1)
-            i = int(rng.integers(0, flat.size))
-            orig = flat[i]
-            h = 1e-6 * max(1.0, abs(orig))
-            flat[i] = orig + h
-            up = scalar()
-            flat[i] = orig - h
-            down = scalar()
-            flat[i] = orig
-            worst = max(worst, rel_err(float(grads[name].reshape(-1)[i]), (up - down) / (2 * h), 1e-6))
-        assert worst < 1e-3
+        assert not grads["stem4.w"].any() and not grads["stem4.b"].any()
+        assert all(grads[f"stem{i}.w"].any() for i in range(4))
+        assert sum_of_outputs_fd_error(cfg, rng) < 1e-3
+
+
+def sum_of_outputs_fd_error(cfg, rng):
+    """Worst relative FD error of backward for scalar = sum of all head outputs.
+
+    Checks ~40 random parameters at a fan-in-scaled point (FD probes need
+    headroom from the ReLU kinks).
+    """
+    from retina_kit.gradcheck import _well_conditioned_params
+
+    params = _well_conditioned_params(cfg.network, cfg.anchors, np.random.default_rng(5))
+    img = rng.standard_normal((3, 16, 16)) * 0.3
+
+    def scalar():
+        (c, b), _ = forward(img, params, cfg.network, cfg.anchors)
+        return float(c.sum() + b.sum())
+
+    (cls_rows, box_rows), cache = forward(img, params, cfg.network, cfg.anchors)
+    grads = backward(cache, np.ones_like(cls_rows), np.ones_like(box_rows))
+    names = sorted(params)
+    worst = 0.0
+    for _ in range(40):
+        name = names[int(rng.integers(0, len(names)))]
+        flat = params[name].reshape(-1)
+        i = int(rng.integers(0, flat.size))
+        orig = flat[i]
+        h = 1e-6 * max(1.0, abs(orig))
+        flat[i] = orig + h
+        up = scalar()
+        flat[i] = orig - h
+        down = scalar()
+        flat[i] = orig
+        worst = max(worst, rel_err(float(grads[name].reshape(-1)[i]), (up - down) / (2 * h), 1e-6))
+    return worst
 
 
 class TestTrainingStep:
