@@ -14,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .anchors import generate_anchors
 from .checkpoint import canonical_json, load_checkpoint
 from .config import load_run_config, run_config_to_dict
 from .data import preprocess
@@ -73,9 +72,7 @@ def cmd_eval(args) -> int:
     else:
         ckpt = load_checkpoint(args.checkpoint)
         params = load_params_for_config(ckpt, cfg)
-        in_w, in_h = cfg.training.input_size
-        grid = generate_anchors(cfg.anchors, in_w, in_h)
-        report, dets = evaluate_params(params, cfg, samples, grid)
+        report, dets = evaluate_params(params, cfg, samples)
 
     report["config"] = run_config_to_dict(cfg)
     if not samples:
@@ -107,10 +104,7 @@ def cmd_detect(args) -> int:
     params = load_params_for_config(ckpt, cfg)
     image = load_ppm(args.image)
     in_w, in_h = cfg.training.input_size
-    grid = generate_anchors(cfg.anchors, in_w, in_h)
-
-    tensor = preprocess(image, (in_w, in_h))
-    dets = infer_detections(params, cfg, grid, tensor, image_id=0)
+    dets = infer_detections(params, cfg, [preprocess(image, (in_w, in_h))], [0])
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -8,6 +8,7 @@ optional horizontal flip) and warps image and boxes together.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -101,17 +102,22 @@ def preprocess(image, target_size) -> np.ndarray:
     return resize_bilinear(img, tw, th)
 
 
+@functools.lru_cache(maxsize=8)
+def _pixel_centres(h: int, w: int) -> np.ndarray:
+    """Read-only (h * w, 2) (x, y) pixel centres in row-major order."""
+    ys, xs = np.indices((h, w), dtype=np.float64) + 0.5
+    centres = np.stack([xs.ravel(), ys.ravel()], axis=1)
+    centres.flags.writeable = False
+    return centres
+
+
 def warp_affine(image, transform: AffineTransform) -> np.ndarray:
     """Inverse-map the image through the affine; bilinear sampling, zero fill."""
     img = np.asarray(image)
-    _, h, w = img.shape
-    inv = transform.inverse()
-    xs, ys = np.meshgrid(
-        np.arange(w, dtype=np.float64) + 0.5, np.arange(h, dtype=np.float64) + 0.5
-    )
-    src = inv.apply(np.stack([xs.ravel(), ys.ravel()], axis=1))
-    lx = src[:, 0].reshape(h, w) - 0.5
-    ly = src[:, 1].reshape(h, w) - 0.5
+    c, h, w = img.shape
+    src = transform.inverse().apply(_pixel_centres(h, w))
+    lx = src[:, 0] - 0.5
+    ly = src[:, 1] - 0.5
     x0 = np.floor(lx)
     y0 = np.floor(ly)
     fx = (lx - x0).astype(img.dtype)
@@ -119,15 +125,16 @@ def warp_affine(image, transform: AffineTransform) -> np.ndarray:
     x0 = x0.astype(np.int64)
     y0 = y0.astype(np.int64)
 
-    out = np.zeros_like(img)
+    flat = img.reshape(c, h * w)
+    out = np.zeros_like(flat)
     for dy, wy in ((0, 1 - fy), (1, fy)):
         for dx, wx in ((0, 1 - fx), (1, fx)):
             xi = x0 + dx
             yi = y0 + dy
             inside = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
-            vals = img[:, np.clip(yi, 0, h - 1), np.clip(xi, 0, w - 1)]
+            vals = flat.take(np.clip(yi, 0, h - 1) * w + np.clip(xi, 0, w - 1), axis=1)
             out += vals * (wy * wx * inside).astype(img.dtype)
-    return out
+    return out.reshape(c, h, w)
 
 
 def draw_augment_transform(width, height, config: AugmentConfig, rng) -> AffineTransform:

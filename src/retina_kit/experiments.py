@@ -11,7 +11,6 @@ import dataclasses
 import json
 from pathlib import Path
 
-from .anchors import generate_anchors
 from .checkpoint import load_checkpoint
 from .config import RunConfig, run_config_from_dict
 from .outputs import atomic_write
@@ -44,10 +43,7 @@ def train_and_eval(cfg: RunConfig, train_manifest, val_manifest, out_dir) -> dic
     """Train, then evaluate the final checkpoint on the validation split."""
     result = run_training(cfg, train_manifest, val_manifest=None, out_dir=out_dir)
     params = load_params_for_config(load_checkpoint(result.checkpoint_path), cfg)
-    in_w, in_h = cfg.training.input_size
-    grid = generate_anchors(cfg.anchors, in_w, in_h)
-    samples = load_samples(val_manifest)
-    report, _ = evaluate_params(params, cfg, samples, grid)
+    report, _ = evaluate_params(params, cfg, load_samples(val_manifest))
     report["checkpoint"] = result.checkpoint_path
     report["metrics_path"] = result.metrics_path
     return report

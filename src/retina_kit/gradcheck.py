@@ -33,52 +33,53 @@ def _central_diff(f, x0, h):
     return (f(x0 + h) - f(x0 - h)) / (2.0 * h)
 
 
-def check_focal_loss(rng, perturb=None) -> float:
-    """100 random (logit, target, gamma, alpha) tuples, h = 1e-5."""
+def _probe(flat, i, scalar, h):
+    """Central difference of scalar() in the array entry flat[i], which is restored."""
+    orig = flat[i]
+    flat[i] = orig + h
+    up = scalar()
+    flat[i] = orig - h
+    down = scalar()
+    flat[i] = orig
+    return (up - down) / (2.0 * h)
+
+
+def _check_scalar_loss(name, draws, perturb) -> float:
+    """Worst FD error (h = 1e-5) over (x, loss_fn) draws; loss_fn gives (1,) (loss, grad)."""
     worst = 0.0
-    for _ in range(100):
-        logit = float(rng.uniform(-6.0, 6.0))
-        target = float(rng.integers(0, 2))
-        gamma = float(rng.choice([0.0, 1.0, 2.0]))
-        alpha = float(rng.choice([0.25, 0.5]))
-        cfg = LossConfig(gamma=gamma, alpha=alpha)
-        t = np.array([target])
-
-        def scalar(x):
-            loss, _ = sigmoid_focal_loss(np.array([x], dtype=np.float64), t, cfg)
-            return float(loss[0])
-
-        _, grad = sigmoid_focal_loss(np.array([logit], dtype=np.float64), t, cfg)
-        analytic = float(grad[0])
+    for x, loss_fn in draws:
+        analytic = float(loss_fn(np.array([x]))[1][0])
         if perturb is not None:
-            analytic = perturb("focal_loss", analytic)
-        numeric = _central_diff(scalar, logit, 1e-5)
+            analytic = perturb(name, analytic)
+        numeric = _central_diff(lambda v: float(loss_fn(np.array([v]))[0][0]), x, 1e-5)
         worst = max(worst, _rel_err(analytic, numeric, 1e-10))
     return worst
 
 
+def check_focal_loss(rng, perturb=None) -> float:
+    """100 random (logit, target, gamma, alpha) tuples."""
+
+    def draw():
+        logit = float(rng.uniform(-6.0, 6.0))
+        t = np.array([float(rng.integers(0, 2))])
+        gamma = float(rng.choice([0.0, 1.0, 2.0]))
+        cfg = LossConfig(gamma=gamma, alpha=float(rng.choice([0.25, 0.5])))
+        return logit, lambda x: sigmoid_focal_loss(x, t, cfg)
+
+    return _check_scalar_loss("focal_loss", (draw() for _ in range(100)), perturb)
+
+
 def check_smooth_l1(rng, perturb=None) -> float:
-    worst = 0.0
     beta = 1.0 / 9.0
-    for _ in range(100):
+
+    def draw():
         # keep the sample away from the |d| = beta kink by more than the step
         d = float(rng.uniform(-2.0, 2.0))
         if abs(abs(d) - beta) < 1e-3:
             d += 2e-3
-        pred = np.array([d], dtype=np.float64)
-        target = np.zeros(1)
+        return d, lambda x: smooth_l1(x, np.zeros(1), beta)
 
-        def scalar(x):
-            loss, _ = smooth_l1(np.array([x], dtype=np.float64), target, beta)
-            return float(loss[0])
-
-        _, grad = smooth_l1(pred, target, beta)
-        analytic = float(grad[0])
-        if perturb is not None:
-            analytic = perturb("smooth_l1", analytic)
-        numeric = _central_diff(scalar, d, 1e-5)
-        worst = max(worst, _rel_err(analytic, numeric, 1e-10))
-    return worst
+    return _check_scalar_loss("smooth_l1", (draw() for _ in range(100)), perturb)
 
 
 def _check_map_gradient(forward_fn, grad_fn, args: list[np.ndarray], rng, n_probe, perturb_key, perturb):
@@ -99,14 +100,7 @@ def _check_map_gradient(forward_fn, grad_fn, args: list[np.ndarray], rng, n_prob
         count = min(n_probe, flat.size)
         picks = rng.choice(flat.size, size=count, replace=False)
         for i in picks:
-            orig = flat[i]
-            h = 1e-6 * max(1.0, abs(orig))
-            flat[i] = orig + h
-            up = scalar()
-            flat[i] = orig - h
-            down = scalar()
-            flat[i] = orig
-            numeric = (up - down) / (2.0 * h)
+            numeric = _probe(flat, i, scalar, 1e-6 * max(1.0, abs(flat[i])))
             worst = max(worst, _rel_err(float(gflat[i]), numeric, 1e-8))
     return worst
 
@@ -114,34 +108,24 @@ def _check_map_gradient(forward_fn, grad_fn, args: list[np.ndarray], rng, n_prob
 def check_conv2d(rng, perturb=None) -> float:
     worst = 0.0
     for stride, k in ((1, 3), (2, 3), (1, 1), (2, 1)):
-        inp = rng.standard_normal((2, 5, 6))
+        inp = rng.standard_normal((2, 2, 5, 6))  # (C, B, H, W): two images
         weights = rng.standard_normal((3, 2, k, k))
         bias = rng.standard_normal(3)
-
-        def fwd(i, w, b):
-            return conv2d_forward(i, w, b, stride)
-
-        def bwd(proj, i, w, b):
-            gi, gw, gb = conv2d_backward(i, w, stride, proj)
-            return [gi, gw, gb]
-
-        worst = max(
-            worst,
-            _check_map_gradient(fwd, bwd, [inp, weights, bias], rng, 25, "conv2d", perturb),
+        err = _check_map_gradient(
+            lambda i, w, b: conv2d_forward(i, w, b, stride),
+            lambda proj, i, w, b: list(conv2d_backward(i, w, stride, proj)),
+            [inp, weights, bias], rng, 25, "conv2d", perturb,
         )
+        worst = max(worst, err)
     return worst
 
 
 def check_upsample(rng, perturb=None) -> float:
-    inp = rng.standard_normal((2, 3, 4))
-
-    def fwd(i):
-        return upsample_nearest_x2(i)
-
-    def bwd(proj, i):
-        return [upsample_nearest_x2_backward(proj)]
-
-    return _check_map_gradient(fwd, bwd, [inp], rng, 24, "upsample", perturb)
+    inp = rng.standard_normal((2, 2, 3, 4))
+    return _check_map_gradient(
+        upsample_nearest_x2, lambda proj, i: [upsample_nearest_x2_backward(proj)],
+        [inp], rng, 24, "upsample", perturb,
+    )
 
 
 def _small_instance(rng):
@@ -178,14 +162,7 @@ def check_total_loss(rng, perturb=None) -> float:
         flat = arr.reshape(-1)
         gflat = grad.reshape(-1)
         for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + 1e-5
-            up = scalar()
-            flat[i] = orig - 1e-5
-            down = scalar()
-            flat[i] = orig
-            numeric = (up - down) / 2e-5
-            worst = max(worst, _rel_err(float(gflat[i]), numeric, 1e-8))
+            worst = max(worst, _rel_err(float(gflat[i]), _probe(flat, i, scalar, 1e-5), 1e-8))
     return worst
 
 
@@ -207,9 +184,9 @@ def _well_conditioned_params(net_cfg, anchors, rng):
 
 
 def check_end_to_end(cfg: RunConfig, rng, perturb=None, n_params=200) -> float:
-    """FD through forward + total_detection_loss + backward on a 16x16 image."""
+    """FD through forward + total_detection_loss + backward on a batch of one 16x16 image."""
     params = _well_conditioned_params(cfg.network, cfg.anchors, rng)
-    image = rng.standard_normal((INPUT_CHANNELS, 16, 16)) * 0.3
+    image = rng.standard_normal((1, INPUT_CHANNELS, 16, 16)) * 0.3
 
     grid = generate_anchors(cfg.anchors, 16, 16)
     gts = np.array([[2.0, 1.0, 8.0, 13.0], [7.0, 3.0, 13.0, 15.0]])
@@ -217,12 +194,12 @@ def check_end_to_end(cfg: RunConfig, rng, perturb=None, n_params=200) -> float:
 
     def scalar():
         (cls_rows, box_rows), _ = forward(image, params, cfg.network, cfg.anchors)
-        val, _, _ = total_detection_loss(cls_rows, box_rows, assignment, cfg.loss)
+        val, _, _ = total_detection_loss(cls_rows[0], box_rows[0], assignment, cfg.loss)
         return val
 
     (cls_rows, box_rows), cache = forward(image, params, cfg.network, cfg.anchors)
-    _, g_cls, g_box = total_detection_loss(cls_rows, box_rows, assignment, cfg.loss)
-    grads = backward(cache, g_cls, g_box)
+    _, g_cls, g_box = total_detection_loss(cls_rows[0], box_rows[0], assignment, cfg.loss)
+    grads = backward(cache, g_cls[None], g_box[None])
     if perturb is not None:
         grads = perturb("end_to_end", grads)
 
@@ -239,14 +216,7 @@ def check_end_to_end(cfg: RunConfig, rng, perturb=None, n_params=200) -> float:
         name = names[which]
         flat = params[name].reshape(-1)
         i = int(pick - offsets[which])
-        orig = flat[i]
-        h = 1e-6 * max(1.0, abs(orig))
-        flat[i] = orig + h
-        up = scalar()
-        flat[i] = orig - h
-        down = scalar()
-        flat[i] = orig
-        numeric = (up - down) / (2.0 * h)
+        numeric = _probe(flat, i, scalar, 1e-6 * max(1.0, abs(flat[i])))
         analytic = float(grads[name].reshape(-1)[i])
         worst = max(worst, _rel_err(analytic, numeric, 1e-6))
     return worst

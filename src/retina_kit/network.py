@@ -9,12 +9,14 @@ share their parameters across levels.
 
 _build spells that graph out once, as parameter shapes plus an ordered list
 of conv, relu and up_add ops over named tensors; param_shapes, forward() and
-backward() all read it. forward() takes the AnchorConfig (its strides pick
-the levels, scales x ratios fix the anchors per cell), records every op's
-output by name in its cache, and returns one logit and one box-delta row per
-anchor in generate_anchors order. backward() walks the ops in reverse from
-gradients on those rows and returns exact gradients for every parameter,
-summing shared-head gradients over levels, level 0 first.
+backward() all read it. forward() runs a (B, 3, H, W) minibatch in the
+channel-major (C, B, H, W) layout of `layers`; it takes the AnchorConfig (its
+strides pick the levels, scales x ratios fix the anchors per cell), records
+every op's output by name in its cache, and returns one logit and one
+box-delta row per image and anchor in generate_anchors order. backward()
+walks the ops in reverse from gradients on those rows and returns exact
+gradients for every parameter, summed over the batch and, for the shared
+heads, over levels, level 0 first.
 """
 
 from __future__ import annotations
@@ -50,19 +52,13 @@ class NetworkConfig:
             raise ValidationError(f"prior_prob must be in (0, 1), got {self.prior_prob}")
 
 
-def stage_index_for_stride(stride: int) -> int:
-    """Stem stage whose output sits at the given stride (stage i is 2^(i+1))."""
-    k = int(round(math.log2(stride)))
-    if 2**k != stride or k < 1:
-        raise ValidationError(f"stride {stride} is not a power of two >= 2")
-    return k - 1
-
-
 def check_level_strides(config: NetworkConfig, anchors: AnchorConfig) -> list[int]:
-    """Map anchor strides onto stem stages, rejecting strides the net lacks."""
+    """Map anchor strides onto stem stages (stage i sits at stride 2^(i+1))."""
     stages = []
     for s in anchors.strides:
-        idx = stage_index_for_stride(s)
+        idx = int(round(math.log2(s))) - 1
+        if 2 ** (idx + 1) != s or idx < 0:
+            raise ValidationError(f"stride {s} is not a power of two >= 2")
         if idx >= len(config.stem_channels):
             raise ValidationError(
                 f"anchor stride {s} needs stem stage {idx + 1} but the network has "
@@ -82,6 +78,7 @@ def _build(config: NetworkConfig, anchors: AnchorConfig):
     An op is (kind, out, ins, param, stride) over named tensors ("image" is
     the input): "conv" uses params[param + ".w" / ".b"], "relu" gates, and
     "up_add" adds a lateral to the nearest x2 upsample of the coarser merge.
+    Stem stages past the deepest level keep their parameters but get no ops.
     """
     stages = check_level_strides(config, anchors)
     shapes: dict[str, tuple[int, ...]] = {}
@@ -102,7 +99,9 @@ def _build(config: NetworkConfig, anchors: AnchorConfig):
     x, c_in = "image", INPUT_CHANNELS
     for i, c_out in enumerate(config.stem_channels):
         declare(f"stem{i}", c_out, c_in, 3)
-        x, c_in = relu(conv(f"stem{i}", x, 2)), c_out
+        if i <= stages[-1]:
+            x = relu(conv(f"stem{i}", x, 2))
+        c_in = c_out
     f = config.fpn_channels
     for li, stage in enumerate(stages):
         declare(f"lateral{li}", f, config.stem_channels[stage], 1)
@@ -160,30 +159,32 @@ def init_params(config: NetworkConfig, anchors: AnchorConfig, rng) -> dict[str, 
     return params
 
 
-def forward(image, params, config: NetworkConfig, anchors: AnchorConfig):
-    """Run the net on one (3, H, W) image.
+def forward(images, params, config: NetworkConfig, anchors: AnchorConfig):
+    """Run the net on a (B, 3, H, W) minibatch.
 
-    Returns ((cls_rows (N,), box_rows (N, 4)), cache): one logit and one
-    box-delta row per anchor, in the order generate_anchors lays them out
-    for an H x W image. cache["tensors"] holds every op's output by name.
+    Returns ((cls_rows (B, N), box_rows (B, N, 4)), cache): one logit and
+    one box-delta row per anchor, in the order generate_anchors lays them out
+    for an H x W image; an image's rows do not depend on the rest of its
+    batch. cache["tensors"] holds every op's (C, B, h, w) output by name,
+    except the pre-activations a ReLU replaces.
     """
-    image = np.asarray(image)
-    if image.ndim != 3 or image.shape[0] != INPUT_CHANNELS:
-        raise ValidationError(f"expected ({INPUT_CHANNELS}, H, W) image, got shape {image.shape}")
+    images = np.asarray(images)
+    if images.ndim != 4 or images.shape[1] != INPUT_CHANNELS:
+        raise ValidationError(f"expected (B, {INPUT_CHANNELS}, H, W) images, got {images.shape}")
     _, ops, heads = _build(config, anchors)
     s_max = anchors.max_stride
-    if image.shape[1] % s_max or image.shape[2] % s_max:
+    if images.shape[2] % s_max or images.shape[3] % s_max:
         raise ValidationError(
-            f"image dims {image.shape[1]}x{image.shape[2]} not divisible by stride {s_max}"
+            f"image dims {images.shape[2]}x{images.shape[3]} not divisible by stride {s_max}"
         )
 
-    tape = {"image": image}
+    tape = {"image": np.ascontiguousarray(images.transpose(1, 0, 2, 3))}
     for kind, out, ins, param, stride in ops:
         x = tape[ins[0]]
         if kind == "conv":
             tape[out] = layers.conv2d_forward(x, params[f"{param}.w"], params[f"{param}.b"], stride)
-        elif kind == "relu":
-            tape[out] = layers.relu(x)
+        elif kind == "relu":  # nothing else reads a pre-activation, so drop it
+            tape[out] = layers.relu(tape.pop(ins[0]))
         else:
             tape[out] = layers.add(x, layers.upsample_nearest_x2(tape[ins[1]]))
     a = anchors.num_anchors_per_cell
@@ -192,18 +193,19 @@ def forward(image, params, config: NetworkConfig, anchors: AnchorConfig):
 
 
 def backward(cache, cls_grad, box_grad) -> dict[str, np.ndarray]:
-    """Exact reverse pass from gradients on the (N,) / (N, 4) anchor rows.
+    """Exact reverse pass from gradients on the (B, N) / (B, N, 4) anchor rows.
 
-    Walks the op list in reverse. A tensor read by several ops gets the sum
-    of their gradients; an op whose output fed nothing is skipped, so a stem
-    stage past the deepest level gets exactly zero gradient.
+    Walks the op list in reverse; a tensor read by several ops gets the sum
+    of their gradients. A stem stage past the deepest level has no op, so its
+    gradient is exactly zero; the image's own gradient is never computed.
     """
     tape, params = cache["tensors"], cache["params"]
     outputs = [(tape[c], tape[b]) for c, b in cache["heads"]]
-    n = sum(cls_map.size for cls_map, _ in outputs)
+    batch = tape["image"].shape[1]
+    n = sum(cls_map.size for cls_map, _ in outputs) // batch
     got = (np.shape(cls_grad), np.shape(box_grad))
-    if got != ((n,), (n, 4)):
-        raise ValidationError(f"row gradients must have shapes ({n},) and ({n}, 4), got {got}")
+    if got != ((batch, n), (batch, n, 4)):
+        raise ValidationError(f"row gradients must be ({batch}, {n}) and (..., 4), got {got}")
     g = {}
     level_grads = _unflatten_row_grads(cls_grad, box_grad, outputs, cache["num_anchors"])
     for names, pair in zip(cache["heads"], level_grads):
@@ -211,38 +213,39 @@ def backward(cache, cls_grad, box_grad) -> dict[str, np.ndarray]:
 
     grads = {name: np.zeros_like(p) for name, p in params.items()}
     for kind, out, ins, param, stride in reversed(cache["ops"]):
-        if out not in g:
-            continue
         g_out = g.pop(out)
         if kind == "conv":
-            gi, gw, gb = layers.conv2d_backward(tape[ins[0]], params[f"{param}.w"], stride, g_out)
+            gi, gw, gb = layers.conv2d_backward(
+                tape[ins[0]], params[f"{param}.w"], stride, g_out, input_grad=ins[0] != "image"
+            )
             grads[f"{param}.w"] += gw
             grads[f"{param}.b"] += gb
             g_ins = (gi,)
-        elif kind == "relu":
-            g_ins = (layers.relu_backward(g_out, tape[ins[0]]),)
+        elif kind == "relu":  # the output is positive exactly where its input was
+            g_ins = (layers.relu_backward(g_out, tape[out]),)
         else:
             g_ins = (g_out, layers.upsample_nearest_x2_backward(g_out))
         for name, g_in in zip(ins, g_ins):
-            g[name] = g[name] + g_in if name in g else g_in
+            if g_in is not None:
+                g[name] = g[name] + g_in if name in g else g_in
     return grads
 
 
 def _flatten_level_outputs(outputs, num_anchors: int):
-    """Per-level (A, H, W) / (A*4, H, W) maps to flat per-anchor rows.
+    """Per-level (A, B, H, W) / (A*4, B, H, W) maps to flat per-anchor rows.
 
-    Returns (N,) classification logits and (N, 4) box deltas. Row order
+    Returns (B, N) classification logits and (B, N, 4) box deltas. Row order
     matches the anchor grid: level-major, then row, then column, then anchor
     index within the cell.
     """
     cls_rows, box_rows = [], []
     for cls_map, box_map in outputs:
-        _, h, w = cls_map.shape
-        cls_rows.append(cls_map.transpose(1, 2, 0).reshape(-1))
+        _, b, h, w = cls_map.shape
+        cls_rows.append(cls_map.transpose(1, 2, 3, 0).reshape(b, -1))
         box_rows.append(
-            box_map.reshape(num_anchors, 4, h, w).transpose(2, 3, 0, 1).reshape(-1, 4)
+            box_map.reshape(num_anchors, 4, b, h, w).transpose(2, 3, 4, 0, 1).reshape(b, -1, 4)
         )
-    return np.concatenate(cls_rows, axis=0), np.concatenate(box_rows, axis=0)
+    return np.concatenate(cls_rows, axis=1), np.concatenate(box_rows, axis=1)
 
 
 def _unflatten_row_grads(cls_grad, box_grad, outputs, num_anchors: int):
@@ -250,13 +253,13 @@ def _unflatten_row_grads(cls_grad, box_grad, outputs, num_anchors: int):
     per_level = []
     off = 0
     for cls_map, box_map in outputs:
-        _, h, w = cls_map.shape
+        _, b, h, w = cls_map.shape
         n = h * w * num_anchors
-        gc = cls_grad[off : off + n].reshape(h, w, num_anchors).transpose(2, 0, 1)
+        gc = cls_grad[:, off : off + n].reshape(b, h, w, num_anchors).transpose(3, 0, 1, 2)
         gb = (
-            box_grad[off : off + n]
-            .reshape(h, w, num_anchors, 4)
-            .transpose(2, 3, 0, 1)
+            box_grad[:, off : off + n]
+            .reshape(b, h, w, num_anchors, 4)
+            .transpose(3, 4, 0, 1, 2)
             .reshape(box_map.shape)
         )
         per_level.append((gc, gb))

@@ -133,10 +133,12 @@ def decode_detections(
 
 
 def write_detections(dets: Detections, path) -> None:
+    """One JSON object per detection; repr of a finite float is its JSON text."""
     rows = zip(dets.image_ids.tolist(), dets.boxes.tolist(), dets.scores.tolist())
     with atomic_write(path) as f:
-        for image_id, box, score in rows:
-            f.write(json.dumps({"image_id": image_id, "box": box, "score": score}) + "\n")
+        for i, (x1, y1, x2, y2), s in rows:
+            box = f"[{x1!r}, {y1!r}, {x2!r}, {y2!r}]"
+            f.write(f'{{"image_id": {i}, "box": {box}, "score": {s!r}}}\n')
 
 
 def read_detections(path) -> Detections:

@@ -1,8 +1,9 @@
 """Training loop and the shared inference/evaluation path.
 
-Pipeline per image: load -> preprocess -> augment (train only) -> anchor
-assignment -> forward -> detection loss -> backward. Per-batch gradients are
-summed in a fixed order, divided by the batch size, and fed to Adam.
+Pipeline per minibatch: load -> preprocess -> augment (train only) and
+anchor assignment per image -> one forward over the stacked images -> each
+image's detection loss -> one backward. The batch's summed gradients are
+divided by the batch size and fed to Adam.
 Validation mAP runs the exact decode + NMS + COCO path used by `eval`, so
 the reported number is the deployable metric.
 """
@@ -83,19 +84,29 @@ def prepare_eval_input(sample: LoadedSample, cfg: RunConfig):
     return tensor, sample.boxes * np.array([sx, sy, sx, sy])
 
 
-def infer_detections(params, cfg: RunConfig, grid, tensor, image_id: int):
+def infer_detections(params, cfg: RunConfig, tensors, image_ids) -> Detections:
+    """Detections of a batch of preprocessed (3, H, W) inputs, in batch order."""
     in_w, in_h = cfg.training.input_size
-    (cls_rows, box_rows), _ = forward(tensor, params, cfg.network, cfg.anchors)
-    return decode_detections(cls_rows, box_rows, grid, cfg.eval, in_w, in_h, image_id=image_id)
+    grid = generate_anchors(cfg.anchors, in_w, in_h)
+    (cls_rows, box_rows), _ = forward(np.stack(tensors), params, cfg.network, cfg.anchors)
+    return Detections.concat(
+        decode_detections(c, b, grid, cfg.eval, in_w, in_h, image_id=i)
+        for c, b, i in zip(cls_rows, box_rows, image_ids)
+    )
 
 
-def evaluate_params(params, cfg: RunConfig, samples: list[LoadedSample], grid):
-    """Full eval over samples, one image at a time; returns (report dict, Detections)."""
+def evaluate_params(params, cfg: RunConfig, samples: list[LoadedSample]):
+    """Full eval over samples in batches of training.batch_size; returns (report, Detections)."""
     parts = []
     all_gts = {}
-    for sample in samples:
-        tensor, all_gts[sample.image_id] = prepare_eval_input(sample, cfg)
-        parts.append(infer_detections(params, cfg, grid, tensor, sample.image_id))
+    step = cfg.training.batch_size
+    for start in range(0, len(samples), step):
+        chunk = samples[start : start + step]
+        tensors = []
+        for sample in chunk:
+            tensor, all_gts[sample.image_id] = prepare_eval_input(sample, cfg)
+            tensors.append(tensor)
+        parts.append(infer_detections(params, cfg, tensors, [s.image_id for s in chunk]))
     dets = Detections.concat(parts)
     return coco_map(dets, all_gts, cfg.eval), dets
 
@@ -106,13 +117,6 @@ class TrainResult:
     metrics_path: str
     metrics: list[dict]
     final_val: dict | None
-
-
-def _image_grads(cfg, grid, params, tensor, boxes):
-    assignment = assign_targets(grid, boxes, cfg.anchors)
-    (cls_rows, box_rows), cache = forward(tensor, params, cfg.network, cfg.anchors)
-    loss, g_cls, g_box = total_detection_loss(cls_rows, box_rows, assignment, cfg.loss)
-    return loss, backward(cache, g_cls, g_box)
 
 
 def _prior_metrics_rows(checkpoint_path, epochs: int) -> list[str]:
@@ -198,33 +202,39 @@ def run_training(
             loss_sum = 0.0
             for b in range(0, n, batch_size):
                 batch = order[b : b + batch_size]
-                grad_sum = None
+                tensors, assignments = [], []
                 for idx in batch:
                     tensor, boxes = prepared[idx]
                     aug_rng = np.random.default_rng([cfg.seed, STREAM_AUGMENT, epoch, int(idx)])
                     tensor, boxes = augment(tensor, boxes, cfg.augment, aug_rng)
-                    loss, grads = _image_grads(cfg, grid, params, tensor, boxes)
+                    tensors.append(tensor)
+                    assignments.append(assign_targets(grid, boxes, cfg.anchors))
+                (cls_rows, box_rows), cache = forward(
+                    np.stack(tensors), params, cfg.network, cfg.anchors
+                )
+                g_cls, g_box = np.empty_like(cls_rows), np.empty_like(box_rows)
+                for i, idx in enumerate(batch):
+                    # normalized by the image's own max(1, num_pos), as if it ran alone
+                    loss, g_cls[i], g_box[i] = total_detection_loss(
+                        cls_rows[i], box_rows[i], assignments[i], cfg.loss
+                    )
                     if not math.isfinite(loss):
                         raise NumericError(
                             f"non-finite loss at epoch {epoch} batch {b // batch_size} "
                             f"(sample {train_samples[idx].path})"
                         )
                     loss_sum += loss
-                    if grad_sum is None:
-                        grad_sum = grads
-                    else:
-                        for name in grad_sum:
-                            grad_sum[name] += grads[name]
+                grads = backward(cache, g_cls, g_box)
                 scale = 1.0 / len(batch)
-                for name in grad_sum:
-                    grad_sum[name] *= scale
-                adam_step(params, grad_sum, state, lr=cfg.training.lr)
+                for name in grads:
+                    grads[name] *= scale
+                adam_step(params, grads, state, lr=cfg.training.lr)
 
             row = {"epoch": epoch, "train_loss": loss_sum / n}
             scheduled = (epoch + 1) % cfg.training.eval_every == 0
             last = epoch == cfg.training.epochs - 1
             if val_samples is not None and (scheduled or last):
-                report, _ = evaluate_params(params, cfg, val_samples, grid)
+                report, _ = evaluate_params(params, cfg, val_samples)
                 row["val_map"] = report["map"]
                 row["val_ap50"] = report["ap50"]
                 final_val = report

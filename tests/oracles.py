@@ -97,6 +97,39 @@ def naive_augment_boxes(boxes, t, width, height, min_box_area_px, min_visible_fr
     return out
 
 
+def naive_warp_affine(image, transform):
+    """Inverse-map the image through the affine; bilinear sampling, zero fill.
+
+    Builds the pixel-centre grid afresh and gathers with 2-D fancy indexing,
+    accumulating the four corners in the same order as `warp_affine`.
+    """
+    img = np.asarray(image)
+    _, h, w = img.shape
+    inv = transform.inverse()
+    xs, ys = np.meshgrid(
+        np.arange(w, dtype=np.float64) + 0.5, np.arange(h, dtype=np.float64) + 0.5
+    )
+    src = inv.apply(np.stack([xs.ravel(), ys.ravel()], axis=1))
+    lx = src[:, 0].reshape(h, w) - 0.5
+    ly = src[:, 1].reshape(h, w) - 0.5
+    x0 = np.floor(lx)
+    y0 = np.floor(ly)
+    fx = (lx - x0).astype(img.dtype)
+    fy = (ly - y0).astype(img.dtype)
+    x0 = x0.astype(np.int64)
+    y0 = y0.astype(np.int64)
+
+    out = np.zeros_like(img)
+    for dy, wy in ((0, 1 - fy), (1, fy)):
+        for dx, wx in ((0, 1 - fx), (1, fx)):
+            xi = x0 + dx
+            yi = y0 + dy
+            inside = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
+            vals = img[:, np.clip(yi, 0, h - 1), np.clip(xi, 0, w - 1)]
+            out += vals * (wy * wx * inside).astype(img.dtype)
+    return out
+
+
 def naive_conv2d(inp, weights, bias, stride):
     """Direct six-nested-loop cross-correlation with zero padding k // 2."""
     c_out, c_in, k, _ = weights.shape

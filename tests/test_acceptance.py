@@ -2,7 +2,7 @@
 
 The heavy criteria (end-to-end training, the focal-vs-cross-entropy
 comparison, determinism re-runs) share module-scoped fixtures; the whole
-module runs in roughly ten minutes on a laptop-class machine.
+module runs in a few minutes on a laptop-class machine.
 """
 
 import json

@@ -98,7 +98,7 @@ def test_forward_after_reload_is_bitwise_identical(tmp_path, rng):
     path = tmp_path / "net.rkck"
     save_checkpoint(path, build_checkpoint(params, state, {"seed": 11}))
     loaded = load_checkpoint(path).params()
-    img = rng.standard_normal((3, 64, 64)).astype(np.float32)
+    img = rng.standard_normal((2, 3, 64, 64)).astype(np.float32)
     (ca, ba), _ = forward(img, params, cfg, anchors)
     (cb, bb), _ = forward(img, loaded, cfg, anchors)
     assert np.array_equal(ca, cb) and np.array_equal(ba, bb)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_augment_boxes, random_box
+from oracles import naive_augment_boxes, naive_warp_affine, random_box
 from retina_kit.boxes import AffineTransform, BBox, box_areas, boxes_to_array, transform_boxes
 from retina_kit.data import (
     IMAGENET_MEAN,
@@ -82,6 +82,16 @@ class TestWarp:
         img = rng.integers(0, 256, size=(3, 5, 8)).astype(np.float32)
         out = warp_affine(img, AffineTransform.hflip(8))
         assert np.array_equal(out, img[:, :, ::-1])
+
+    @pytest.mark.parametrize("shape", [(3, 64, 64), (3, 24, 40), (1, 17, 9)])
+    def test_matches_naive_warp_bytes(self, shape):
+        # the cached grid and flat gather keep the four-corner sums bit-exact
+        _, h, w = shape
+        img = np.random.default_rng(7).uniform(-120, 140, size=shape).astype(np.float32)
+        cfg = AugmentConfig(translate_frac=0.3, max_rot_deg=30.0, scale_min=0.7, scale_max=1.4)
+        for seed in range(60):
+            t = draw_augment_transform(w, h, cfg, np.random.default_rng(seed))
+            assert warp_affine(img, t).tobytes() == naive_warp_affine(img, t).tobytes()
 
 
 class TestAugment:

@@ -42,22 +42,28 @@ class TestElementwise:
         assert np.allclose(softplus(x), np.logaddexp(0.0, x), atol=1e-13)
 
 
+def per_image_naive(x, w, b, stride):
+    """naive_conv2d on each image of a (C, B, H, W) batch, restacked."""
+    return np.stack([naive_conv2d(x[:, i], w, b, stride) for i in range(x.shape[1])], axis=1)
+
+
 class TestUpsample:
     def test_forward_repeats_blocks(self):
-        x = np.arange(4.0).reshape(1, 2, 2)
+        x = np.arange(8.0).reshape(1, 2, 2, 2)
         y = upsample_nearest_x2(x)
-        assert y.shape == (1, 4, 4)
-        assert np.array_equal(y[0, :2, :2], np.full((2, 2), 0.0))
-        assert np.array_equal(y[0, 2:, 2:], np.full((2, 2), 3.0))
+        assert y.shape == (1, 2, 4, 4)
+        assert np.array_equal(y[0, 0, :2, :2], np.full((2, 2), 0.0))
+        assert np.array_equal(y[0, 0, 2:, 2:], np.full((2, 2), 3.0))
+        assert np.array_equal(y[0, 1, 2:, 2:], np.full((2, 2), 7.0))
 
     def test_backward_sums_blocks(self):
-        g = upsample_nearest_x2_backward(np.ones((3, 4, 6)))
-        assert g.shape == (3, 2, 3)
+        g = upsample_nearest_x2_backward(np.ones((3, 2, 4, 6)))
+        assert g.shape == (3, 2, 2, 3)
         assert np.all(g == 4.0)
 
     def test_round_trip_gradient_identity(self, rng):
-        x = rng.standard_normal((2, 3, 5))
-        g = rng.standard_normal((2, 6, 10))
+        x = rng.standard_normal((2, 3, 3, 5))
+        g = rng.standard_normal((2, 3, 6, 10))
         # <upsample(x), g> == <x, upsample_backward(g)> (adjoint property)
         lhs = float(np.sum(upsample_nearest_x2(x) * g))
         rhs = float(np.sum(x * upsample_nearest_x2_backward(g)))
@@ -66,7 +72,7 @@ class TestUpsample:
 
 class TestConvForward:
     def test_center_tap_identity(self):
-        x = np.arange(12.0).reshape(3, 2, 2)
+        x = np.arange(24.0).reshape(3, 2, 2, 2)
         w = np.zeros((3, 3, 3, 3))
         for c in range(3):
             w[c, c, 1, 1] = 1.0
@@ -74,16 +80,17 @@ class TestConvForward:
         assert np.array_equal(out, x)
 
     def test_all_ones_hand_counts(self):
-        x = np.ones((1, 3, 3))
+        x = np.ones((1, 2, 3, 3))
         w = np.ones((1, 1, 3, 3))
         out = conv2d_forward(x, w, np.zeros(1), 1)
-        assert out[0, 1, 1] == 9.0
-        assert out[0, 0, 0] == 4.0
-        assert out[0, 0, 2] == 4.0
-        assert out[0, 2, 0] == 4.0
+        for b in range(2):
+            assert out[0, b, 1, 1] == 9.0
+            assert out[0, b, 0, 0] == 4.0
+            assert out[0, b, 0, 2] == 4.0
+            assert out[0, b, 2, 0] == 4.0
 
     def test_bias_added(self):
-        x = np.zeros((1, 2, 2))
+        x = np.zeros((1, 2, 2, 2))
         w = np.zeros((2, 1, 3, 3))
         out = conv2d_forward(x, w, np.array([1.5, -2.0]), 1)
         assert np.all(out[0] == 1.5) and np.all(out[1] == -2.0)
@@ -91,63 +98,78 @@ class TestConvForward:
     @pytest.mark.parametrize("stride,h,w", [(1, 8, 8), (2, 8, 8), (2, 7, 9), (1, 5, 6)])
     def test_matches_naive_loop_exactly_on_integers(self, rng, stride, h, w):
         # integer-valued inputs make every sum exact, so any summation order
-        # must agree bit for bit with the six-loop reference
-        x = rng.integers(-4, 5, size=(2, h, w)).astype(np.float32)
-        wgt = rng.integers(-3, 4, size=(3, 2, 3, 3)).astype(np.float32)
-        b = rng.integers(-2, 3, size=3).astype(np.float32)
-        got = conv2d_forward(x, wgt, b, stride)
-        want = naive_conv2d(x, wgt, b, stride)
-        assert got.shape == want.shape
-        assert np.array_equal(got, want)
+        # must agree bit for bit with the six-loop reference, image by image
+        for batch in (2, 3):
+            x = rng.integers(-4, 5, size=(2, batch, h, w)).astype(np.float32)
+            wgt = rng.integers(-3, 4, size=(3, 2, 3, 3)).astype(np.float32)
+            b = rng.integers(-2, 3, size=3).astype(np.float32)
+            got = conv2d_forward(x, wgt, b, stride)
+            want = per_image_naive(x, wgt, b, stride)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
 
     def test_matches_naive_loop_on_floats(self, rng):
-        x = rng.standard_normal((2, 8, 8))
+        x = rng.standard_normal((2, 3, 8, 8))
         wgt = rng.standard_normal((4, 2, 3, 3))
         b = rng.standard_normal(4)
         for stride in (1, 2):
             got = conv2d_forward(x, wgt, b, stride)
-            want = naive_conv2d(x, wgt, b, stride)
+            want = per_image_naive(x, wgt, b, stride)
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("batch", [2, 3])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("h,w", [(8, 6), (7, 9), (1, 2)])
+    def test_batch_matches_naive_per_image(self, rng, batch, k, stride, h, w):
+        x = rng.standard_normal((3, batch, h, w))
+        wgt = rng.standard_normal((4, 3, k, k))
+        b = rng.standard_normal(4)
+        got = conv2d_forward(x, wgt, b, stride)
+        assert got.shape == (4, batch, -(-h // stride), -(-w // stride))
+        assert np.allclose(got, per_image_naive(x, wgt, b, stride), rtol=1e-12, atol=1e-12)
+
     def test_1x1_kernel(self, rng):
-        x = rng.standard_normal((3, 4, 4))
+        x = rng.standard_normal((3, 2, 4, 4))
         wgt = rng.standard_normal((2, 3, 1, 1))
         out = conv2d_forward(x, wgt, np.zeros(2), 1)
-        want = np.einsum("oc,chw->ohw", wgt[:, :, 0, 0], x)
+        want = np.einsum("oc,cbhw->obhw", wgt[:, :, 0, 0], x)
         assert np.allclose(out, want, atol=1e-12)
 
     def test_output_dims_ceil(self):
-        x = np.zeros((1, 7, 9))
         w = np.zeros((1, 1, 3, 3))
-        assert conv2d_forward(x, w, np.zeros(1), 2).shape == (1, 4, 5)
+        assert conv2d_forward(np.zeros((1, 2, 7, 9)), w, np.zeros(1), 2).shape == (1, 2, 4, 5)
+        assert conv2d_forward(np.zeros((1, 1, 1, 1)), w, np.zeros(1), 2).shape == (1, 1, 1, 1)
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ValidationError):
-            conv2d_forward(np.zeros((2, 4, 4)), np.zeros((1, 3, 3, 3)), np.zeros(1), 1)
+            conv2d_forward(np.zeros((2, 1, 4, 4)), np.zeros((1, 3, 3, 3)), np.zeros(1), 1)
+        with pytest.raises(ValidationError, match=r"\(C, B, H, W\)"):
+            conv2d_forward(np.zeros((3, 4, 4)), np.zeros((1, 3, 3, 3)), np.zeros(1), 1)
 
 
 class TestConvBackward:
     def test_zero_grad_out(self):
-        x = np.ones((2, 4, 4))
+        x = np.ones((2, 2, 4, 4))
         w = np.ones((3, 2, 3, 3))
-        gi, gw, gb = conv2d_backward(x, w, 1, np.zeros((3, 4, 4)))
+        gi, gw, gb = conv2d_backward(x, w, 1, np.zeros((3, 2, 4, 4)))
         assert not gi.any() and not gw.any() and not gb.any()
 
     def test_single_pixel_bias_path(self):
-        x = np.zeros((1, 4, 4))
+        x = np.zeros((1, 2, 4, 4))
         w = np.zeros((2, 1, 3, 3))
-        g = np.zeros((2, 4, 4))
-        g[1, 2, 3] = 1.0
+        g = np.zeros((2, 2, 4, 4))
+        g[1, 1, 2, 3] = 1.0
         _, _, gb = conv2d_backward(x, w, 1, g)
         assert gb.tolist() == [0.0, 1.0]
 
     def test_grad_out_shape_rejected(self):
         with pytest.raises(ValidationError):
-            conv2d_backward(np.zeros((1, 4, 4)), np.zeros((1, 1, 3, 3)), 2, np.zeros((1, 4, 4)))
+            conv2d_backward(np.zeros((1, 1, 4, 4)), np.zeros((1, 1, 3, 3)), 2, np.zeros((1, 1, 4, 4)))
 
     @pytest.mark.parametrize("stride,k", [(1, 3), (2, 3), (1, 1), (2, 1)])
     def test_matches_finite_differences(self, rng, stride, k):
-        x = rng.standard_normal((2, 5, 6))
+        x = rng.standard_normal((2, 3, 5, 6))
         w = rng.standard_normal((3, 2, k, k))
         b = rng.standard_normal(3)
         proj = rng.standard_normal(conv2d_forward(x, w, b, stride).shape)
@@ -170,10 +192,32 @@ class TestConvBackward:
                 worst = max(worst, rel_err(float(gflat[i]), (up - down) / 2e-6, 1e-9))
         assert worst < 1e-4
 
-    def test_linearity_in_grad_out(self, rng):
-        x = rng.standard_normal((2, 4, 4))
+    @pytest.mark.parametrize("stride,k", [(1, 3), (2, 3), (1, 1), (2, 1)])
+    def test_batch_grads_sum_per_image_grads(self, rng, stride, k):
+        # odd sides on purpose; weight and bias gradients are the per-image
+        # sums, the input gradient is the per-image gradients stacked
+        x = rng.standard_normal((2, 3, 7, 5))
+        w = rng.standard_normal((3, 2, k, k))
+        g = rng.standard_normal(conv2d_forward(x, w, np.zeros(3), stride).shape)
+        gi, gw, gb = conv2d_backward(x, w, stride, g)
+        alone = [conv2d_backward(x[:, i : i + 1], w, stride, g[:, i : i + 1]) for i in range(3)]
+        assert np.allclose(gi, np.concatenate([a[0] for a in alone], axis=1), rtol=1e-12, atol=1e-12)
+        assert np.allclose(gw, sum(a[1] for a in alone), rtol=1e-12, atol=1e-12)
+        assert np.allclose(gb, sum(a[2] for a in alone), rtol=1e-12, atol=1e-12)
+
+    def test_input_grad_skipped_on_request(self, rng):
+        x = rng.standard_normal((2, 2, 6, 6))
         w = rng.standard_normal((3, 2, 3, 3))
-        g = rng.standard_normal((3, 4, 4))
+        g = rng.standard_normal((3, 2, 3, 3))
+        full = conv2d_backward(x, w, 2, g)
+        gi, gw, gb = conv2d_backward(x, w, 2, g, input_grad=False)
+        assert gi is None
+        assert np.array_equal(gw, full[1]) and np.array_equal(gb, full[2])
+
+    def test_linearity_in_grad_out(self, rng):
+        x = rng.standard_normal((2, 2, 4, 4))
+        w = rng.standard_normal((3, 2, 3, 3))
+        g = rng.standard_normal((3, 2, 4, 4))
         gi1, gw1, gb1 = conv2d_backward(x, w, 1, g)
         gi2, gw2, gb2 = conv2d_backward(x, w, 1, 2.0 * g)
         assert np.allclose(gi2, 2 * gi1) and np.allclose(gw2, 2 * gw1) and np.allclose(gb2, 2 * gb1)

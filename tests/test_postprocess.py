@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -169,9 +171,9 @@ class TestDecode:
     def test_wired_to_network_outputs(self, rng):
         net_cfg = NetworkConfig()
         params = init_params(net_cfg, self.anchor_cfg, np.random.default_rng(2))
-        img = rng.standard_normal((3, 64, 64)).astype(np.float32)
+        img = rng.standard_normal((1, 3, 64, 64)).astype(np.float32)
         (cls_rows, box_rows), _ = forward(img, params, net_cfg, self.anchor_cfg)
-        dets = decode_detections(cls_rows, box_rows, self.grid, self.eval_cfg, 64, 64)
+        dets = decode_detections(cls_rows[0], box_rows[0], self.grid, self.eval_cfg, 64, 64)
         assert isinstance(dets, Detections)
 
 
@@ -189,6 +191,24 @@ class TestDetectionsIo:
         assert np.array_equal(back.boxes, dets.boxes)
         assert np.array_equal(back.scores, dets.scores)
         assert np.array_equal(back.image_ids, dets.image_ids)
+
+    def test_writer_matches_json_dumps(self, tmp_path, rng):
+        # integral floats, short decimals, full-precision doubles and 1e-05
+        boxes = rng.uniform(0, 64, size=(300, 4))
+        boxes[::3] = boxes[::3].round()
+        boxes[1::3] = boxes[1::3].round(2)
+        boxes[:, 2:] += boxes[:, :2] + 1.0
+        boxes[:4] = [[0.0, 0.0, 1.0, 2.0], [3.0, 4.0, 50.0, 60.0], [1e-05, 0.0, 0.5, 7.25], [0.1, 0.2, 0.3, 64.0]]
+        scores = rng.uniform(0, 1, size=300)
+        scores[:4] = [1e-05, 0.0, 1.0, 0.5]
+        dets = Detections(boxes=boxes, scores=scores, image_ids=rng.integers(0, 1000, size=300))
+        path = tmp_path / "dets.jsonl"
+        write_detections(dets, path)
+        rows = zip(dets.image_ids.tolist(), dets.boxes.tolist(), dets.scores.tolist())
+        want = "".join(
+            json.dumps({"image_id": i, "box": b, "score": s}) + "\n" for i, b, s in rows
+        )
+        assert path.read_text(encoding="utf-8") == want
 
     def test_bad_line_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
