@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .anchors import AnchorConfig, AnchorLevel
 from .data import AugmentConfig
-from .errors import ValidationError
+from .errors import ValidationError, require_ints
 from .losses import LossConfig
 from .network import NetworkConfig, check_level_strides
 from .postprocess import EvalConfig
@@ -32,6 +32,7 @@ class TrainingConfig:
 
     def __post_init__(self):
         self.input_size = (int(self.input_size[0]), int(self.input_size[1]))
+        require_ints("training", self, "batch_size", "epochs", "eval_every")
         if self.lr <= 0:
             raise ValidationError(f"lr must be > 0, got {self.lr}")
         if self.batch_size < 1:

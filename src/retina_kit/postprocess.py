@@ -1,9 +1,16 @@
 """Decode per-anchor head rows into scored detections, plus greedy NMS.
 
-The detector has one class, so each anchor carries one logit. Per level:
-sigmoid scores, drop below score_threshold and keep the top pre_nms_topk by
-score (ties to the lower anchor index). The kept anchors of all levels are
-then decoded, clipped to the image and passed through one greedy NMS.
+Both work on a whole inference batch. The detector has one class, so each
+anchor carries one logit.
+
+- `decode_detections(cls_rows (B, N), box_rows (B, N, 4), grid, config,
+  image_w, image_h, image_ids)`: one sigmoid over the batch; per image and
+  level, drop scores below score_threshold and keep the top pre_nms_topk by
+  score (ties to the lower anchor index). The kept anchors are decoded,
+  clipped to the image and passed through one greedy NMS per image.
+- `nms_indices(boxes (B, K, 4), scores (B, K), counts (B,), iou_thresh,
+  max_out)`: the greedy NMS of every image of a padded batch in one loop,
+  each pass taking every image's next kept box.
 """
 
 from __future__ import annotations
@@ -15,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .anchors import AnchorGrid
-from .boxes import BBox, boxes_to_array, clip_boxes, decode_boxes, iou_matrix
-from .errors import NumericError, ValidationError
+from .boxes import BBox, boxes_to_array, clip_boxes, decode_boxes
+from .errors import NumericError, ValidationError, require_ints
 from .layers import sigmoid
 from .outputs import atomic_write
 
@@ -32,6 +39,7 @@ class EvalConfig:
     max_detections_per_image: int = 100
 
     def __post_init__(self):
+        require_ints("eval", self, "pre_nms_topk", "max_detections_per_image")
         self.iou_thresholds = tuple(float(t) for t in self.iou_thresholds)
         if not self.iou_thresholds:
             raise ValidationError("iou_thresholds must be non-empty")
@@ -81,20 +89,65 @@ class Detections:
         )
 
 
-def nms_indices(boxes: np.ndarray, scores: np.ndarray, iou_thresh: float, max_out: int):
-    """Greedy keep-indices; ties go to the lower original index."""
-    order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
-    boxes = boxes_to_array(boxes)
-    keep = []
-    while order.size and len(keep) < max_out:
-        i = int(order[0])
-        keep.append(i)
-        if order.size == 1:
+def nms_indices(boxes, scores, counts, iou_thresh: float, max_out: int) -> np.ndarray:
+    """Greedy NMS of a padded batch, every image at once; ties go to the lower index.
+
+    boxes (B, K, 4) and scores (B, K); image b's candidates are its first
+    counts[b] rows, the rest is padding. Each pass keeps every image's best
+    live candidate and drops the live ones whose IoU with it exceeds
+    iou_thresh, until an image has none left or has kept max_out. Returns the
+    kept rows as flat indices into the B * K rows, image by image, best score
+    first.
+    """
+    boxes = np.asarray(boxes, dtype=np.float64)
+    scores = np.asarray(scores, dtype=np.float64)
+    b, k = scores.shape
+    order = np.argsort(-scores, axis=1, kind="stable")
+    live = order < np.asarray(counts)[:, None]
+    if not live.any():
+        return np.zeros(0, dtype=np.int64)
+    # (5, B, K): x1, y1, x2, y2 and area of each image's rows in score order
+    table = np.empty((5, b, k))
+    table[:4] = np.take_along_axis(boxes, order[..., None], axis=1).transpose(2, 0, 1)
+    np.multiply(table[2] - table[0], table[3] - table[1], out=table[4])
+    lo, hi, area = table[:2], table[2:4], table[4]
+
+    rows = np.arange(b)
+    tops, todos = [], []  # per pass: each image's kept position, and whether it had one
+    n_kept = np.zeros(b, dtype=np.int64)
+    wh, edge = np.empty((2, b, k)), np.empty((2, b, k))
+    union, iou = np.empty((b, k)), np.empty((b, k))
+    ok = np.empty((b, k), dtype=bool)
+    while True:
+        if len(tops) >= max_out:
+            live[n_kept >= max_out] = False
+        top = live.argmax(axis=1)
+        todo = live[rows, top]
+        if not todo.any():
             break
-        rest = order[1:]
-        ious = iou_matrix(boxes[i : i + 1], boxes[rest])[0]
-        order = rest[ious <= iou_thresh]
-    return keep
+        tops.append(top)
+        todos.append(todo)
+        live[rows, top] = False
+        n_kept += todo
+        # iou_matrix's ops in its order, so a keep list does not depend on the batch
+        best = table[:, rows, top][..., None]
+        np.maximum(lo, best[:2], out=wh)
+        np.minimum(hi, best[2:4], out=edge)
+        np.subtract(edge, wh, out=wh)
+        np.maximum(wh, 0.0, out=wh)  # what np.clip(wh, 0.0, None) runs
+        inter = np.multiply(wh[0], wh[1], out=edge[0])
+        np.add(best[4], area, out=union)
+        np.subtract(union, inter, out=union)
+        iou.fill(0.0)
+        np.greater(union, 0, out=ok)
+        np.divide(inter, union, out=iou, where=ok)
+        np.less_equal(iou, iou_thresh, out=ok)
+        np.logical_and(live, ok, out=live)
+
+    tops = np.array(tops, dtype=np.int64).reshape(-1, b).T
+    todos = np.array(todos, dtype=bool).reshape(-1, b).T
+    img = np.nonzero(todos)[0]
+    return img * k + order[img, tops[todos]]
 
 
 def decode_detections(
@@ -104,32 +157,57 @@ def decode_detections(
     config: EvalConfig,
     image_w: float,
     image_h: float,
-    image_id: int = 0,
+    image_ids,
 ) -> Detections:
-    """One row per grid anchor for one image -> final detections, NMS included, best score first."""
-    n = len(grid)
+    """A batch's per-anchor rows -> its detections, NMS included.
+
+    cls_rows (B, N) and box_rows (B, N, 4) hold one row per grid anchor of
+    each image; image_ids (B,) names them. The result runs image by image in
+    batch order, best score first within an image.
+    """
+    image_ids = np.asarray(image_ids, dtype=np.int64).reshape(-1)
+    b, n = image_ids.size, len(grid)
     got = (np.shape(cls_rows), np.shape(box_rows))
-    if got != ((n,), (n, 4)):
+    if got != ((b, n), (b, n, 4)):
         raise ValidationError(
-            f"expected ({n},) class and ({n}, 4) box rows, one per anchor of one class, got {got}"
+            f"expected ({b}, {n}) class and ({b}, {n}, 4) box rows, one per anchor of one class"
+            f" for each of {b} images, got {got}"
         )
     scores_all = sigmoid(np.asarray(cls_rows, dtype=np.float64))
 
-    chosen = []
-    for li in range(len(grid.per_level_counts)):
-        sl = grid.level_slice(li)
-        s = scores_all[sl]
-        idx = np.nonzero(s >= config.score_threshold)[0]
-        order = np.argsort(-s[idx], kind="stable")[: config.pre_nms_topk]
-        chosen.append(sl.start + idx[order])
-    chosen = np.concatenate(chosen)
+    # candidates, image by image and level by level in score order; a
+    # lexsort is stable, so ties keep the lower anchor index
+    img, anc = np.nonzero(scores_all >= config.score_threshold)
+    group = img * len(grid.per_level_counts) + np.searchsorted(
+        np.cumsum(grid.per_level_counts), anc, side="right"
+    )
+    order = np.lexsort((-scores_all[img, anc], group))
+    group = group[order]
+    rank = np.arange(group.size) - np.searchsorted(group, group)
+    pick = order[rank < config.pre_nms_topk]
+    img, anc = img[pick], anc[pick]
 
-    boxes = clip_boxes(decode_boxes(grid.anchors[chosen], box_rows[chosen]), image_w, image_h)
-    scores = scores_all[chosen]
-    kept = nms_indices(boxes, scores, config.nms_iou, config.max_detections_per_image)
-    if not np.isfinite(boxes[kept]).all():
+    # pad to (B, K) rows, image b's candidates first
+    counts = np.bincount(img, minlength=b)
+    k = int(counts.max(initial=0))
+    slot = np.arange(img.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    boxes = np.zeros((b, k, 4))
+    scores = np.zeros((b, k))
+    decoded = decode_boxes(grid.anchors[anc], box_rows[img, anc])
+    boxes[img, slot] = clip_boxes(decoded, image_w, image_h)
+    scores[img, slot] = scores_all[img, anc]
+
+    kept = nms_indices(boxes, scores, counts, config.nms_iou, config.max_detections_per_image)
+    dets = Detections(
+        boxes=boxes.reshape(-1, 4)[kept],
+        scores=scores.reshape(-1)[kept],
+        image_ids=np.repeat(image_ids, k)[kept],
+    )
+    bad = ~np.isfinite(dets.boxes).all(axis=1)
+    if bad.any():
+        image_id = dets.image_ids[bad.argmax()]  # the first in batch order
         raise NumericError(f"image {image_id}: decoded detection boxes are not finite")
-    return Detections.for_image(image_id, boxes[kept], scores[kept])
+    return dets
 
 
 def write_detections(dets: Detections, path) -> None:

@@ -89,10 +89,7 @@ def infer_detections(params, cfg: RunConfig, tensors, image_ids) -> Detections:
     in_w, in_h = cfg.training.input_size
     grid = generate_anchors(cfg.anchors, in_w, in_h)
     (cls_rows, box_rows), _ = forward(np.stack(tensors), params, cfg.network, cfg.anchors)
-    return Detections.concat(
-        decode_detections(c, b, grid, cfg.eval, in_w, in_h, image_id=i)
-        for c, b, i in zip(cls_rows, box_rows, image_ids)
-    )
+    return decode_detections(cls_rows, box_rows, grid, cfg.eval, in_w, in_h, image_ids)
 
 
 def evaluate_params(params, cfg: RunConfig, samples: list[LoadedSample]):

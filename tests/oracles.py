@@ -4,7 +4,10 @@ Everything here is deliberately naive: explicit loops, no sorting shortcuts,
 one box at a time. Nothing is imported from the package except the `BBox`
 row type and the anchor label constants, so no code is shared with the
 implementations under test. `transform_box` takes the affine as given and
-maps its corners with the transform's own `apply`.
+maps its corners with the transform's own `apply`. The exception is
+`naive_nms_indices`, the one-image greedy loop the batched NMS replaced: it
+keeps the package's `iou_matrix`, because the batched loop must return its
+keep lists exactly, rounding at the threshold included.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import math
 import numpy as np
 
 from retina_kit.anchors import IGNORE, NEGATIVE, POSITIVE
-from retina_kit.boxes import BBox
+from retina_kit.boxes import BBox, boxes_to_array, iou_matrix
 
 DELTA_CLAMP = math.log(1000.0 / 16.0)
 
@@ -303,6 +306,22 @@ def naive_decode_detections(flat_scores, flat_deltas, anchors, score_thresh, nms
             if not used[i] and iou(candidates[best_i][0], b) > nms_iou:
                 used[i] = True
     return kept
+
+
+def naive_nms_indices(boxes: np.ndarray, scores: np.ndarray, iou_thresh: float, max_out: int):
+    """Greedy keep-indices; ties go to the lower original index."""
+    order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
+    boxes = boxes_to_array(boxes)
+    keep = []
+    while order.size and len(keep) < max_out:
+        i = int(order[0])
+        keep.append(i)
+        if order.size == 1:
+            break
+        rest = order[1:]
+        ious = iou_matrix(boxes[i : i + 1], boxes[rest])[0]
+        order = rest[ious <= iou_thresh]
+    return keep
 
 
 def central_difference(f, x, h=1e-5):

@@ -144,7 +144,8 @@ def test_criterion_4_geometry_oracles():
             for _ in range(int(rng.integers(1, 15)))
         ]
         keep = nms_indices(
-            boxes_to_array([b for b, _ in dets]), np.array([s for _, s in dets]), 0.5, 100
+            boxes_to_array([b for b, _ in dets])[None], np.array([s for _, s in dets])[None],
+            [len(dets)], 0.5, 100,
         )
         kept = [dets[i][0] for i in keep]
         for i in range(len(kept)):

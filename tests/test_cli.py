@@ -439,6 +439,18 @@ class TestExitCodes:
         path.write_text('{"training": {"lr": -1}}')
         assert main(["synth", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
 
+    def test_fractional_detection_cap_exits_one(self, tiny_cfg_path, tmp_path, capsys):
+        data = synth_dir(tiny_cfg_path, tmp_path)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**TINY, "eval": {"max_detections_per_image": 2.5}}))
+        capsys.readouterr()
+        out = tmp_path / "eval"
+        code = main(["eval", "--config", str(path), "--manifest", str(data / "manifest.jsonl"),
+                     "--out", str(out), "--replay-gt"])
+        assert code == 1
+        assert "eval.max_detections_per_image must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command, tensor",
         [

@@ -116,3 +116,19 @@ def test_custom_levels_parse():
 
 def test_default_config_is_self_consistent():
     RunConfig()  # no exception
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        ("eval", "max_detections_per_image"),
+        ("eval", "pre_nms_topk"),
+        ("training", "batch_size"),
+        ("training", "epochs"),
+        ("training", "eval_every"),
+    ],
+)
+@pytest.mark.parametrize("value", [2.5, 3.0, "3", True])
+def test_integer_fields_reject_non_integers(section, key, value):
+    with pytest.raises(ValidationError, match=f"{section}.{key} must be an integer"):
+        run_config_from_dict({section: {key: value}})
