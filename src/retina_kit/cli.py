@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .anchors import generate_anchors
 from .checkpoint import canonical_json, load_checkpoint
 from .config import load_run_config, run_config_to_dict
 from .data import preprocess
@@ -104,7 +105,8 @@ def cmd_detect(args) -> int:
     params = load_params_for_config(ckpt, cfg)
     image = load_ppm(args.image)
     in_w, in_h = cfg.training.input_size
-    dets = infer_detections(params, cfg, [preprocess(image, (in_w, in_h))], [0])
+    grid = generate_anchors(cfg.anchors, in_w, in_h)
+    dets = infer_detections(params, cfg, grid, [preprocess(image, (in_w, in_h))], [0])
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .anchors import AnchorConfig, AnchorLevel
 from .data import AugmentConfig
-from .errors import ValidationError, require_ints
+from .errors import ValidationError, require_int, require_ints
 from .losses import LossConfig
 from .network import NetworkConfig, check_level_strides
 from .postprocess import EvalConfig
@@ -31,8 +31,12 @@ class TrainingConfig:
     input_size: tuple[int, int] = (64, 64)
 
     def __post_init__(self):
-        self.input_size = (int(self.input_size[0]), int(self.input_size[1]))
-        require_ints("training", self, "batch_size", "epochs", "eval_every")
+        self.input_size = tuple(self.input_size)
+        require_ints("training", self, "batch_size", "epochs", "eval_every", "input_size")
+        if len(self.input_size) != 2:
+            raise ValidationError(
+                f"training.input_size must be [width, height], got {self.input_size}"
+            )
         if self.lr <= 0:
             raise ValidationError(f"lr must be > 0, got {self.lr}")
         if self.batch_size < 1:
@@ -85,7 +89,8 @@ def _from_section(cls, raw: dict, where: str):
                 raise ValidationError(
                     f"{where}.levels[{i}] must be an object with stride and base_size"
                 )
-            levels.append(AnchorLevel(stride=int(lv["stride"]), base_size=float(lv["base_size"])))
+            require_int(f"{where}.levels[{i}].stride", lv["stride"])
+            levels.append(AnchorLevel(stride=lv["stride"], base_size=float(lv["base_size"])))
         kwargs["levels"] = tuple(levels)
     try:
         return cls(**kwargs)
@@ -110,7 +115,8 @@ def run_config_from_dict(raw: dict) -> RunConfig:
     unknown = set(raw) - set(_SECTIONS) - {"seed"}
     if unknown:
         raise ValidationError(f"unknown top-level config keys: {sorted(unknown)}")
-    seed = int(raw.get("seed", 0))
+    seed = raw.get("seed", 0)
+    require_int("seed", seed)  # before synth inherits it
     kwargs = {}
     for name, cls in _SECTIONS.items():
         section = dict(raw.get(name, {}))

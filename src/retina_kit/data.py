@@ -196,11 +196,13 @@ def read_manifest(path) -> list[SampleRecord]:
             raise ManifestError(f"{path}: line {lineno}: expected image/boxes/labels keys")
         try:
             boxes = [BBox(*(float(v) for v in row)) for row in obj["boxes"]]
-            labels = [int(v) for v in obj["labels"]]
+            labels = list(obj["labels"])
             if len(labels) != len(boxes):
                 raise ValueError(f"{len(boxes)} boxes vs {len(labels)} labels")
-            if any(labels):
-                raise ValueError(f"labels {labels} must all be 0: the detector is single-class")
+            if any(type(v) is not int or v != 0 for v in labels):  # no 0.0, False or "0"
+                raise ValueError(
+                    f"labels {labels} must all be the integer 0: the detector is single-class"
+                )
             rec = SampleRecord(image_path=str(obj["image"]), boxes=boxes)
         except (TypeError, ValueError) as e:
             raise ManifestError(f"{path}: line {lineno}: {e}") from e

@@ -19,9 +19,18 @@ class NumericError(RetinaKitError, ArithmeticError):
     """Non-finite values where finite ones are required (loss, gradients)."""
 
 
+def require_int(field: str, value) -> None:
+    """Reject a value that is not an integer, or a list/tuple holding a non-integer.
+
+    Bools are rejected too; field names the value in the message.
+    """
+    items = value if isinstance(value, (list, tuple)) else (value,)
+    if any(isinstance(v, bool) or not isinstance(v, Integral) for v in items):
+        what = "integers" if items is value else "an integer"
+        raise ValidationError(f"{field} must be {what}, got {value!r}")
+
+
 def require_ints(section: str, obj, *names: str) -> None:
-    """Reject each named field of obj that does not hold an integer (bools included)."""
+    """require_int on each named field of obj, as "<section>.<name>"."""
     for name in names:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, Integral):
-            raise ValidationError(f"{section}.{name} must be an integer, got {value!r}")
+        require_int(f"{section}.{name}", getattr(obj, name))

@@ -1,11 +1,12 @@
 """Training loop and the shared inference/evaluation path.
 
-Pipeline per minibatch: load -> preprocess -> augment (train only) and
-anchor assignment per image -> one forward over the stacked images -> each
-image's detection loss -> one backward. The batch's summed gradients are
-divided by the batch size and fed to Adam.
-Validation mAP runs the exact decode + NMS + COCO path used by `eval`, so
-the reported number is the deployable metric.
+Training reads and preprocesses every image once, into a cache. Pipeline
+per minibatch: augment and anchor assignment per image -> one forward over
+the stacked images -> each image's detection loss -> one backward. The
+batch's summed gradients are divided by the batch size and fed to Adam.
+Evaluation reads, preprocesses, infers and decodes EVAL_CHUNK images at a
+time. Validation mAP runs the exact decode + NMS + COCO path used by `eval`,
+so the reported number is the deployable metric.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .anchors import assign_targets, generate_anchors
+from .anchors import AnchorGrid, assign_targets, generate_anchors
 from .checkpoint import (
     Checkpoint,
     build_checkpoint,
@@ -50,60 +51,70 @@ RESUME_FREE_FIELDS = (
 )
 
 
+# images `eval` reads, preprocesses, infers and decodes at a time; an image's
+# detections do not depend on its chunk, only the memory and the speed do
+EVAL_CHUNK = 32
+
+
 @dataclass
-class LoadedSample:
-    image: np.ndarray  # (3, H, W) float32 in [0, 255]
+class Sample:
+    """A manifest entry: where its image is, its ground truth and its id; no pixels."""
+
+    path: str
     boxes: np.ndarray  # (G, 4) corners in original-image pixels
     image_id: int
-    path: str
 
 
-def load_samples(manifest_path) -> list[LoadedSample]:
-    """Read a manifest and its images; paths resolve against the manifest dir."""
+def load_samples(manifest_path) -> list[Sample]:
+    """Read a manifest; paths resolve against the manifest dir and must exist.
+
+    The images themselves are read where they are used (prepare_eval_input).
+    """
     base = Path(manifest_path).parent
-    records = read_manifest(manifest_path)
     samples = []
-    for i, rec in enumerate(records):
+    for i, rec in enumerate(read_manifest(manifest_path)):
         img_path = Path(rec.image_path)
         if not img_path.is_absolute():
             img_path = base / img_path
         if not img_path.exists():
             raise ValidationError(f"manifest references missing image: {img_path}")
-        samples.append(
-            LoadedSample(image=load_ppm(img_path), boxes=rec.boxes, image_id=i, path=str(img_path))
-        )
+        samples.append(Sample(path=str(img_path), boxes=rec.boxes, image_id=i))
     return samples
 
 
-def prepare_eval_input(sample: LoadedSample, cfg: RunConfig):
-    """Preprocessed input tensor plus ground truth in the input pixel frame."""
+def prepare_eval_input(sample: Sample, cfg: RunConfig):
+    """Read the sample's image: its input tensor plus ground truth in the input pixel frame."""
     in_w, in_h = cfg.training.input_size
-    _, h, w = sample.image.shape
-    tensor = preprocess(sample.image, (in_w, in_h))
+    image = load_ppm(sample.path)
+    _, h, w = image.shape
+    tensor = preprocess(image, (in_w, in_h))
     sx, sy = in_w / w, in_h / h
     return tensor, sample.boxes * np.array([sx, sy, sx, sy])
 
 
-def infer_detections(params, cfg: RunConfig, tensors, image_ids) -> Detections:
-    """Detections of a batch of preprocessed (3, H, W) inputs, in batch order."""
+def infer_detections(params, cfg: RunConfig, grid: AnchorGrid, tensors, image_ids) -> Detections:
+    """Detections of a batch of preprocessed (3, H, W) inputs, in batch order.
+
+    grid is generate_anchors(cfg.anchors, *cfg.training.input_size), built
+    once by the caller.
+    """
     in_w, in_h = cfg.training.input_size
-    grid = generate_anchors(cfg.anchors, in_w, in_h)
     (cls_rows, box_rows), _ = forward(np.stack(tensors), params, cfg.network, cfg.anchors)
     return decode_detections(cls_rows, box_rows, grid, cfg.eval, in_w, in_h, image_ids)
 
 
-def evaluate_params(params, cfg: RunConfig, samples: list[LoadedSample]):
-    """Full eval over samples in batches of training.batch_size; returns (report, Detections)."""
+def evaluate_params(params, cfg: RunConfig, samples: list[Sample]):
+    """Full eval, reading the images EVAL_CHUNK at a time; returns (report, Detections)."""
+    grid = generate_anchors(cfg.anchors, *cfg.training.input_size)
     parts = []
     all_gts = {}
-    step = cfg.training.batch_size
-    for start in range(0, len(samples), step):
-        chunk = samples[start : start + step]
+    for start in range(0, len(samples), EVAL_CHUNK):
+        chunk = samples[start : start + EVAL_CHUNK]
         tensors = []
         for sample in chunk:
             tensor, all_gts[sample.image_id] = prepare_eval_input(sample, cfg)
             tensors.append(tensor)
-        parts.append(infer_detections(params, cfg, tensors, [s.image_id for s in chunk]))
+        parts.append(infer_detections(params, cfg, grid, tensors, [s.image_id for s in chunk]))
     dets = Detections.concat(parts)
     return coco_map(dets, all_gts, cfg.eval), dets
 
@@ -153,6 +164,11 @@ def run_training(
     if not train_samples:
         raise ValidationError(f"training manifest {train_manifest} has no samples")
     val_samples = load_samples(val_manifest) if val_manifest else None
+    # the preprocessed inputs and input-frame boxes, read once; augmentation
+    # operates in the input frame every epoch
+    prepared = [prepare_eval_input(s, cfg) for s in train_samples]
+    for sample in val_samples or ():
+        load_ppm(sample.path)  # an unreadable val image fails now, not after training
 
     in_w, in_h = cfg.training.input_size
     grid = generate_anchors(cfg.anchors, in_w, in_h)
@@ -185,10 +201,6 @@ def run_training(
     partial_path = ckpt_path.with_name(ckpt_path.name + ".partial")
     metrics_path = out / "metrics.jsonl"
     metrics_partial = out / "metrics.jsonl.partial"
-
-    # cache preprocessed inputs and input-frame boxes once; augmentation
-    # operates in the input frame every epoch
-    prepared = [prepare_eval_input(s, cfg) for s in train_samples]
 
     metrics = [json.loads(line) for line in carried]
     final_val = None

@@ -222,6 +222,21 @@ class TestTrainCommand:
         assert code == 1
         assert "missing.ppm" in capsys.readouterr().err
 
+    def test_truncated_val_image_exits_one_before_training(self, tiny_cfg_path, tmp_path,
+                                                          capsys):
+        data = synth_dir(tiny_cfg_path, tmp_path)
+        whole = (data / "img_00011.ppm").read_bytes()
+        (tmp_path / "cut.ppm").write_bytes(whole[:-1])
+        val = tmp_path / "val.jsonl"
+        val.write_text(json.dumps({"image": "cut.ppm", "boxes": [], "labels": []}) + "\n")
+        out = tmp_path / "run"
+        capsys.readouterr()
+        code = main(["train", "--config", tiny_cfg_path, "--manifest", str(data / "manifest.jsonl"),
+                     "--val-manifest", str(val), "--out", str(out)])
+        assert code == 1
+        assert "pixel payload" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_class_label_rejected_before_training(self, tiny_cfg_path, tmp_path, capsys):
         data = synth_dir(tiny_cfg_path, tmp_path)
         rows = [json.loads(l) for l in (data / "manifest.jsonl").read_text().splitlines()]
@@ -375,6 +390,151 @@ class TestEvalCommand:
         assert "lateral0.w" in capsys.readouterr().err
 
 
+class TestEvalStreaming:
+    """`eval` reads, infers and decodes a fixed chunk of images at a time."""
+
+    @pytest.fixture(scope="class")
+    def split(self, tmp_path_factory):
+        """A 70-image split (two whole chunks and a ragged one) and a checkpoint with detections."""
+        from retina_kit.checkpoint import build_checkpoint
+        from retina_kit.network import init_params
+        from retina_kit.optim import AdamState
+        from retina_kit.training import EVAL_CHUNK
+
+        assert 2 * EVAL_CHUNK < 70 < 3 * EVAL_CHUNK
+        tmp = tmp_path_factory.mktemp("stream")
+        cfg_path = tmp / "config.json"
+        cfg_path.write_text(json.dumps({**TINY, "synth": {**TINY["synth"], "num_images": 70}}))
+        data = synth_dir(str(cfg_path), tmp)
+        cfg = run_config_from_dict(json.loads(cfg_path.read_text()))
+        params = init_params(cfg.network, cfg.anchors, np.random.default_rng(4))
+        # lift some scores over the prior and score_threshold
+        params["cls_out.w"] = params["cls_out.w"] * 10.0
+        params["cls_out.b"] = params["cls_out.b"] + 1.5
+        ckpt = tmp / "lifted.rkck"
+        save_checkpoint(ckpt, build_checkpoint(
+            params, AdamState.zeros_like(params), run_config_to_dict(cfg)
+        ))
+        return cfg_path, data, ckpt
+
+    def run_eval(self, split, manifest, out):
+        cfg_path, _, ckpt = split
+        return main(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                     "--manifest", str(manifest), "--out", str(out)])
+
+    @staticmethod
+    def manifest_of(split, path, n, last_image=None):
+        """The split's first n rows, cycling, with absolute paths; optionally a new last image."""
+        _, data, _ = split
+        rows = [json.loads(l) for l in (data / "manifest.jsonl").read_text().splitlines()]
+        rows = [{**r, "image": str(data / r["image"])} for r in (rows + rows)[:n]]
+        if last_image is not None:
+            rows[-1]["image"] = str(last_image)
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        return path
+
+    @staticmethod
+    def count_forwards(monkeypatch):
+        """A list that gains one entry per network forward the training module runs."""
+        import retina_kit.training as training
+
+        calls, real = [], training.forward
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(training, "forward", counted)
+        return calls
+
+    @staticmethod
+    def assert_no_outputs(out):
+        left = sorted(p.name for p in out.iterdir()) if out.exists() else []
+        assert not [n for n in left if n in ("report.json", "detections.jsonl")
+                    or n.endswith(".partial")], left
+
+    def test_ragged_chunks_equal_per_image_inference(self, split, tmp_path):
+        from retina_kit.anchors import generate_anchors
+        from retina_kit.checkpoint import canonical_json
+        from retina_kit.evaluation import coco_map
+        from retina_kit.postprocess import Detections, write_detections
+        from retina_kit.training import (
+            EVAL_CHUNK,
+            infer_detections,
+            load_samples,
+            prepare_eval_input,
+        )
+
+        cfg_path, data, ckpt = split
+        out = tmp_path / "eval"
+        assert self.run_eval(split, data / "manifest.jsonl", out) == 0
+
+        cfg = run_config_from_dict(json.loads(cfg_path.read_text()))
+        params = load_checkpoint(ckpt).params()
+        grid = generate_anchors(cfg.anchors, *cfg.training.input_size)
+        parts, gts = [], {}
+        for sample in load_samples(data / "manifest.jsonl"):
+            tensor, gts[sample.image_id] = prepare_eval_input(sample, cfg)
+            parts.append(infer_detections(params, cfg, grid, [tensor], [sample.image_id]))
+        dets = Detections.concat(parts)
+        assert set((dets.image_ids // EVAL_CHUNK).tolist()) == {0, 1, 2}  # in every chunk
+        report = coco_map(dets, gts, cfg.eval)
+        report["config"] = run_config_to_dict(cfg)
+        write_detections(dets, tmp_path / "want.jsonl")
+        want = (tmp_path / "want.jsonl").read_bytes()
+        assert (out / "detections.jsonl").read_bytes() == want
+        assert (out / "report.json").read_text() == canonical_json(report) + "\n"
+
+    def test_eval_memory_does_not_grow_with_the_split(self, split, tmp_path):
+        """Reading the manifest and evaluating it peaks alike on 32 and on 96 images."""
+        import tracemalloc
+
+        from retina_kit.training import evaluate_params, load_samples
+
+        cfg_path, _, ckpt = split
+        cfg = run_config_from_dict(json.loads(cfg_path.read_text()))
+        params = load_checkpoint(ckpt).params()
+        manifests = [self.manifest_of(split, tmp_path / f"{n}.jsonl", n) for n in (32, 96)]
+        evaluate_params(params, cfg, load_samples(manifests[0]))  # warm caches first
+        peaks = []
+        tracemalloc.start()
+        try:
+            for manifest in manifests:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                evaluate_params(params, cfg, load_samples(manifest))
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 2**20, peaks
+
+    def test_missing_image_exits_one_before_inference(self, split, tmp_path, capsys,
+                                                      monkeypatch):
+        calls = self.count_forwards(monkeypatch)
+        manifest = self.manifest_of(split, tmp_path / "40.jsonl", 40, tmp_path / "gone.ppm")
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert self.run_eval(split, manifest, out) == 1
+        assert "gone.ppm" in capsys.readouterr().err
+        assert calls == []
+        self.assert_no_outputs(out)
+
+    def test_truncated_image_past_first_chunk_exits_one(self, split, tmp_path, capsys,
+                                                        monkeypatch):
+        _, data, _ = split
+        whole = (data / "img_00039.ppm").read_bytes()
+        cut = tmp_path / "cut.ppm"
+        cut.write_bytes(whole[: len(whole) // 2])
+        calls = self.count_forwards(monkeypatch)
+        manifest = self.manifest_of(split, tmp_path / "40.jsonl", 40, cut)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert self.run_eval(split, manifest, out) == 1
+        assert "pixel payload" in capsys.readouterr().err
+        assert calls == [1]  # the first chunk was inferred before the bad image was read
+        self.assert_no_outputs(out)
+
+
 class TestDetectCommand:
     @pytest.fixture
     def trained(self, tiny_cfg_path, tmp_path):
@@ -449,6 +609,19 @@ class TestExitCodes:
                      "--out", str(out), "--replay-gt"])
         assert code == 1
         assert "eval.max_detections_per_image must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("synth", "num_images", 2.0), ("network", "fpn_channels", 32.5),
+         ("network", "head_depth", 1.5)],
+    )
+    def test_fractional_integer_field_exits_one(self, tmp_path, capsys, section, key, value):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**TINY, section: {**TINY[section], key: value}}))
+        out = tmp_path / "data"
+        assert main(["synth", "--config", str(path), "--out", str(out)]) == 1
+        assert f"error: {section}.{key} must be an integer" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(

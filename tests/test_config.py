@@ -126,9 +126,43 @@ def test_default_config_is_self_consistent():
         ("training", "batch_size"),
         ("training", "epochs"),
         ("training", "eval_every"),
+        ("synth", "num_images"),
+        ("network", "fpn_channels"),
+        ("network", "head_depth"),
     ],
 )
 @pytest.mark.parametrize("value", [2.5, 3.0, "3", True])
 def test_integer_fields_reject_non_integers(section, key, value):
     with pytest.raises(ValidationError, match=f"{section}.{key} must be an integer"):
         run_config_from_dict({section: {key: value}})
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0, "3", True])
+def test_seed_rejects_non_integers(value):
+    with pytest.raises(ValidationError, match="^seed must be an integer"):
+        run_config_from_dict({"seed": value})
+
+
+@pytest.mark.parametrize(
+    "section, key, good",
+    [
+        ("synth", "image_size", [64, 64]),
+        ("synth", "pedestrians_per_image", [1, 3]),
+        ("synth", "template_height_px", [20, 40]),
+        ("training", "input_size", [64, 64]),
+        ("network", "stem_channels", [8, 16, 32, 64]),
+    ],
+)
+@pytest.mark.parametrize("bad", [32.5, 32.0, "32", True])
+def test_integer_list_fields_reject_non_integers(section, key, good, bad):
+    assert list(getattr(getattr(run_config_from_dict({section: {key: good}}), section), key)) == good
+    value = good[:-1] + [bad]
+    with pytest.raises(ValidationError, match=f"{section}.{key} must be integers"):
+        run_config_from_dict({section: {key: value}})
+
+
+@pytest.mark.parametrize("bad", [8.5, 8.0, True])
+def test_level_stride_rejects_non_integers(bad):
+    levels = [{"stride": bad, "base_size": 16.0}, {"stride": 16, "base_size": 32.0}]
+    with pytest.raises(ValidationError, match=r"anchors\.levels\[0\]\.stride must be an integer"):
+        run_config_from_dict({"anchors": {"levels": levels}})

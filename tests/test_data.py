@@ -252,6 +252,17 @@ class TestManifest:
         with pytest.raises(ManifestError, match=r"classes\.jsonl: line 2: .*single-class"):
             read_manifest(path)
 
+    @pytest.mark.parametrize("label", [0.7, -0.4, 0.0, "0", False, None])
+    def test_label_must_be_integer_zero(self, tmp_path, label):
+        path = tmp_path / "labels.jsonl"
+        rows = [
+            {"image": "a.ppm", "boxes": [[0, 0, 4, 4]], "labels": [0]},
+            {"image": "b.ppm", "boxes": [[0, 0, 4, 4]], "labels": [label]},
+        ]
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        with pytest.raises(ManifestError, match=r"labels\.jsonl: line 2: .*integer 0"):
+            read_manifest(path)
+
 
 class TestAugmentConfig:
     @pytest.mark.parametrize(

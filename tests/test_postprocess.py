@@ -313,8 +313,9 @@ class TestBatchIndependence:
         params["cls_out.w"] = params["cls_out.w"] * 3.0  # lift some scores over the prior
         tensors = [rng.uniform(0.0, 1.0, size=(3, 64, 64)).astype(np.float32) for _ in range(5)]
         ids = [7, 8, 9, 10, 11]
-        chunk = infer_detections(params, cfg, tensors, ids)
-        singles = Detections.concat(infer_detections(params, cfg, [t], [i]) for t, i in zip(tensors, ids))
+        grid = generate_anchors(cfg.anchors, *cfg.training.input_size)
+        chunk = infer_detections(params, cfg, grid, tensors, ids)
+        singles = Detections.concat(infer_detections(params, cfg, grid, [t], [i]) for t, i in zip(tensors, ids))
         assert len(chunk) > 0
         self.assert_same(chunk, singles)
 
