@@ -94,7 +94,9 @@ def _from_section(cls, raw: dict, where: str):
         kwargs["levels"] = tuple(levels)
     try:
         return cls(**kwargs)
-    except TypeError as e:
+    except ValidationError:
+        raise
+    except (TypeError, ValueError) as e:  # e.g. a wrong key type, or a range of the wrong length
         raise ValidationError(f"bad config section '{where}': {e}") from e
 
 

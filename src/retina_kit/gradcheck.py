@@ -13,7 +13,7 @@ import numpy as np
 from .anchors import AnchorConfig, AnchorLevel, assign_targets, generate_anchors
 from .config import RunConfig
 from .layers import conv2d_backward, conv2d_forward, upsample_nearest_x2, upsample_nearest_x2_backward
-from .losses import LossConfig, sigmoid_focal_loss, smooth_l1, total_detection_loss
+from .losses import LossConfig, loss_targets, sigmoid_focal_loss, smooth_l1, total_detection_loss
 from .network import INPUT_CHANNELS, backward, forward, init_params
 
 STREAM_GRADCHECK = 505
@@ -149,13 +149,14 @@ def _small_instance(rng):
 def check_total_loss(rng, perturb=None) -> float:
     loss_cfg = LossConfig()
     assignment, logits, deltas = _small_instance(rng)
-    _, g_cls, g_box = total_detection_loss(logits, deltas, assignment, loss_cfg)
+    labels, targets = loss_targets([assignment])
+    _, g_cls, g_box = total_detection_loss(logits[None], deltas[None], labels, targets, loss_cfg)
     if perturb is not None:
         g_cls = perturb("total_loss", g_cls)
 
     def scalar():
-        val, _, _ = total_detection_loss(logits, deltas, assignment, loss_cfg)
-        return val
+        val, _, _ = total_detection_loss(logits[None], deltas[None], labels, targets, loss_cfg)
+        return val[0]
 
     worst = 0.0
     for arr, grad in ((logits, g_cls), (deltas, g_box)):
@@ -190,16 +191,16 @@ def check_end_to_end(cfg: RunConfig, rng, perturb=None, n_params=200) -> float:
 
     grid = generate_anchors(cfg.anchors, 16, 16)
     gts = np.array([[2.0, 1.0, 8.0, 13.0], [7.0, 3.0, 13.0, 15.0]])
-    assignment = assign_targets(grid, gts, cfg.anchors)
+    labels, targets = loss_targets([assign_targets(grid, gts, cfg.anchors)])
 
     def scalar():
         (cls_rows, box_rows), _ = forward(image, params, cfg.network, cfg.anchors)
-        val, _, _ = total_detection_loss(cls_rows[0], box_rows[0], assignment, cfg.loss)
-        return val
+        val, _, _ = total_detection_loss(cls_rows, box_rows, labels, targets, cfg.loss)
+        return val[0]
 
     (cls_rows, box_rows), cache = forward(image, params, cfg.network, cfg.anchors)
-    _, g_cls, g_box = total_detection_loss(cls_rows[0], box_rows[0], assignment, cfg.loss)
-    grads = backward(cache, g_cls[None], g_box[None])
+    _, g_cls, g_box = total_detection_loss(cls_rows, box_rows, labels, targets, cfg.loss)
+    grads = backward(cache, g_cls, g_box)
     if perturb is not None:
         grads = perturb("end_to_end", grads)
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anchors import IGNORE, POSITIVE, AnchorAssignment
+from .anchors import IGNORE, POSITIVE
 from .errors import ValidationError
 from .layers import sigmoid, softplus
 
@@ -86,44 +86,63 @@ def smooth_l1(pred, target, beta: float):
     return loss, grad
 
 
-def total_detection_loss(
-    cls_logits, box_deltas, assignment: AnchorAssignment, config: LossConfig
-):
-    """Normalized detection loss over one image's anchors.
+def loss_targets(assignments) -> tuple[np.ndarray, np.ndarray]:
+    """Per-image assignments as total_detection_loss's (labels, target_deltas)."""
+    labels = np.stack([a.labels for a in assignments])
+    return labels, np.concatenate([a.deltas[a.labels == POSITIVE] for a in assignments])
 
-    Classification focal loss is summed over positive and negative anchors
-    (ignored anchors contribute nothing, to loss or gradient); smooth-L1
-    regression is summed over positives only. Both sums and both gradients
-    are divided by max(1, num_positive). The detector has one class, so
-    cls_logits holds one logit per anchor and the target is the anchor's
-    positive flag.
 
-    Returns (scalar_loss, grad_wrt_cls_logits, grad_wrt_box_deltas).
+def total_detection_loss(cls_rows, box_rows, labels, target_deltas, config: LossConfig):
+    """Normalized detection loss of each image of a batch.
+
+    cls_rows (B, N) holds one logit per anchor (the detector has one class,
+    so the target is the anchor's positive flag), box_rows (B, N, 4) the
+    regression deltas and labels (B, N) each anchor's POSITIVE / NEGATIVE /
+    IGNORE. target_deltas (P, 4) are the regression targets of the
+    positives, in the order of box_rows[labels == POSITIVE] (see
+    loss_targets).
+
+    Per image, classification focal loss is summed over positive and
+    negative anchors (ignored anchors contribute nothing, to loss or
+    gradient) and smooth-L1 regression over positives only. Both sums and
+    both gradients are divided by max(1, the image's positive count), as if
+    the image ran alone. The elementwise math runs once over the batch; each
+    image's float64 sums run over its own anchors, in anchor order.
+
+    Returns (losses (B,) float64, grad_wrt_cls_rows, grad_wrt_box_rows).
     """
-    logits = np.asarray(cls_logits)
-    deltas = np.asarray(box_deltas)
-    n = assignment.labels.shape[0]
-    if logits.shape != (n,):
-        raise ValidationError(f"cls_logits must be ({n},), got shape {logits.shape}")
-    if deltas.shape != (n, 4):
-        raise ValidationError(f"box_deltas must be ({n}, 4), got shape {deltas.shape}")
+    logits = np.asarray(cls_rows)
+    deltas = np.asarray(box_rows)
+    labels = np.asarray(labels)
+    if labels.ndim != 2:
+        raise ValidationError(f"labels must be (B, N), got shape {labels.shape}")
+    b, n = labels.shape
+    if logits.shape != (b, n):
+        raise ValidationError(f"cls_rows must be ({b}, {n}), got shape {logits.shape}")
+    if deltas.shape != (b, n, 4):
+        raise ValidationError(f"box_rows must be ({b}, {n}, 4), got shape {deltas.shape}")
 
-    pos = assignment.labels == POSITIVE
-    valid = assignment.labels != IGNORE
-    norm = max(1, assignment.num_positive)
+    pos = labels == POSITIVE
+    valid = labels != IGNORE
+    counts = pos.sum(axis=1)
+    if np.shape(target_deltas) != (counts.sum(), 4):
+        raise ValidationError(
+            f"target_deltas must be ({counts.sum()}, 4), got shape {np.shape(target_deltas)}"
+        )
+    norms = np.maximum(counts, 1)
+    # float32, so a float32 gradient stays float32; small counts are exact
+    norm_col = norms.astype(np.float32)[:, None]
 
     cls_elem, cls_grad = sigmoid_focal_loss(logits, pos, config)
-    cls_sum = float(np.sum(cls_elem[valid], dtype=np.float64))
-    grad_cls = np.where(valid, cls_grad, 0.0) / norm
-
+    grad_cls = np.where(valid, cls_grad, 0.0) / norm_col
+    reg_elem, reg_grad = smooth_l1(deltas[pos], target_deltas, config.smooth_l1_beta)
     grad_box = np.zeros_like(deltas, dtype=cls_grad.dtype)
-    reg_sum = 0.0
-    if np.any(pos):
-        reg_elem, reg_grad = smooth_l1(
-            deltas[pos], assignment.deltas[pos].astype(deltas.dtype), config.smooth_l1_beta
-        )
-        reg_sum = float(np.sum(reg_elem, dtype=np.float64))
-        grad_box[pos] = reg_grad / norm
+    grad_box[pos] = reg_grad / np.repeat(norm_col, counts, axis=0)
 
-    total = (cls_sum + reg_sum) / norm
-    return total, grad_cls, grad_box
+    losses = np.empty(b)
+    ends = np.cumsum(counts).tolist()
+    for i, (norm, end, count) in enumerate(zip(norms.tolist(), ends, counts.tolist())):
+        cls_sum = float(np.sum(cls_elem[i][valid[i]], dtype=np.float64))
+        reg_sum = float(np.sum(reg_elem[end - count : end], dtype=np.float64))
+        losses[i] = (cls_sum + reg_sum) / norm
+    return losses, grad_cls, grad_box

@@ -37,8 +37,19 @@ class PpmTruncatedError(PpmParseError):
 
 
 def load_ppm(path) -> np.ndarray:
-    """Read a P6 file into a (3, H, W) float32 tensor with values in [0, 255]."""
+    """Read a P6 file into a (3, H, W) float32 tensor with values in [0, 255].
+
+    A parse error's message begins with the path.
+    """
     data = Path(path).read_bytes()
+    try:
+        return _decode_ppm(data)
+    except PpmParseError as e:
+        e.args = (f"{path}: {e}",)
+        raise
+
+
+def _decode_ppm(data: bytes) -> np.ndarray:
     if len(data) < 2:
         raise PpmHeaderError("file too short for a PPM magic", 0)
     magic = data[:2]

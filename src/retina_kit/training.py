@@ -2,20 +2,28 @@
 
 Training reads and preprocesses every image once, into a cache. Pipeline
 per minibatch: augment and anchor assignment per image -> one forward over
-the stacked images -> each image's detection loss -> one backward. The
+the stacked images -> the batch's detection losses -> one backward. The
 batch's summed gradients are divided by the batch size and fed to Adam.
-Evaluation reads, preprocesses, infers and decodes EVAL_CHUNK images at a
-time. Validation mAP runs the exact decode + NMS + COCO path used by `eval`,
-so the reported number is the deployable metric.
+Augmentation and assignment run one minibatch ahead in a forked worker
+process (see _prefetch), so they overlap the forward and backward; the main
+process does everything else. Evaluation reads, preprocesses, infers and
+decodes EVAL_CHUNK images at a time. Validation mAP runs the exact decode +
+NMS + COCO path used by `eval`, so the reported number is the deployable
+metric.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import mmap
+import multiprocessing
 import os
+import signal
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
+from traceback import format_exc
 
 import numpy as np
 
@@ -29,9 +37,9 @@ from .checkpoint import (
 )
 from .config import RunConfig, run_config_to_dict
 from .data import augment, preprocess, read_manifest
-from .errors import NumericError, ValidationError
+from .errors import NumericError, RetinaKitError, ValidationError
 from .evaluation import coco_map
-from .losses import total_detection_loss
+from .losses import loss_targets, total_detection_loss
 from .network import backward, forward, init_params, param_shapes
 from .optim import AdamState, adam_step
 from .postprocess import Detections, decode_detections
@@ -152,6 +160,121 @@ def _prior_metrics_rows(checkpoint_path, epochs: int) -> list[str]:
     return lines
 
 
+def _epoch_order(cfg: RunConfig, n: int, epoch: int) -> np.ndarray:
+    return np.random.default_rng([cfg.seed, STREAM_SHUFFLE, epoch]).permutation(n)
+
+
+def _minibatch_inputs(prepared, grid: AnchorGrid, cfg: RunConfig, n: int, start_epoch: int):
+    """Each minibatch's inputs from start_epoch on, in the order training takes them.
+
+    Yields (images (b, 3, H, W) float32, labels, target_deltas), the last
+    two as total_detection_loss takes them. Every image draws its
+    augmentation from its own (seed, epoch, index) stream.
+    """
+    batch_size = cfg.training.batch_size
+    for epoch in range(start_epoch, cfg.training.epochs):
+        order = _epoch_order(cfg, n, epoch)
+        for b in range(0, n, batch_size):
+            tensors, assignments = [], []
+            for idx in order[b : b + batch_size]:
+                tensor, boxes = prepared[idx]
+                aug_rng = np.random.default_rng([cfg.seed, STREAM_AUGMENT, epoch, int(idx)])
+                tensor, boxes = augment(tensor, boxes, cfg.augment, aug_rng)
+                tensors.append(tensor)
+                assignments.append(assign_targets(grid, boxes, cfg.anchors))
+            yield (np.stack(tensors), *loss_targets(assignments))
+
+
+# seconds run_training waits for the worker to exit before terminating it
+WORKER_EXIT_TIMEOUT = 5.0
+
+
+def _fill_slots(conn, main_end, slots, inputs) -> None:
+    """Worker process: write each minibatch of inputs to a free slot, then announce it.
+
+    A message is (slot, count, labels, target_deltas), None once the inputs
+    end, or the exception they raised, its traceback attached as a note.
+    Both slots start free; the main process sends a slot back once it is
+    done with it, and the worker waits for one before it writes. The worker
+    holds its end of the pipe until the main process closes its own, so a
+    slot sent back never meets a closed pipe.
+    """
+    main_end.close()  # the fork's copy; the pipe must close when the main process closes it
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the main process's to handle
+    free = [0, 1]
+    try:
+        for images, labels, target_deltas in inputs:
+            if not free:
+                free.append(conn.recv())
+            slot = free.pop(0)
+            slots[slot, : len(images)] = images
+            conn.send((slot, len(images), labels, target_deltas))
+        conn.send(None)
+    except (EOFError, OSError):
+        return  # the main process closed its end
+    except Exception as e:  # the main process raises it when it reaches this batch
+        e.__notes__ = [*getattr(e, "__notes__", ()), f"in the minibatch worker:\n{format_exc()}"]
+        with suppress(OSError):
+            conn.send(e)
+    with suppress(EOFError, OSError):
+        while True:
+            conn.recv()
+
+
+def _received(conn, slots, worker):
+    """The worker's minibatches; each image batch is a view of its slot.
+
+    The slot goes back to the worker when the next minibatch is asked for,
+    so a view must not be used past that.
+    """
+    slot = None
+    while True:
+        try:
+            if slot is not None:
+                conn.send(slot)
+            msg = conn.recv()
+        except (EOFError, OSError):
+            worker.join()
+            raise RetinaKitError(f"minibatch worker exited with code {worker.exitcode}") from None
+        if msg is None:
+            return
+        if isinstance(msg, BaseException):
+            raise msg
+        slot, count, labels, target_deltas = msg
+        yield slots[slot, :count], labels, target_deltas
+
+
+@contextmanager
+def _prefetch(inputs, batch_shape):
+    """inputs, run one minibatch ahead in a forked worker process.
+
+    Image batches travel through two shared-memory slots of batch_shape
+    (B, 3, H, W); the labels and targets, which are small, through a pipe.
+    Where fork is unavailable, inputs runs in-process. On leaving, the pipe
+    is closed and the worker joined, or terminated after
+    WORKER_EXIT_TIMEOUT seconds.
+    """
+    if "fork" not in multiprocessing.get_all_start_methods():
+        yield inputs
+        return
+    nbytes = 2 * math.prod(batch_shape) * np.dtype(np.float32).itemsize
+    slots = np.frombuffer(mmap.mmap(-1, nbytes), np.float32).reshape(2, *batch_shape)
+    conn, child_conn = multiprocessing.Pipe()
+    worker = multiprocessing.get_context("fork").Process(
+        target=_fill_slots, args=(child_conn, conn, slots, inputs), daemon=True
+    )
+    worker.start()
+    child_conn.close()
+    try:
+        yield _received(conn, slots, worker)
+    finally:
+        conn.close()
+        worker.join(WORKER_EXIT_TIMEOUT)
+        if worker.is_alive():
+            worker.terminate()
+            worker.join()
+
+
 def run_training(
     cfg: RunConfig,
     train_manifest,
@@ -204,37 +327,30 @@ def run_training(
 
     metrics = [json.loads(line) for line in carried]
     final_val = None
-    with open(metrics_partial, "w", encoding="utf-8") as mf:
+    inputs = _minibatch_inputs(prepared, grid, cfg, n, start_epoch)
+    with open(metrics_partial, "w", encoding="utf-8") as mf, _prefetch(
+        inputs, (batch_size, 3, in_h, in_w)
+    ) as batches:
         mf.writelines(line + "\n" for line in carried)
         for epoch in range(start_epoch, cfg.training.epochs):
-            order = np.random.default_rng([cfg.seed, STREAM_SHUFFLE, epoch]).permutation(n)
+            order = _epoch_order(cfg, n, epoch)
             loss_sum = 0.0
             for b in range(0, n, batch_size):
-                batch = order[b : b + batch_size]
-                tensors, assignments = [], []
-                for idx in batch:
-                    tensor, boxes = prepared[idx]
-                    aug_rng = np.random.default_rng([cfg.seed, STREAM_AUGMENT, epoch, int(idx)])
-                    tensor, boxes = augment(tensor, boxes, cfg.augment, aug_rng)
-                    tensors.append(tensor)
-                    assignments.append(assign_targets(grid, boxes, cfg.anchors))
-                (cls_rows, box_rows), cache = forward(
-                    np.stack(tensors), params, cfg.network, cfg.anchors
+                images, labels, target_deltas = next(batches)
+                (cls_rows, box_rows), cache = forward(images, params, cfg.network, cfg.anchors)
+                # each image normalized by its own max(1, num_pos), as if it ran alone
+                losses, g_cls, g_box = total_detection_loss(
+                    cls_rows, box_rows, labels, target_deltas, cfg.loss
                 )
-                g_cls, g_box = np.empty_like(cls_rows), np.empty_like(box_rows)
-                for i, idx in enumerate(batch):
-                    # normalized by the image's own max(1, num_pos), as if it ran alone
-                    loss, g_cls[i], g_box[i] = total_detection_loss(
-                        cls_rows[i], box_rows[i], assignments[i], cfg.loss
-                    )
+                for i, loss in enumerate(losses.tolist()):
                     if not math.isfinite(loss):
                         raise NumericError(
                             f"non-finite loss at epoch {epoch} batch {b // batch_size} "
-                            f"(sample {train_samples[idx].path})"
+                            f"(sample {train_samples[order[b + i]].path})"
                         )
                     loss_sum += loss
                 grads = backward(cache, g_cls, g_box)
-                scale = 1.0 / len(batch)
+                scale = 1.0 / len(images)
                 for name in grads:
                     grads[name] *= scale
                 adam_step(params, grads, state, lr=cfg.training.lr)

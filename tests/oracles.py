@@ -4,10 +4,12 @@ Everything here is deliberately naive: explicit loops, no sorting shortcuts,
 one box at a time. Nothing is imported from the package except the `BBox`
 row type and the anchor label constants, so no code is shared with the
 implementations under test. `transform_box` takes the affine as given and
-maps its corners with the transform's own `apply`. The exception is
-`naive_nms_indices`, the one-image greedy loop the batched NMS replaced: it
-keeps the package's `iou_matrix`, because the batched loop must return its
-keep lists exactly, rounding at the threshold included.
+maps its corners with the transform's own `apply`. Two oracles are the
+loops the batched code replaced, and keep a package function so that they
+must agree bit for bit: `naive_nms_indices`, the one-image greedy NMS, keeps
+`iou_matrix` (rounding at the threshold included), and
+`naive_detection_loss`, the one-image loss, keeps the elementwise focal and
+smooth-L1 functions.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 
 from retina_kit.anchors import IGNORE, NEGATIVE, POSITIVE
 from retina_kit.boxes import BBox, boxes_to_array, iou_matrix
+from retina_kit.losses import sigmoid_focal_loss, smooth_l1
 
 DELTA_CLAMP = math.log(1000.0 / 16.0)
 
@@ -322,6 +325,29 @@ def naive_nms_indices(boxes: np.ndarray, scores: np.ndarray, iou_thresh: float, 
         ious = iou_matrix(boxes[i : i + 1], boxes[rest])[0]
         order = rest[ious <= iou_thresh]
     return keep
+
+
+def naive_detection_loss(cls_logits, box_deltas, assignment, config):
+    """One image's (loss, grad_cls, grad_box): the per-image loop the batched loss replaced.
+
+    It keeps the package's sigmoid_focal_loss and smooth_l1, because the
+    batched loss must return its bytes exactly.
+    """
+    pos = assignment.labels == POSITIVE
+    valid = assignment.labels != IGNORE
+    norm = max(1, assignment.num_positive)
+    cls_elem, cls_grad = sigmoid_focal_loss(cls_logits, pos, config)
+    cls_sum = float(np.sum(cls_elem[valid], dtype=np.float64))
+    grad_cls = np.where(valid, cls_grad, 0.0) / norm
+    grad_box = np.zeros_like(box_deltas, dtype=cls_grad.dtype)
+    reg_sum = 0.0
+    if np.any(pos):
+        reg_elem, reg_grad = smooth_l1(
+            box_deltas[pos], assignment.deltas[pos].astype(box_deltas.dtype), config.smooth_l1_beta
+        )
+        reg_sum = float(np.sum(reg_elem, dtype=np.float64))
+        grad_box[pos] = reg_grad / norm
+    return (cls_sum + reg_sum) / norm, grad_cls, grad_box
 
 
 def central_difference(f, x, h=1e-5):

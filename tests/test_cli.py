@@ -625,6 +625,32 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "synth",
+        [{"pedestrians_per_image": [1]}, {"template_aspect": [2.0, 3.0, 4.0]},
+         {"template_aspect": ["wide", 3.0]}],
+    )
+    def test_malformed_range_exits_one(self, tmp_path, capsys, synth):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"synth": synth}))
+        out = tmp_path / "data"
+        assert main(["synth", "--config", str(path), "--out", str(out)]) == 1
+        assert "error: bad config section 'synth'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_truncated_image_error_names_the_file(self, tiny_cfg_path, tmp_path, capsys,
+                                                   command):
+        data = synth_dir(tiny_cfg_path, tmp_path)
+        cut = data / "img_00003.ppm"
+        cut.write_bytes(cut.read_bytes()[:-7])
+        argv = [command, "--config", tiny_cfg_path, "--manifest", str(data / "manifest.jsonl"),
+                "--out", str(tmp_path / "out")]
+        capsys.readouterr()
+        assert main(argv + (["--replay-gt"] if command == "eval" else [])) == 1
+        err = capsys.readouterr().err
+        assert f"error: {cut}: pixel payload needs" in err
+
+    @pytest.mark.parametrize(
         "command, tensor",
         [
             pytest.param("eval", "stem0.w", id="eval"),

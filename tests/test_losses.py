@@ -5,11 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import central_difference, logsumexp_bce, rel_err
+from oracles import central_difference, logsumexp_bce, naive_detection_loss, rel_err
 from retina_kit.anchors import AnchorConfig, AnchorLevel, assign_targets, generate_anchors
 from retina_kit.boxes import BBox
 from retina_kit.errors import ValidationError
-from retina_kit.losses import LossConfig, sigmoid_focal_loss, smooth_l1, total_detection_loss
+from retina_kit.losses import (
+    LossConfig,
+    loss_targets,
+    sigmoid_focal_loss,
+    smooth_l1,
+    total_detection_loss,
+)
 
 
 class TestLossConfig:
@@ -161,12 +167,20 @@ def small_scene(rng, n_gts=2):
     return assignment, logits, deltas
 
 
+def image_loss(logits, deltas, assignment, cfg):
+    """total_detection_loss on a batch of one image, with the batch axis taken off."""
+    losses, g_cls, g_box = total_detection_loss(
+        logits[None], deltas[None], *loss_targets([assignment]), cfg
+    )
+    return losses[0], g_cls[0], g_box[0]
+
+
 class TestTotalLoss:
     def test_empty_scene_easy_negatives(self):
         rng = np.random.default_rng(0)
         assignment, logits, deltas = small_scene(rng, n_gts=0)
         logits = np.full_like(logits, -40.0)
-        total, g_cls, g_box = total_detection_loss(logits, deltas, assignment, LossConfig())
+        total, g_cls, g_box = image_loss(logits, deltas, assignment, LossConfig())
         assert total < 1e-10
         assert np.all(g_box == 0.0)
 
@@ -175,14 +189,14 @@ class TestTotalLoss:
         assignment, logits, deltas = small_scene(rng)
         logits = np.where(assignment.labels == 1, 40.0, -40.0).astype(np.float64)
         deltas = assignment.deltas.copy()
-        total, _, _ = total_detection_loss(logits, deltas, assignment, LossConfig())
+        total, _, _ = image_loss(logits, deltas, assignment, LossConfig())
         assert total < 1e-12
 
     def test_normalizes_by_positive_count(self):
         rng = np.random.default_rng(0)
         assignment, logits, deltas = small_scene(rng)
         assert assignment.num_positive >= 1
-        total, _, _ = total_detection_loss(logits, deltas, assignment, LossConfig())
+        total, _, _ = image_loss(logits, deltas, assignment, LossConfig())
         cls, _ = sigmoid_focal_loss(
             logits,
             np.where(assignment.labels == 1, 1.0, 0.0),
@@ -201,10 +215,10 @@ class TestTotalLoss:
         assignment, logits, deltas = small_scene(rng)
         ignore_idx = np.nonzero(assignment.labels == -1)[0]
         assert ignore_idx.size > 0
-        base = total_detection_loss(logits, deltas, assignment, LossConfig())
+        base = image_loss(logits, deltas, assignment, LossConfig())
         bumped = logits.copy()
         bumped[ignore_idx] += 7.5
-        after = total_detection_loss(bumped, deltas, assignment, LossConfig())
+        after = image_loss(bumped, deltas, assignment, LossConfig())
         assert after[0] == base[0]
         assert np.array_equal(after[1][ignore_idx], np.zeros(ignore_idx.size))
         assert np.array_equal(
@@ -214,20 +228,23 @@ class TestTotalLoss:
     def test_shape_mismatch_rejected(self, rng):
         assignment, logits, deltas = small_scene(rng)
         with pytest.raises(ValidationError):
-            total_detection_loss(logits[:-1], deltas, assignment, LossConfig())
+            image_loss(logits[:-1], deltas, assignment, LossConfig())
         # (N, 1) would be a class axis; the single-class head takes (N,)
         with pytest.raises(ValidationError):
-            total_detection_loss(logits[:, None], deltas, assignment, LossConfig())
+            image_loss(logits[:, None], deltas, assignment, LossConfig())
         with pytest.raises(ValidationError):
-            total_detection_loss(logits, deltas[:, :3], assignment, LossConfig())
+            image_loss(logits, deltas[:, :3], assignment, LossConfig())
+        labels, targets = loss_targets([assignment])
+        with pytest.raises(ValidationError):
+            total_detection_loss(logits[None], deltas[None], labels, targets[1:], LossConfig())
 
     def test_gradients_match_fd(self, rng):
         assignment, logits, deltas = small_scene(rng)
         cfg = LossConfig()
-        total, g_cls, g_box = total_detection_loss(logits, deltas, assignment, cfg)
+        total, g_cls, g_box = image_loss(logits, deltas, assignment, cfg)
 
         def scalar():
-            v, _, _ = total_detection_loss(logits, deltas, assignment, cfg)
+            v, _, _ = image_loss(logits, deltas, assignment, cfg)
             return v
 
         worst = 0.0
@@ -242,3 +259,25 @@ class TestTotalLoss:
                 flat[i] = orig
                 worst = max(worst, rel_err(float(gflat[i]), (up - down) / 2e-5, 1e-8))
         assert worst < 1e-4
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_batched_loss_equals_per_image_oracle(rng, dtype):
+    anchors = AnchorConfig()
+    grid = generate_anchors(anchors, 64, 64)
+    assignments = []
+    for count in (0, 1, 3, 2, 5, 1, 0, 4):
+        xy = rng.uniform(0, 44, size=(count, 2))
+        wh = rng.uniform(8, 20, size=(count, 2))
+        assignments.append(assign_targets(grid, np.hstack([xy, xy + wh]), anchors))
+    n = len(grid)
+    logits = (rng.standard_normal((8, n)) * 4).astype(dtype)
+    deltas = (rng.standard_normal((8, n, 4)) * 0.5).astype(dtype)
+    losses, g_cls, g_box = total_detection_loss(
+        logits, deltas, *loss_targets(assignments), LossConfig()
+    )
+    assert g_cls.dtype == g_box.dtype == dtype
+    for i, assignment in enumerate(assignments):
+        loss, gc, gb = naive_detection_loss(logits[i], deltas[i], assignment, LossConfig())
+        assert losses[i] == loss
+        assert gc.tobytes() == g_cls[i].tobytes() and gb.tobytes() == g_box[i].tobytes()

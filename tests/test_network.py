@@ -7,7 +7,7 @@ from retina_kit.boxes import BBox
 from retina_kit.config import run_config_from_dict
 from retina_kit.errors import ValidationError
 from retina_kit.layers import sigmoid
-from retina_kit.losses import LossConfig, total_detection_loss
+from retina_kit.losses import LossConfig, loss_targets, total_detection_loss
 from retina_kit.network import (
     NetworkConfig,
     _flatten_level_outputs,
@@ -307,7 +307,7 @@ class TestTrainingStep:
         grid = generate_anchors(anchor_cfg, 64, 64)
         loss_cfg = LossConfig()
         gts = [BBox(20.0, 12.0, 36.0, 44.0)]
-        assignment = assign_targets(grid, gts, anchor_cfg)
+        labels, targets = loss_targets([assign_targets(grid, gts, anchor_cfg)])
         failures = 0
         for seed in range(10):
             net_cfg = NetworkConfig()
@@ -317,11 +317,11 @@ class TestTrainingStep:
 
             def loss_of(p):
                 (fc, fb), cache = forward(img, p, net_cfg, anchor_cfg)
-                val, gc, gb = total_detection_loss(fc[0], fb[0], assignment, loss_cfg)
-                return val, cache, gc, gb
+                val, gc, gb = total_detection_loss(fc, fb, labels, targets, loss_cfg)
+                return val[0], cache, gc, gb
 
             before, cache, gc, gb = loss_of(params)
-            grads = backward(cache, gc[None], gb[None])
+            grads = backward(cache, gc, gb)
             state = AdamState.zeros_like(params)
             adam_step(params, grads, state, lr=1e-3)
             after, _, _, _ = loss_of(params)

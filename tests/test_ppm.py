@@ -90,3 +90,17 @@ def test_parse_errors_are_validation_errors(tmp_path):
 def test_save_rejects_bad_shape(tmp_path):
     with pytest.raises(ValidationError):
         save_ppm(np.zeros((1, 4, 4)), tmp_path / "bad.ppm")
+
+
+@pytest.mark.parametrize(
+    "content, error",
+    [(b"P6\n2 2\n255\n" + bytes(5), PpmTruncatedError), (b"P3\n1 1\n255\n0 0 0\n", PpmVariantError),
+     (b"P6\n1 1\n65535\n" + bytes(6), PpmMaxvalError)],
+    ids=["truncated", "variant", "maxval"],
+)
+def test_parse_errors_name_the_file(tmp_path, content, error):
+    path = tmp_path / "named.ppm"
+    path.write_bytes(content)
+    with pytest.raises(error, match=r"^.*named\.ppm: .*\(byte offset \d+\)$") as info:
+        load_ppm(path)
+    assert str(info.value).startswith(f"{path}: ")
