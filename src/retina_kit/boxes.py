@@ -1,6 +1,6 @@
 """Axis-aligned box geometry on (N, 4) float64 corner arrays.
 
-IoU, clipping, affine transforms, and the anchor-relative offset
+IoU, clipping, mapping through a 2x3 affine, and the anchor-relative offset
 parameterization used by the regression head: center shifts are measured in
 anchor widths/heights, sizes as log ratios, so encode and decode are exact
 inverses. `BBox` is the validated row type for boxes parsed from files.
@@ -52,70 +52,6 @@ class BBox:
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x1, self.y1, self.x2, self.y2)
-
-
-@dataclass
-class AffineTransform:
-    """2x3 matrix mapping input pixel coordinates (x, y) to output coordinates."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64)
-        if m.shape != (2, 3):
-            raise ValueError(f"affine matrix must be 2x3, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("affine matrix entries must be finite")
-        self.matrix = m
-
-    @classmethod
-    def identity(cls) -> "AffineTransform":
-        return cls(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
-
-    @classmethod
-    def translation(cls, tx: float, ty: float) -> "AffineTransform":
-        return cls(np.array([[1.0, 0.0, tx], [0.0, 1.0, ty]]))
-
-    @classmethod
-    def scaling(cls, s: float, center=(0.0, 0.0)) -> "AffineTransform":
-        cx, cy = center
-        return cls(np.array([[s, 0.0, cx - s * cx], [0.0, s, cy - s * cy]]))
-
-    @classmethod
-    def rotation_deg(cls, angle_deg: float, center=(0.0, 0.0)) -> "AffineTransform":
-        cx, cy = center
-        c = math.cos(math.radians(angle_deg))
-        s = math.sin(math.radians(angle_deg))
-        # T(c) . R . T(-c)
-        return cls(
-            np.array(
-                [
-                    [c, -s, cx - c * cx + s * cy],
-                    [s, c, cy - s * cx - c * cy],
-                ]
-            )
-        )
-
-    @classmethod
-    def hflip(cls, width: float) -> "AffineTransform":
-        return cls(np.array([[-1.0, 0.0, width], [0.0, 1.0, 0.0]]))
-
-    def compose(self, other: "AffineTransform") -> "AffineTransform":
-        """self after other: (self.compose(other)).apply(p) == self.apply(other.apply(p))."""
-        a, b = self.matrix, other.matrix
-        lin = a[:, :2] @ b[:, :2]
-        off = a[:, :2] @ b[:, 2] + a[:, 2]
-        return AffineTransform(np.column_stack([lin, off]))
-
-    def inverse(self) -> "AffineTransform":
-        inv = np.linalg.inv(self.matrix[:, :2])
-        off = -inv @ self.matrix[:, 2]
-        return AffineTransform(np.column_stack([inv, off]))
-
-    def apply(self, points) -> np.ndarray:
-        """Map an (N, 2) array of points."""
-        pts = np.asarray(points, dtype=np.float64)
-        return pts @ self.matrix[:, :2].T + self.matrix[:, 2]
 
 
 def boxes_to_array(boxes) -> np.ndarray:
@@ -187,12 +123,13 @@ def clip_boxes(boxes: np.ndarray, width: float, height: float) -> np.ndarray:
     return out
 
 
-def transform_boxes(boxes, t: AffineTransform) -> np.ndarray:
-    """Axis-aligned envelope of each box's four corners mapped through t.
+def transform_boxes(boxes, matrix: np.ndarray) -> np.ndarray:
+    """Axis-aligned envelope of each box's four corners mapped through a 2x3 affine.
 
-    Corners go through one apply() call in the order (x1, y1), (x2, y1),
+    Corners go through one product in the order (x1, y1), (x2, y1),
     (x1, y2), (x2, y2) per box.
     """
     b = boxes_to_array(boxes)
-    mapped = t.apply(b[:, [0, 1, 2, 1, 0, 3, 2, 3]].reshape(-1, 2)).reshape(-1, 4, 2)
+    p = b[:, [0, 1, 2, 1, 0, 3, 2, 3]].reshape(-1, 2)
+    mapped = (p @ matrix[:, :2].T + matrix[:, 2]).reshape(-1, 4, 2)
     return np.concatenate([mapped.min(axis=1), mapped.max(axis=1)], axis=1)

@@ -82,17 +82,17 @@ def _from_section(cls, raw: dict, where: str):
     if unknown:
         raise ValidationError(f"unknown keys in config section '{where}': {sorted(unknown)}")
     kwargs = dict(raw)
-    if cls is AnchorConfig and "levels" in kwargs:
-        levels = []
-        for i, lv in enumerate(kwargs["levels"]):
-            if not isinstance(lv, dict) or set(lv) != {"stride", "base_size"}:
-                raise ValidationError(
-                    f"{where}.levels[{i}] must be an object with stride and base_size"
-                )
-            require_int(f"{where}.levels[{i}].stride", lv["stride"])
-            levels.append(AnchorLevel(stride=lv["stride"], base_size=float(lv["base_size"])))
-        kwargs["levels"] = tuple(levels)
     try:
+        if cls is AnchorConfig and "levels" in kwargs:
+            levels = []
+            for i, lv in enumerate(kwargs["levels"]):
+                if not isinstance(lv, dict) or set(lv) != {"stride", "base_size"}:
+                    raise ValidationError(
+                        f"{where}.levels[{i}] must be an object with stride and base_size"
+                    )
+                require_int(f"{where}.levels[{i}].stride", lv["stride"])
+                levels.append(AnchorLevel(stride=lv["stride"], base_size=float(lv["base_size"])))
+            kwargs["levels"] = tuple(levels)
         return cls(**kwargs)
     except ValidationError:
         raise
@@ -121,9 +121,9 @@ def run_config_from_dict(raw: dict) -> RunConfig:
     require_int("seed", seed)  # before synth inherits it
     kwargs = {}
     for name, cls in _SECTIONS.items():
-        section = dict(raw.get(name, {}))
-        if name == "synth" and "seed" not in section:
-            section["seed"] = seed  # synth inherits the run seed unless pinned
+        section = raw.get(name, {})
+        if name == "synth" and isinstance(section, dict) and "seed" not in section:
+            section = {**section, "seed": seed}  # synth inherits the run seed unless pinned
         kwargs[name] = _from_section(cls, section, name)
     return RunConfig(seed=seed, **kwargs)
 

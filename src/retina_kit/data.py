@@ -2,20 +2,22 @@
 
 Preprocessing order: scale pixels to [0, 1], subtract the per-channel
 ImageNet mean, then bilinear-resize to the network input size. Augmentation
-draws one whole-image affine (translate, scale and rotate about the center,
-optional horizontal flip) and warps image and boxes together.
+draws one whole-image affine as a (2, 3) matrix mapping input (x, y) to output
+(translate, scale and rotate about the center, optional horizontal flip) and
+warps image and boxes together.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .boxes import AffineTransform, BBox, box_areas, boxes_to_array, clip_boxes, transform_boxes
+from .boxes import BBox, box_areas, boxes_to_array, clip_boxes, transform_boxes
 from .errors import ValidationError
 from .outputs import atomic_write
 
@@ -111,11 +113,12 @@ def _pixel_centres(h: int, w: int) -> np.ndarray:
     return centres
 
 
-def warp_affine(image, transform: AffineTransform) -> np.ndarray:
-    """Inverse-map the image through the affine; bilinear sampling, zero fill."""
+def warp_affine(image, matrix: np.ndarray) -> np.ndarray:
+    """Inverse-map the image through the 2x3 affine; bilinear sampling, zero fill."""
     img = np.asarray(image)
     c, h, w = img.shape
-    src = transform.inverse().apply(_pixel_centres(h, w))
+    inv = np.linalg.inv(matrix[:, :2])
+    src = _pixel_centres(h, w) @ inv.T + -inv @ matrix[:, 2]
     lx = src[:, 0] - 0.5
     ly = src[:, 1] - 0.5
     x0 = np.floor(lx)
@@ -137,21 +140,31 @@ def warp_affine(image, transform: AffineTransform) -> np.ndarray:
     return out.reshape(c, h, w)
 
 
-def draw_augment_transform(width, height, config: AugmentConfig, rng) -> AffineTransform:
+def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The 2x3 affine that applies b, then a."""
+    return np.column_stack([a[:, :2] @ b[:, :2], a[:, :2] @ b[:, 2] + a[:, 2]])
+
+
+def draw_augment_transform(width, height, config: AugmentConfig, rng) -> np.ndarray:
     """One random whole-image affine; the rng draw order is part of the contract:
-    hflip uniform, angle, scale, tx, ty."""
+    hflip uniform, angle, scale, tx, ty.
+
+    Translates, then scales and rotates about the image center, then flips.
+    """
     u_flip = rng.uniform()
     angle = rng.uniform(-config.max_rot_deg, config.max_rot_deg)
     scale = rng.uniform(config.scale_min, config.scale_max)
     tx = rng.uniform(-config.translate_frac * width, config.translate_frac * width)
     ty = rng.uniform(-config.translate_frac * height, config.translate_frac * height)
-    center = (width / 2.0, height / 2.0)
-    t = AffineTransform.translation(tx, ty)
-    t = AffineTransform.scaling(scale, center).compose(t)
-    t = AffineTransform.rotation_deg(angle, center).compose(t)
+    cx, cy = width / 2.0, height / 2.0
+    c = math.cos(math.radians(angle))
+    s = math.sin(math.radians(angle))
+    m = np.array([[1.0, 0.0, tx], [0.0, 1.0, ty]])
+    m = _compose(np.array([[scale, 0.0, cx - scale * cx], [0.0, scale, cy - scale * cy]]), m)
+    m = _compose(np.array([[c, -s, cx - c * cx + s * cy], [s, c, cy - s * cx - c * cy]]), m)
     if u_flip < config.hflip_prob:
-        t = AffineTransform.hflip(width).compose(t)
-    return t
+        m = _compose(np.array([[-1.0, 0.0, width], [0.0, 1.0, 0.0]]), m)
+    return m
 
 
 def augment(image, boxes, config: AugmentConfig, rng):
@@ -163,14 +176,14 @@ def augment(image, boxes, config: AugmentConfig, rng):
     """
     img = np.asarray(image)
     _, h, w = img.shape
-    t = draw_augment_transform(w, h, config, rng)
-    moved = transform_boxes(boxes, t)
+    m = draw_augment_transform(w, h, config, rng)
+    moved = transform_boxes(boxes, m)
     clipped = clip_boxes(moved, w, h)
     moved_area = box_areas(moved)
     area = box_areas(clipped)
     visible = np.divide(area, moved_area, out=np.ones_like(area), where=moved_area > 0)
     keep = (area > 0) & (area >= config.min_box_area_px) & (visible >= config.min_visible_frac)
-    return warp_affine(img, t), clipped[keep]
+    return warp_affine(img, m), clipped[keep]
 
 
 def write_manifest(records, path) -> None:

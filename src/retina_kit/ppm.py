@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copyreg
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,11 @@ class PpmParseError(ValidationError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte offset {offset})")
         self.offset = offset
+
+    def __reduce__(self):
+        # rebuilt from the formatted args without re-running __init__, so a
+        # pickled error (the minibatch worker sends them) keeps its message
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class PpmVariantError(PpmParseError):

@@ -3,8 +3,10 @@
 Everything here is deliberately naive: explicit loops, no sorting shortcuts,
 one box at a time. Nothing is imported from the package except the `BBox`
 row type and the anchor label constants, so no code is shared with the
-implementations under test. `transform_box` takes the affine as given and
-maps its corners with the transform's own `apply`. Two oracles are the
+implementations under test. `transform_box` and `naive_warp_affine` take a
+2x3 affine matrix as given and apply it with their own numpy; the matrix
+itself is checked against `naive_augment_transform`, which composes 3x3
+homogeneous matrices. Two oracles are the
 loops the batched code replaced, and keep a package function so that they
 must agree bit for bit: `naive_nms_indices`, the one-image greedy NMS, keeps
 `iou_matrix` (rounding at the threshold included), and
@@ -73,8 +75,8 @@ def clip_to_image(box: BBox, width: float, height: float) -> BBox:
     )
 
 
-def transform_box(box: BBox, t) -> BBox:
-    """Axis-aligned envelope of the box's four corners mapped through t."""
+def transform_box(box: BBox, matrix) -> BBox:
+    """Axis-aligned envelope of the box's four corners mapped through a 2x3 affine."""
     corners = np.array(
         [
             [box.x1, box.y1],
@@ -83,17 +85,17 @@ def transform_box(box: BBox, t) -> BBox:
             [box.x2, box.y2],
         ]
     )
-    mapped = t.apply(corners)
+    mapped = corners @ matrix[:, :2].T + matrix[:, 2]
     x1, y1 = mapped.min(axis=0)
     x2, y2 = mapped.max(axis=0)
     return BBox(x1, y1, x2, y2)
 
 
-def naive_augment_boxes(boxes, t, width, height, min_box_area_px, min_visible_frac):
+def naive_augment_boxes(boxes, matrix, width, height, min_box_area_px, min_visible_frac):
     """Augmentation's box rule one box at a time: transform, clip, survive."""
     out = []
     for b in boxes:
-        tb = transform_box(b, t)
+        tb = transform_box(b, matrix)
         cb = clip_to_image(tb, width, height)
         if cb.area <= 0 or cb.area < min_box_area_px:
             continue
@@ -103,19 +105,50 @@ def naive_augment_boxes(boxes, t, width, height, min_box_area_px, min_visible_fr
     return out
 
 
-def naive_warp_affine(image, transform):
-    """Inverse-map the image through the affine; bilinear sampling, zero fill.
+def naive_augment_transform(width, height, config, rng) -> np.ndarray:
+    """The augmentation affine as the top two rows of flip @ rotate @ scale @ translate.
+
+    Draws in the documented order (hflip uniform, angle, scale, tx, ty) and
+    builds each elementary map as a 3x3 homogeneous matrix; rotation and
+    scaling act about the image centre.
+    """
+    u_flip = rng.uniform()
+    angle = rng.uniform(-config.max_rot_deg, config.max_rot_deg)
+    scale = rng.uniform(config.scale_min, config.scale_max)
+    tx = rng.uniform(-config.translate_frac * width, config.translate_frac * width)
+    ty = rng.uniform(-config.translate_frac * height, config.translate_frac * height)
+
+    def shift(dx, dy):
+        return np.array([[1.0, 0.0, dx], [0.0, 1.0, dy], [0.0, 0.0, 1.0]])
+
+    def about_centre(m):
+        cx, cy = width / 2.0, height / 2.0
+        return shift(cx, cy) @ m @ shift(-cx, -cy)
+
+    c, s = math.cos(math.radians(angle)), math.sin(math.radians(angle))
+    rotate = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    full = about_centre(rotate) @ about_centre(np.diag([scale, scale, 1.0])) @ shift(tx, ty)
+    if u_flip < config.hflip_prob:
+        full = np.array([[-1.0, 0.0, width], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]) @ full
+    return full[:2]
+
+
+def naive_warp_affine(image, matrix):
+    """Inverse-map the image through the 2x3 affine; bilinear sampling, zero fill.
 
     Builds the pixel-centre grid afresh and gathers with 2-D fancy indexing,
-    accumulating the four corners in the same order as `warp_affine`.
+    accumulating the four corners in the same order as `warp_affine`. The
+    inverse map is the same float64 ops as `warp_affine`'s, so the samples
+    agree bit for bit.
     """
     img = np.asarray(image)
     _, h, w = img.shape
-    inv = transform.inverse()
+    inv = np.linalg.inv(matrix[:, :2])
     xs, ys = np.meshgrid(
         np.arange(w, dtype=np.float64) + 0.5, np.arange(h, dtype=np.float64) + 0.5
     )
-    src = inv.apply(np.stack([xs.ravel(), ys.ravel()], axis=1))
+    pts = np.stack([xs.ravel(), ys.ravel()], axis=1)
+    src = pts @ inv.T + -inv @ matrix[:, 2]
     lx = src[:, 0].reshape(h, w) - 0.5
     ly = src[:, 1].reshape(h, w) - 0.5
     x0 = np.floor(lx)

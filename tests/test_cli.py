@@ -637,6 +637,26 @@ class TestExitCodes:
         assert "error: bad config section 'synth'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "cfg, message",
+        [({"training": None}, "config section 'training' must be an object"),
+         ({"synth": [1, 2]}, "config section 'synth' must be an object"),
+         ({"anchors": "abc"}, "config section 'anchors' must be an object"),
+         ({"anchors": {"levels": 5}}, "bad config section 'anchors'"),
+         ({"anchors": {"levels": [{"stride": 8, "base_size": "abc"}]}},
+          "bad config section 'anchors'"),
+         ({"anchors": {"levels": [{"stride": 8, "base_size": None}]}},
+          "bad config section 'anchors'")],
+        ids=["null", "list", "string", "levels-int", "base-size-str", "base-size-null"],
+    )
+    def test_malformed_section_exits_one(self, tmp_path, capsys, cfg, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "data"
+        assert main(["synth", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_truncated_image_error_names_the_file(self, tiny_cfg_path, tmp_path, capsys,
                                                    command):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_augment_boxes, naive_warp_affine, random_box
-from retina_kit.boxes import AffineTransform, BBox, box_areas, boxes_to_array, transform_boxes
+from oracles import naive_augment_boxes, naive_augment_transform, naive_warp_affine, random_box
+from retina_kit.boxes import BBox, box_areas, boxes_to_array, transform_boxes
 from retina_kit.data import (
     IMAGENET_MEAN,
     AugmentConfig,
@@ -25,6 +25,15 @@ from retina_kit.errors import ValidationError
 IDENTITY_AUG = dict(
     translate_frac=0.0, max_rot_deg=0.0, scale_min=1.0, scale_max=1.0, hflip_prob=0.0
 )
+WIDE_AUG = dict(translate_frac=0.4, max_rot_deg=30.0, scale_min=0.6, scale_max=1.6)
+
+
+def translation(tx, ty):
+    return np.array([[1.0, 0.0, tx], [0.0, 1.0, ty]])
+
+
+def hflip(width):
+    return np.array([[-1.0, 0.0, width], [0.0, 1.0, 0.0]])
 
 
 class TestPreprocess:
@@ -62,25 +71,25 @@ class TestPreprocess:
 class TestWarp:
     def test_identity_is_bitwise(self, rng):
         img = rng.integers(0, 256, size=(3, 12, 9)).astype(np.float32)
-        out = warp_affine(img, AffineTransform.identity())
+        out = warp_affine(img, translation(0.0, 0.0))
         assert np.array_equal(out, img)
 
     def test_translation_moves_pixels(self):
         img = np.zeros((1, 6, 6), np.float32)
         img[0, 2, 3] = 9.0
-        out = warp_affine(img, AffineTransform.translation(1.0, 2.0))
+        out = warp_affine(img, translation(1.0, 2.0))
         assert out[0, 4, 4] == 9.0
         assert out[0, 2, 3] == 0.0
 
     def test_out_of_frame_fills_zero(self):
         img = np.full((1, 4, 4), 5.0, np.float32)
-        out = warp_affine(img, AffineTransform.translation(2.0, 0.0))
+        out = warp_affine(img, translation(2.0, 0.0))
         assert np.all(out[0, :, :2] == 0.0)
         assert np.all(out[0, :, 2:] == 5.0)
 
     def test_hflip_is_exact_mirror(self, rng):
         img = rng.integers(0, 256, size=(3, 5, 8)).astype(np.float32)
-        out = warp_affine(img, AffineTransform.hflip(8))
+        out = warp_affine(img, hflip(8))
         assert np.array_equal(out, img[:, :, ::-1])
 
     @pytest.mark.parametrize("shape", [(3, 64, 64), (3, 24, 40), (1, 17, 9)])
@@ -90,8 +99,8 @@ class TestWarp:
         img = np.random.default_rng(7).uniform(-120, 140, size=shape).astype(np.float32)
         cfg = AugmentConfig(translate_frac=0.3, max_rot_deg=30.0, scale_min=0.7, scale_max=1.4)
         for seed in range(60):
-            t = draw_augment_transform(w, h, cfg, np.random.default_rng(seed))
-            assert warp_affine(img, t).tobytes() == naive_warp_affine(img, t).tobytes()
+            m = draw_augment_transform(w, h, cfg, np.random.default_rng(seed))
+            assert warp_affine(img, m).tobytes() == naive_warp_affine(img, m).tobytes()
 
 
 class TestAugment:
@@ -106,8 +115,7 @@ class TestAugment:
     def test_pure_translation_shifts_boxes(self):
         img = np.zeros((3, 32, 32), np.float32)
         boxes = np.array([[5.0, 6.0, 15.0, 20.0]])
-        t = AffineTransform.translation(3.0, -2.0)
-        moved = transform_boxes(boxes, t)
+        moved = transform_boxes(boxes, translation(3.0, -2.0))
         assert moved[0] == pytest.approx((8.0, 4.0, 18.0, 18.0))
 
     def test_hflip_box_arithmetic(self):
@@ -150,7 +158,7 @@ class TestAugment:
         for seed in range(50):
             rng = np.random.default_rng(seed)
             t = draw_augment_transform(32, 32, cfg, np.random.default_rng(seed))
-            if abs(t.matrix[0, 2]) > 12:
+            if abs(t[0, 2]) > 12:
                 box = np.array([[0.0, 0.0, 16.0, 16.0]])
                 _, out = augment(img, box, cfg, np.random.default_rng(seed))
                 dropped = dropped or len(out) == 0
@@ -171,7 +179,7 @@ class TestAugment:
         rng = np.random.default_rng(29)
         configs = [
             AugmentConfig(),
-            AugmentConfig(translate_frac=0.4, max_rot_deg=30.0, scale_min=0.6, scale_max=1.6),
+            AugmentConfig(**WIDE_AUG),
         ]
         kept = dropped = 0
         for i in range(1200):
@@ -184,12 +192,43 @@ class TestAugment:
             seed = int(rng.integers(2**32))
             img = np.zeros((1, h, w), np.float32)
             _, got = augment(img, boxes_to_array(bxs), cfg, np.random.default_rng(seed))
-            t = draw_augment_transform(w, h, cfg, np.random.default_rng(seed))
-            want = naive_augment_boxes(bxs, t, w, h, cfg.min_box_area_px, cfg.min_visible_frac)
+            m = draw_augment_transform(w, h, cfg, np.random.default_rng(seed))
+            want = naive_augment_boxes(bxs, m, w, h, cfg.min_box_area_px, cfg.min_visible_frac)
             assert got.tobytes() == boxes_to_array(want).tobytes(), i
             kept += len(want)
             dropped += len(bxs) - len(want)
         assert kept > 1000 and dropped > 200
+
+
+class TestAugmentTransform:
+    @pytest.mark.parametrize("wide", [False, True], ids=["default", "wide"])
+    def test_matches_homogeneous_oracle(self, wide):
+        cfg = AugmentConfig(**WIDE_AUG) if wide else AugmentConfig()
+        sizes = np.random.default_rng(3).integers(8, 71, size=(1000, 2))
+        for seed, (w, h) in enumerate(sizes.tolist()):
+            got = draw_augment_transform(w, h, cfg, np.random.default_rng(seed))
+            want = naive_augment_transform(w, h, cfg, np.random.default_rng(seed))
+            assert got.shape == (2, 3) and got.dtype == np.float64
+            assert np.max(np.abs(got - want)) <= 1e-12, (seed, w, h)
+
+    def test_hflip_only_mirrors_x(self):
+        cfg = AugmentConfig(**{**IDENTITY_AUG, "hflip_prob": 1.0})
+        pts = np.array([[0.0, 0.0], [10.0, 3.0], [40.0, 17.0]])
+        m = draw_augment_transform(40, 20, cfg, np.random.default_rng(0))
+        want = [[40.0, 0.0], [30.0, 3.0], [0.0, 17.0]]
+        assert np.allclose(pts @ m[:, :2].T + m[:, 2], want, rtol=0, atol=1e-12)
+
+    def test_rotation_only_turns_about_the_centre(self):
+        cfg = AugmentConfig(**{**IDENTITY_AUG, "max_rot_deg": 45.0})
+        for seed in range(20):
+            m = draw_augment_transform(30, 20, cfg, np.random.default_rng(seed))
+            rng = np.random.default_rng(seed)
+            rng.uniform()  # the hflip draw comes first, then the angle
+            a = np.radians(rng.uniform(-45.0, 45.0))
+            # the centre stays put; a point 10 px right of it turns by the drawn angle
+            pts = np.array([[15.0, 10.0], [25.0, 10.0]])
+            want = [[15.0, 10.0], [15.0 + 10 * np.cos(a), 10.0 + 10 * np.sin(a)]]
+            assert np.allclose(pts @ m[:, :2].T + m[:, 2], want, rtol=0, atol=1e-12)
 
 
 class TestManifest:

@@ -1,10 +1,14 @@
+import pickle
+
 import numpy as np
 import pytest
 
-from retina_kit.errors import ValidationError
+from retina_kit.data import ManifestError
+from retina_kit.errors import NumericError, ValidationError
 from retina_kit.ppm import (
     PpmHeaderError,
     PpmMaxvalError,
+    PpmParseError,
     PpmTruncatedError,
     PpmVariantError,
     load_ppm,
@@ -104,3 +108,30 @@ def test_parse_errors_name_the_file(tmp_path, content, error):
     with pytest.raises(error, match=r"^.*named\.ppm: .*\(byte offset \d+\)$") as info:
         load_ppm(path)
     assert str(info.value).startswith(f"{path}: ")
+
+
+PARSE_FAILURES = {
+    PpmHeaderError: b"P6\n2 ?\n255\n",
+    PpmVariantError: b"P3\n1 1\n255\n0 0 0\n",
+    PpmMaxvalError: b"P6\n1 1\n65535\n" + bytes(6),
+    PpmTruncatedError: b"P6\n2 2\n255\n" + bytes(5),
+}
+
+
+@pytest.mark.parametrize("error", PpmParseError.__subclasses__(), ids=lambda c: c.__name__)
+def test_parse_errors_survive_pickling(tmp_path, error):
+    # the minibatch worker sends its exceptions to the main process pickled
+    path = tmp_path / "bad.ppm"
+    path.write_bytes(PARSE_FAILURES[error])
+    with pytest.raises(error) as info:
+        load_ppm(path)
+    back = pickle.loads(pickle.dumps(info.value))
+    assert type(back) is error
+    assert str(back) == str(info.value) and str(back).startswith(f"{path}: ")
+    assert back.offset == info.value.offset
+
+
+@pytest.mark.parametrize("error", [ValidationError, ManifestError, NumericError])
+def test_package_errors_survive_pickling(error):
+    back = pickle.loads(pickle.dumps(error("bad input")))
+    assert type(back) is error and str(back) == "bad input"

@@ -22,6 +22,7 @@ from retina_kit.config import load_run_config
 from retina_kit.data import augment
 from retina_kit.errors import ValidationError
 from retina_kit.losses import loss_targets
+from retina_kit.ppm import load_ppm
 
 # 13 images at batch size 4: three full minibatches and a ragged one per epoch
 CONFIG = {
@@ -69,23 +70,47 @@ def test_worker_outputs_equal_in_process(split, tmp_path, capsys, monkeypatch, v
     assert worker == serial
 
 
-def test_worker_error_mid_epoch_matches_in_process(split, tmp_path, capsys, monkeypatch):
+def fail_mid_epoch(split, tmp_path, capsys, monkeypatch, fail):
+    """Call fail() at the 19th augment, in the worker and then in-process.
+
+    Both runs must end alike; returns their (exit code, stderr) and the
+    files the worker's run left.
+    """
     calls = []
 
     def failing(*args):
         calls.append(1)
         if len(calls) == 19:  # image 6 of epoch 1, in its second minibatch
-            raise ValidationError("augment refused image")
+            fail()
         return augment(*args)
 
     monkeypatch.setattr(training, "augment", failing)
     # the worker counts in its own copy of `calls`, so both runs fail at the same image
-    assert train(split, tmp_path / "worker", capsys) == (1, "error: augment refused image\n")
+    result = train(split, tmp_path / "worker", capsys)
     in_process(monkeypatch)
-    assert train(split, tmp_path / "serial", capsys) == (1, "error: augment refused image\n")
+    assert train(split, tmp_path / "serial", capsys) == result
     worker, serial = tree(tmp_path / "worker"), tree(tmp_path / "serial")
-    assert sorted(worker) == ["checkpoint.rkck.partial", "metrics.jsonl.partial"]
     assert worker == serial
+    return result, sorted(worker)
+
+
+def test_worker_error_mid_epoch_matches_in_process(split, tmp_path, capsys, monkeypatch):
+    def fail():
+        raise ValidationError("augment refused image")
+
+    result, files = fail_mid_epoch(split, tmp_path, capsys, monkeypatch, fail)
+    assert result == (1, "error: augment refused image\n")
+    assert files == ["checkpoint.rkck.partial", "metrics.jsonl.partial"]
+
+
+def test_worker_ppm_error_mid_epoch_matches_in_process(split, tmp_path, capsys, monkeypatch):
+    # a PpmParseError must cross the worker's pipe with its message intact
+    cut = tmp_path / "cut.ppm"
+    cut.write_bytes(b"P6\n2 2\n255\n" + bytes(5))
+    (code, err), files = fail_mid_epoch(split, tmp_path, capsys, monkeypatch, lambda: load_ppm(cut))
+    assert code == 1
+    assert err.startswith(f"error: {cut}: pixel payload needs") and err.endswith(")\n")
+    assert files == ["checkpoint.rkck.partial", "metrics.jsonl.partial"]
 
 
 def test_main_process_numeric_error_names_the_sample(split, tmp_path, capsys, monkeypatch):
