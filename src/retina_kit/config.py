@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -45,8 +46,12 @@ class TrainingConfig:
             raise ValidationError(f"epochs must be >= 0, got {self.epochs}")
         if self.eval_every < 1:
             raise ValidationError(f"eval_every must be >= 1, got {self.eval_every}")
-        if not self.checkpoint_path:
-            raise ValidationError("checkpoint_path must be non-empty")
+        name = self.checkpoint_path  # saved in --out, next to metrics.jsonl
+        if name in ("", "..", "metrics.jsonl") or Path(name).name != name or name.endswith(".partial"):
+            raise ValidationError(
+                "training.checkpoint_path must be a bare file name other than metrics.jsonl "
+                f"and *.partial, got {name!r}"
+            )
         if self.input_size[0] <= 0 or self.input_size[1] <= 0:
             raise ValidationError(f"input_size must be positive, got {self.input_size}")
 
@@ -65,6 +70,7 @@ class RunConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        _require_finite(run_config_to_dict(self), "")
         check_level_strides(self.network, self.anchors)
         s_max = self.anchors.max_stride
         w, h = self.training.input_size
@@ -72,6 +78,25 @@ class RunConfig:
             raise ValidationError(
                 f"training input_size {w}x{h} must be divisible by the largest stride {s_max}"
             )
+        # augmented boxes span at most about 8 * scale_max * max(w, h) pixels; areas square it
+        span = 8.0 * self.augment.scale_max * max(w, h)
+        if not math.isfinite(span * span):
+            raise ValidationError(
+                f"augment.scale_max {self.augment.scale_max} overflows the augmentation "
+                f"at training input_size {w}x{h}"
+            )
+
+
+def _require_finite(value, where: str) -> None:
+    """Reject a NaN or infinite float anywhere in a materialized config, naming its field."""
+    if isinstance(value, dict):
+        for key, v in value.items():
+            _require_finite(v, f"{where}.{key}" if where else key)
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            _require_finite(v, f"{where}[{i}]")
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise ValidationError(f"{where} must be finite, got {value}")
 
 
 def _from_section(cls, raw: dict, where: str):

@@ -56,8 +56,8 @@ class AugmentConfig:
     def __post_init__(self):
         if not (0.0 <= self.translate_frac < 1.0):
             raise ValidationError(f"translate_frac must be in [0, 1), got {self.translate_frac}")
-        if self.max_rot_deg < 0:
-            raise ValidationError(f"max_rot_deg must be >= 0, got {self.max_rot_deg}")
+        if not (0.0 <= self.max_rot_deg <= 180.0):
+            raise ValidationError(f"max_rot_deg must be in [0, 180], got {self.max_rot_deg}")
         if not (0.0 < self.scale_min <= self.scale_max):
             raise ValidationError(
                 f"need 0 < scale_min <= scale_max, got {self.scale_min}..{self.scale_max}"

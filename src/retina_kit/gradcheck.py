@@ -25,38 +25,37 @@ TOTAL_LOSS_TOL = 1e-4
 END_TO_END_TOL = 1e-3
 
 
-def _rel_err(analytic, numeric, floor):
-    return abs(analytic - numeric) / max(abs(analytic), abs(numeric), floor)
+def _worst_error(scalar, probes, floor) -> float:
+    """Worst relative error of central differences of scalar() against analytic values.
 
-
-def _central_diff(f, x0, h):
-    return (f(x0 + h) - f(x0 - h)) / (2.0 * h)
-
-
-def _probe(flat, i, scalar, h):
-    """Central difference of scalar() in the array entry flat[i], which is restored."""
-    orig = flat[i]
-    flat[i] = orig + h
-    up = scalar()
-    flat[i] = orig - h
-    down = scalar()
-    flat[i] = orig
-    return (up - down) / (2.0 * h)
+    Each probe (flat, i, analytic, h) steps the array entry flat[i] by +-h,
+    restores it, and compares (up - down) / 2h with the analytic derivative;
+    the relative error's denominator is at least floor.
+    """
+    worst = 0.0
+    for flat, i, analytic, h in probes:
+        orig = flat[i]
+        flat[i] = orig + h
+        up = scalar()
+        flat[i] = orig - h
+        down = scalar()
+        flat[i] = orig
+        numeric = (up - down) / (2.0 * h)
+        worst = max(worst, abs(analytic - numeric) / max(abs(analytic), abs(numeric), floor))
+    return worst
 
 
 def _check_scalar_loss(name, draws, perturb) -> float:
     """Worst FD error (h = 1e-5) over (x, loss_fn) draws; loss_fn gives (1,) (loss, grad)."""
     worst = 0.0
     for x, loss_fn in draws:
-        analytic = float(loss_fn(np.array([x]))[1][0])
-        if perturb is not None:
-            analytic = perturb(name, analytic)
-        numeric = _central_diff(lambda v: float(loss_fn(np.array([v]))[0][0]), x, 1e-5)
-        worst = max(worst, _rel_err(analytic, numeric, 1e-10))
+        arr = np.array([x])
+        probe = (arr, 0, perturb(name, float(loss_fn(arr)[1][0])), 1e-5)
+        worst = max(worst, _worst_error(lambda: float(loss_fn(arr)[0][0]), [probe], 1e-10))
     return worst
 
 
-def check_focal_loss(rng, perturb=None) -> float:
+def check_focal_loss(rng, perturb) -> float:
     """100 random (logit, target, gamma, alpha) tuples."""
 
     def draw():
@@ -69,7 +68,7 @@ def check_focal_loss(rng, perturb=None) -> float:
     return _check_scalar_loss("focal_loss", (draw() for _ in range(100)), perturb)
 
 
-def check_smooth_l1(rng, perturb=None) -> float:
+def check_smooth_l1(rng, perturb) -> float:
     beta = 1.0 / 9.0
 
     def draw():
@@ -90,22 +89,15 @@ def _check_map_gradient(forward_fn, grad_fn, args: list[np.ndarray], rng, n_prob
     def scalar():
         return float(np.sum(forward_fn(*args) * proj))
 
-    analytic_grads = grad_fn(proj, *args)
-    if perturb is not None:
-        analytic_grads = [perturb(perturb_key, g) for g in analytic_grads]
-    worst = 0.0
-    for arg, agrad in zip(args, analytic_grads):
-        flat = arg.reshape(-1)
-        gflat = agrad.reshape(-1)
-        count = min(n_probe, flat.size)
-        picks = rng.choice(flat.size, size=count, replace=False)
-        for i in picks:
-            numeric = _probe(flat, i, scalar, 1e-6 * max(1.0, abs(flat[i])))
-            worst = max(worst, _rel_err(float(gflat[i]), numeric, 1e-8))
-    return worst
+    probes = []
+    for arg, agrad in zip(args, grad_fn(proj, *args)):
+        flat, gflat = arg.reshape(-1), perturb(perturb_key, agrad).reshape(-1)
+        picks = rng.choice(flat.size, size=min(n_probe, flat.size), replace=False)
+        probes += [(flat, i, float(gflat[i]), 1e-6 * max(1.0, abs(flat[i]))) for i in picks]
+    return _worst_error(scalar, probes, 1e-8)
 
 
-def check_conv2d(rng, perturb=None) -> float:
+def check_conv2d(rng, perturb) -> float:
     worst = 0.0
     for stride, k in ((1, 3), (2, 3), (1, 1), (2, 1)):
         inp = rng.standard_normal((2, 2, 5, 6))  # (C, B, H, W): two images
@@ -120,7 +112,7 @@ def check_conv2d(rng, perturb=None) -> float:
     return worst
 
 
-def check_upsample(rng, perturb=None) -> float:
+def check_upsample(rng, perturb) -> float:
     inp = rng.standard_normal((2, 2, 3, 4))
     return _check_map_gradient(
         upsample_nearest_x2, lambda proj, i: [upsample_nearest_x2_backward(proj)],
@@ -146,25 +138,22 @@ def _small_instance(rng):
     return assignment, logits, deltas
 
 
-def check_total_loss(rng, perturb=None) -> float:
+def check_total_loss(rng, perturb) -> float:
     loss_cfg = LossConfig()
     assignment, logits, deltas = _small_instance(rng)
     labels, targets = loss_targets([assignment])
     _, g_cls, g_box = total_detection_loss(logits[None], deltas[None], labels, targets, loss_cfg)
-    if perturb is not None:
-        g_cls = perturb("total_loss", g_cls)
+    g_cls = perturb("total_loss", g_cls)
 
     def scalar():
         val, _, _ = total_detection_loss(logits[None], deltas[None], labels, targets, loss_cfg)
         return val[0]
 
-    worst = 0.0
+    probes = []
     for arr, grad in ((logits, g_cls), (deltas, g_box)):
-        flat = arr.reshape(-1)
-        gflat = grad.reshape(-1)
-        for i in range(flat.size):
-            worst = max(worst, _rel_err(float(gflat[i]), _probe(flat, i, scalar, 1e-5), 1e-8))
-    return worst
+        flat, gflat = arr.reshape(-1), grad.reshape(-1)
+        probes += [(flat, i, float(gflat[i]), 1e-5) for i in range(flat.size)]
+    return _worst_error(scalar, probes, 1e-8)
 
 
 def _well_conditioned_params(net_cfg, anchors, rng):
@@ -184,7 +173,7 @@ def _well_conditioned_params(net_cfg, anchors, rng):
     return params
 
 
-def check_end_to_end(cfg: RunConfig, rng, perturb=None, n_params=200) -> float:
+def check_end_to_end(cfg: RunConfig, rng, perturb, n_params=200) -> float:
     """FD through forward + total_detection_loss + backward on a batch of one 16x16 image."""
     params = _well_conditioned_params(cfg.network, cfg.anchors, rng)
     image = rng.standard_normal((1, INPUT_CHANNELS, 16, 16)) * 0.3
@@ -200,32 +189,25 @@ def check_end_to_end(cfg: RunConfig, rng, perturb=None, n_params=200) -> float:
 
     (cls_rows, box_rows), cache = forward(image, params, cfg.network, cfg.anchors)
     _, g_cls, g_box = total_detection_loss(cls_rows, box_rows, labels, targets, cfg.loss)
-    grads = backward(cache, g_cls, g_box)
-    if perturb is not None:
-        grads = perturb("end_to_end", grads)
+    grads = perturb("end_to_end", backward(cache, g_cls, g_box))
 
-    names = sorted(params)
-    sizes = np.array([params[nm].size for nm in names])
-    total = int(sizes.sum())
-    count = min(n_params, total)
-    picks = rng.choice(total, size=count, replace=False)
-    offsets = np.cumsum(sizes) - sizes
-
-    worst = 0.0
-    for pick in picks:
-        which = int(np.searchsorted(offsets, pick, side="right") - 1)
-        name = names[which]
-        flat = params[name].reshape(-1)
-        i = int(pick - offsets[which])
-        numeric = _probe(flat, i, scalar, 1e-6 * max(1.0, abs(flat[i])))
-        analytic = float(grads[name].reshape(-1)[i])
-        worst = max(worst, _rel_err(analytic, numeric, 1e-6))
-    return worst
+    # probed parameter by parameter: each probe restores its entry, so the order is free
+    sizes = {name: p.size for name, p in sorted(params.items())}
+    total = sum(sizes.values())
+    picks = rng.choice(total, size=min(n_params, total), replace=False)
+    probes, off = [], 0
+    for name, size in sizes.items():
+        flat, gflat = params[name].reshape(-1), grads[name].reshape(-1)
+        for i in picks[(picks >= off) & (picks < off + size)] - off:
+            probes.append((flat, i, float(gflat[i]), 1e-6 * max(1.0, abs(flat[i]))))
+        off += size
+    return _worst_error(scalar, probes, 1e-6)
 
 
 def run_gradcheck(cfg: RunConfig, perturb=None) -> dict:
     """Run every suite; report max relative error per suite and pass flags."""
     suites = []
+    perturb = perturb or (lambda name, analytic: analytic)
 
     def run(name, tol, fn):
         rng = np.random.default_rng([cfg.seed, STREAM_GRADCHECK, len(suites)])

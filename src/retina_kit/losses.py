@@ -56,10 +56,7 @@ def sigmoid_focal_loss(logits, targets, config: LossConfig):
     pt_grad_factor = sigmoid(z)
     alpha_t = config.alpha * t + (1.0 - config.alpha) * (1.0 - t)
 
-    if config.gamma == 0:
-        mod = np.ones_like(z)
-    else:
-        mod = one_minus_pt**config.gamma
+    mod = one_minus_pt**config.gamma
     loss = alpha_t * mod * (-log_pt)
     grad = -sign * alpha_t * mod * (config.gamma * pt_grad_factor * (-log_pt) + one_minus_pt)
     return loss, grad

@@ -188,9 +188,10 @@ def forward(images, params, config: NetworkConfig, anchors: AnchorConfig):
             tape[out] = layers.relu(tape.pop(ins[0]))
         else:
             tape[out] = layers.add(x, layers.upsample_nearest_x2(tape[ins[1]]))
-    a = anchors.num_anchors_per_cell
-    cache = {"params": params, "ops": ops, "tensors": tape, "heads": heads, "num_anchors": a}
-    return _flatten_level_outputs([(tape[c], tape[b]) for c, b in heads], a), cache
+    cache = {"params": params, "ops": ops, "tensors": tape, "heads": heads}
+    cls_rows = np.concatenate([_to_rows(tape[c], 1) for c, _ in heads], axis=1)
+    box_rows = np.concatenate([_to_rows(tape[b], 4) for _, b in heads], axis=1)
+    return (cls_rows[:, :, 0], box_rows), cache
 
 
 def backward(cache, cls_grad, box_grad) -> dict[str, np.ndarray]:
@@ -201,16 +202,17 @@ def backward(cache, cls_grad, box_grad) -> dict[str, np.ndarray]:
     gradient is exactly zero; the image's own gradient is never computed.
     """
     tape, params = cache["tensors"], cache["params"]
-    outputs = [(tape[c], tape[b]) for c, b in cache["heads"]]
     batch = tape["image"].shape[1]
-    n = sum(cls_map.size for cls_map, _ in outputs) // batch
+    n = sum(tape[c].size for c, _ in cache["heads"]) // batch
     got = (np.shape(cls_grad), np.shape(box_grad))
     if got != ((batch, n), (batch, n, 4)):
         raise ValidationError(f"row gradients must be ({batch}, {n}) and (..., 4), got {got}")
-    g = {}
-    level_grads = _unflatten_row_grads(cls_grad, box_grad, outputs, cache["num_anchors"])
-    for names, pair in zip(cache["heads"], level_grads):
-        g.update(zip(names, pair))
+    g, off = {}, 0
+    for c, b in cache["heads"]:
+        end = off + tape[c].size // batch
+        g[c] = _from_rows(cls_grad[:, off:end, None], tape[c].shape, 1)
+        g[b] = _from_rows(box_grad[:, off:end], tape[b].shape, 4)
+        off = end
 
     grads = {name: np.zeros_like(p) for name, p in params.items()}
     for kind, out, ins, param, stride in reversed(cache["ops"]):
@@ -232,37 +234,18 @@ def backward(cache, cls_grad, box_grad) -> dict[str, np.ndarray]:
     return grads
 
 
-def _flatten_level_outputs(outputs, num_anchors: int):
-    """Per-level (A, B, H, W) / (A*4, B, H, W) maps to flat per-anchor rows.
+def _to_rows(head_map, k: int):
+    """A (A*k, B, H, W) head map as (B, H*W*A, k) rows, k values per anchor.
 
-    Returns (B, N) classification logits and (B, N, 4) box deltas. Row order
-    matches the anchor grid: level-major, then row, then column, then anchor
-    index within the cell.
+    Row order matches the anchor grid: level-major (forward concatenates the
+    levels, level 0 first), then row, then column, then anchor index within
+    the cell.
     """
-    cls_rows, box_rows = [], []
-    for cls_map, box_map in outputs:
-        _, b, h, w = cls_map.shape
-        cls_rows.append(cls_map.transpose(1, 2, 3, 0).reshape(b, -1))
-        box_rows.append(
-            box_map.reshape(num_anchors, 4, b, h, w).transpose(2, 3, 4, 0, 1).reshape(b, -1, 4)
-        )
-    return np.concatenate(cls_rows, axis=1), np.concatenate(box_rows, axis=1)
+    _, b, h, w = head_map.shape
+    return head_map.reshape(-1, k, b, h, w).transpose(2, 3, 4, 0, 1).reshape(b, -1, k)
 
 
-def _unflatten_row_grads(cls_grad, box_grad, outputs, num_anchors: int):
-    """Inverse of _flatten_level_outputs for gradients on the flat rows."""
-    per_level = []
-    off = 0
-    for cls_map, box_map in outputs:
-        _, b, h, w = cls_map.shape
-        n = h * w * num_anchors
-        gc = cls_grad[:, off : off + n].reshape(b, h, w, num_anchors).transpose(3, 0, 1, 2)
-        gb = (
-            box_grad[:, off : off + n]
-            .reshape(b, h, w, num_anchors, 4)
-            .transpose(3, 4, 0, 1, 2)
-            .reshape(box_map.shape)
-        )
-        per_level.append((gc, gb))
-        off += n
-    return per_level
+def _from_rows(rows, shape, k: int):
+    """Inverse of _to_rows: one level's (B, H*W*A, k) rows as a head map of shape."""
+    _, b, h, w = shape
+    return rows.reshape(b, h, w, -1, k).transpose(3, 4, 0, 1, 2).reshape(shape)

@@ -318,9 +318,7 @@ def run_training(
     start_epoch = state.step // steps_per_epoch
 
     out.mkdir(parents=True, exist_ok=True)
-    ckpt_path = Path(cfg.training.checkpoint_path)
-    if not ckpt_path.is_absolute():
-        ckpt_path = out / ckpt_path
+    ckpt_path = out / cfg.training.checkpoint_path
     partial_path = ckpt_path.with_name(ckpt_path.name + ".partial")
     metrics_path = out / "metrics.jsonl"
     metrics_partial = out / "metrics.jsonl.partial"

@@ -657,6 +657,45 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("augment", "max_rot_deg", float("nan")), ("augment", "max_rot_deg", 1e308),
+         ("augment", "scale_max", 1e308), ("training", "lr", float("inf")),
+         ("loss", "gamma", float("nan"))],
+        ids=["rot-nan", "rot-huge", "scale-huge", "lr-inf", "gamma-nan"],
+    )
+    def test_non_finite_or_overflowing_float_exits_one(self, tiny_cfg_path, tmp_path, capsys,
+                                                        section, key, value):
+        # json.dumps writes NaN / Infinity literals, which json.loads accepts
+        data = synth_dir(tiny_cfg_path, tmp_path)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**TINY, section: {**TINY.get(section, {}), key: value}}))
+        out = tmp_path / "run"
+        capsys.readouterr()
+        code = main(["train", "--config", str(path), "--manifest", str(data / "manifest.jsonl"),
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "name", ["sub/ckpt.rkck", "ABSOLUTE", "metrics.jsonl", "ckpt.rkck.partial", "..", ""]
+    )
+    def test_checkpoint_path_must_be_bare_name(self, tiny_cfg_path, tmp_path, capsys, name):
+        data = synth_dir(tiny_cfg_path, tmp_path)
+        if name == "ABSOLUTE":
+            name = str(tmp_path / "elsewhere.rkck")
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**TINY, "training": {**TINY["training"], "checkpoint_path": name}}))
+        out = tmp_path / "run"
+        capsys.readouterr()
+        code = main(["train", "--config", str(path), "--manifest", str(data / "manifest.jsonl"),
+                     "--out", str(out)])
+        assert code == 1
+        assert "error: training.checkpoint_path must be a bare file name" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "elsewhere.rkck").exists()
+
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_truncated_image_error_names_the_file(self, tiny_cfg_path, tmp_path, capsys,
                                                    command):

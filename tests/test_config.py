@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import re
 
 import pytest
 
@@ -9,6 +11,7 @@ from retina_kit.config import (
     run_config_to_dict,
 )
 from retina_kit.errors import ValidationError
+from retina_kit.losses import LossConfig
 
 
 def test_empty_dict_gives_defaults():
@@ -166,3 +169,24 @@ def test_level_stride_rejects_non_integers(bad):
     levels = [{"stride": bad, "base_size": 16.0}, {"stride": 16, "base_size": 32.0}]
     with pytest.raises(ValidationError, match=r"anchors\.levels\[0\]\.stride must be an integer"):
         run_config_from_dict({"anchors": {"levels": levels}})
+
+
+@pytest.mark.parametrize(
+    "section, key, value, field",
+    [("training", "lr", float("inf"), "training.lr"),
+     ("loss", "gamma", float("nan"), "loss.gamma"),
+     ("anchors", "scales", [1.0, float("inf")], "anchors.scales[1]"),
+     ("anchors", "levels", [{"stride": 8, "base_size": float("nan")}, {"stride": 16, "base_size": 32.0}],
+      "anchors.levels[0].base_size"),
+     ("augment", "min_box_area_px", float("inf"), "augment.min_box_area_px"),
+     ("synth", "noise_std", float("inf"), "synth.noise_std")],
+)
+def test_float_fields_must_be_finite(section, key, value, field):
+    with pytest.raises(ValidationError, match=rf"^{re.escape(field)} must be finite"):
+        run_config_from_dict({section: {key: value}})
+
+
+def test_finite_check_covers_in_process_configs():
+    cfg = run_config_from_dict({})
+    with pytest.raises(ValidationError, match=r"^loss\.gamma must be finite"):
+        dataclasses.replace(cfg, loss=LossConfig(gamma=float("nan")))

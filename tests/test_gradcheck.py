@@ -1,4 +1,4 @@
-import numpy as np
+import pytest
 
 from retina_kit.config import run_config_from_dict
 from retina_kit.gradcheck import run_gradcheck
@@ -22,18 +22,26 @@ def test_report_is_deterministic():
     assert a == b
 
 
-def test_sabotaged_gradient_is_caught():
-    # inject +1e-2 into one analytic conv gradient; the conv suite must fail
-    def perturb(name, analytic):
-        if name == "conv2d" and isinstance(analytic, np.ndarray) and analytic.size > 1:
-            out = np.array(analytic, copy=True)
-            out.reshape(-1)[0] += 1e-2
-            return out
-        return analytic
+# a network small enough that end_to_end probes all 195 of its parameters
+TINY_NET = {
+    "network": {"stem_channels": [2], "fpn_channels": 2, "head_depth": 0},
+    "anchors": {"levels": [{"stride": 2, "base_size": 6.0}], "scales": [1.0], "ratios": [1.0]},
+    "training": {"input_size": [16, 16]},
+}
 
-    report = run_gradcheck(run_config_from_dict({"seed": 0}), perturb=perturb)
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_sabotaged_gradient_is_caught(suite):
+    # corrupt one suite's analytic gradient: that suite must fail and every other pass
+    def perturb(name, analytic):
+        if name != suite:
+            return analytic
+        if isinstance(analytic, dict):  # end_to_end: one entry of one parameter's gradient
+            out = {k: v.copy() for k, v in analytic.items()}
+            out["smooth0.w"].reshape(-1)[0] += 1e-2
+            return out
+        return analytic + 1e-2  # a scalar derivative, or every entry of an array
+
+    report = run_gradcheck(run_config_from_dict({"seed": 0, **TINY_NET}), perturb=perturb)
     assert not report["passed"]
-    by_name = {s["name"]: s for s in report["suites"]}
-    assert not by_name["conv2d"]["passed"]
-    assert by_name["focal_loss"]["passed"]
-    assert by_name["end_to_end"]["passed"]
+    assert [s["name"] for s in report["suites"] if not s["passed"]] == [suite]

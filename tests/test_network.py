@@ -10,8 +10,8 @@ from retina_kit.layers import sigmoid
 from retina_kit.losses import LossConfig, loss_targets, total_detection_loss
 from retina_kit.network import (
     NetworkConfig,
-    _flatten_level_outputs,
-    _unflatten_row_grads,
+    _from_rows,
+    _to_rows,
     backward,
     check_level_strides,
     forward,
@@ -131,16 +131,27 @@ class TestForward:
 class TestFlatten:
     def test_round_trip(self, rng):
         cfg, params = make_net()
-        img = rng.standard_normal((2, 3, 64, 64)).astype(np.float32)
-        (cls_rows, box_rows), cache = forward(img, params, cfg, ANCHORS)
-        t = cache["tensors"]
-        outputs = [(t["cls_out/0"], t["box_out/0"]), (t["cls_out/1"], t["box_out/1"])]
-        flat_cls, flat_box = _flatten_level_outputs(outputs, 9)
-        assert flat_cls.shape == (2, 720) and flat_box.shape == (2, 720, 4)
-        assert np.array_equal(flat_cls, cls_rows) and np.array_equal(flat_box, box_rows)
-        back = _unflatten_row_grads(flat_cls, flat_box, outputs, 9)
-        for (gc, gb), (c, b) in zip(back, outputs):
-            assert np.array_equal(gc, c) and np.array_equal(gb, b)
+        # a non-square input tells rows from columns
+        for (h, w), n in (((64, 64), 720), ((128, 64), 1440)):
+            img = rng.standard_normal((2, 3, h, w)).astype(np.float32)
+            (cls_rows, box_rows), cache = forward(img, params, cfg, ANCHORS)
+            t = cache["tensors"]
+            outputs = [(t["cls_out/0"], t["box_out/0"]), (t["cls_out/1"], t["box_out/1"])]
+            flat_cls = np.concatenate([_to_rows(c, 1) for c, _ in outputs], axis=1)[:, :, 0]
+            flat_box = np.concatenate([_to_rows(b, 4) for _, b in outputs], axis=1)
+            assert flat_cls.shape == (2, n) and flat_box.shape == (2, n, 4)
+            assert np.array_equal(flat_cls, cls_rows) and np.array_equal(flat_box, box_rows)
+            off = 0
+            for c, b in outputs:
+                # the level's row (r * W + col) * A + a holds head map entry [a, :, r, col]
+                q, i, r, col = np.indices(b.shape)
+                rows = off + (r * b.shape[3] + col) * 9 + q // 4
+                assert np.array_equal(box_rows[i, rows, q % 4], b)
+                assert np.array_equal(cls_rows[i[::4], rows[::4]], c)
+                end = off + c.size // 2
+                assert np.array_equal(_from_rows(flat_cls[:, off:end, None], c.shape, 1), c)
+                assert np.array_equal(_from_rows(flat_box[:, off:end], b.shape, 4), b)
+                off = end
 
     def test_anchor_order_alignment(self, rng):
         # a one-hot bump on the head map lands on the matching flat row
@@ -148,13 +159,13 @@ class TestFlatten:
         img = np.zeros((2, 3, 64, 64), np.float32)
         _, cache = forward(img, params, cfg, ANCHORS)
         t = cache["tensors"]
-        cls0, box0, cls1, box1 = t["cls_out/0"], t["box_out/0"], t["cls_out/1"], t["box_out/1"]
+        cls0, cls1 = t["cls_out/0"], t["cls_out/1"]
         probe = np.zeros_like(cls0)
         a_idx, b, r, c = 5, 1, 2, 3
         probe[a_idx, b, r, c] = 1.0
-        flat, _ = _flatten_level_outputs([(probe, box0), (np.zeros_like(cls1), box1)], 9)
+        flat = np.concatenate([_to_rows(probe, 1), _to_rows(np.zeros_like(cls1), 1)], axis=1)
         row = (r * 8 + c) * 9 + a_idx
-        assert flat[b, row] == 1.0
+        assert flat[b, row, 0] == 1.0
         assert flat.sum() == 1.0
 
 
