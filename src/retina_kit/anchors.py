@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boxes import boxes_to_array, encode_boxes, iou_matrix
-from .errors import ValidationError
+from .errors import ValidationError, check_fields
 
 POSITIVE = 1
 NEGATIVE = 0
@@ -26,6 +26,9 @@ DEFAULT_RATIOS = (0.5, 1.0, 2.0)
 class AnchorLevel:
     stride: int
     base_size: float
+
+    def __post_init__(self):
+        check_fields(self, "anchors.levels")
 
 
 def _default_levels() -> tuple[AnchorLevel, ...]:
@@ -42,9 +45,7 @@ class AnchorConfig:
     force_match: bool = True
 
     def __post_init__(self):
-        self.levels = tuple(self.levels)
-        self.scales = tuple(float(s) for s in self.scales)
-        self.ratios = tuple(float(r) for r in self.ratios)
+        check_fields(self, "anchors")
         if not self.levels:
             raise ValidationError("anchor config needs at least one pyramid level")
         strides = self.strides

@@ -10,12 +10,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .anchors import AnchorConfig, AnchorLevel
+from .anchors import AnchorConfig
 from .data import AugmentConfig
-from .errors import ValidationError, require_int, require_ints
+from .errors import ValidationError, check_fields, check_value
 from .losses import LossConfig
 from .network import NetworkConfig, check_level_strides
 from .postprocess import EvalConfig
@@ -32,12 +33,7 @@ class TrainingConfig:
     input_size: tuple[int, int] = (64, 64)
 
     def __post_init__(self):
-        self.input_size = tuple(self.input_size)
-        require_ints("training", self, "batch_size", "epochs", "eval_every", "input_size")
-        if len(self.input_size) != 2:
-            raise ValidationError(
-                f"training.input_size must be [width, height], got {self.input_size}"
-            )
+        check_fields(self, "training")
         if self.lr <= 0:
             raise ValidationError(f"lr must be > 0, got {self.lr}")
         if self.batch_size < 1:
@@ -68,9 +64,9 @@ class RunConfig:
     training: TrainingConfig = field(default_factory=TrainingConfig)
 
     def __post_init__(self):
+        check_fields(self, "")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        _require_finite(run_config_to_dict(self), "")
         check_level_strides(self.network, self.anchors)
         s_max = self.anchors.max_stride
         w, h = self.training.input_size
@@ -87,18 +83,6 @@ class RunConfig:
             )
 
 
-def _require_finite(value, where: str) -> None:
-    """Reject a NaN or infinite float anywhere in a materialized config, naming its field."""
-    if isinstance(value, dict):
-        for key, v in value.items():
-            _require_finite(v, f"{where}.{key}" if where else key)
-    elif isinstance(value, list):
-        for i, v in enumerate(value):
-            _require_finite(v, f"{where}[{i}]")
-    elif isinstance(value, float) and not math.isfinite(value):
-        raise ValidationError(f"{where} must be finite, got {value}")
-
-
 def _from_section(cls, raw: dict, where: str):
     if not isinstance(raw, dict):
         raise ValidationError(f"config section '{where}' must be an object")
@@ -106,34 +90,14 @@ def _from_section(cls, raw: dict, where: str):
     unknown = set(raw) - names
     if unknown:
         raise ValidationError(f"unknown keys in config section '{where}': {sorted(unknown)}")
-    kwargs = dict(raw)
     try:
-        if cls is AnchorConfig and "levels" in kwargs:
-            levels = []
-            for i, lv in enumerate(kwargs["levels"]):
-                if not isinstance(lv, dict) or set(lv) != {"stride", "base_size"}:
-                    raise ValidationError(
-                        f"{where}.levels[{i}] must be an object with stride and base_size"
-                    )
-                require_int(f"{where}.levels[{i}].stride", lv["stride"])
-                levels.append(AnchorLevel(stride=lv["stride"], base_size=float(lv["base_size"])))
-            kwargs["levels"] = tuple(levels)
-        return cls(**kwargs)
-    except ValidationError:
-        raise
-    except (TypeError, ValueError) as e:  # e.g. a wrong key type, or a range of the wrong length
+        return cls(**raw)
+    except TypeError as e:  # a value of the wrong JSON type or shape (see check_fields)
         raise ValidationError(f"bad config section '{where}': {e}") from e
 
 
-_SECTIONS = {
-    "anchors": AnchorConfig,
-    "loss": LossConfig,
-    "network": NetworkConfig,
-    "augment": AugmentConfig,
-    "synth": SynthConfig,
-    "eval": EvalConfig,
-    "training": TrainingConfig,
-}
+# section name -> config class, in RunConfig's field order
+_SECTIONS = {name: cls for name, cls in typing.get_type_hints(RunConfig).items() if name != "seed"}
 
 
 def run_config_from_dict(raw: dict) -> RunConfig:
@@ -142,8 +106,7 @@ def run_config_from_dict(raw: dict) -> RunConfig:
     unknown = set(raw) - set(_SECTIONS) - {"seed"}
     if unknown:
         raise ValidationError(f"unknown top-level config keys: {sorted(unknown)}")
-    seed = raw.get("seed", 0)
-    require_int("seed", seed)  # before synth inherits it
+    seed = check_value(raw.get("seed", 0), int, "seed")  # before synth inherits it
     kwargs = {}
     for name, cls in _SECTIONS.items():
         section = raw.get(name, {})

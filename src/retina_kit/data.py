@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .boxes import BBox, box_areas, boxes_to_array, clip_boxes, transform_boxes
-from .errors import ValidationError
+from .errors import ValidationError, check_fields
 from .outputs import atomic_write
 
 IMAGENET_MEAN = (0.485, 0.456, 0.406)
@@ -54,6 +54,7 @@ class AugmentConfig:
     min_visible_frac: float = 0.4
 
     def __post_init__(self):
+        check_fields(self, "augment")
         if not (0.0 <= self.translate_frac < 1.0):
             raise ValidationError(f"translate_frac must be in [0, 1), got {self.translate_frac}")
         if not (0.0 <= self.max_rot_deg <= 180.0):

@@ -191,10 +191,14 @@ def check_end_to_end(cfg: RunConfig, rng, perturb, n_params=200) -> float:
     _, g_cls, g_box = total_detection_loss(cls_rows, box_rows, labels, targets, cfg.loss)
     grads = perturb("end_to_end", backward(cache, g_cls, g_box))
 
-    # probed parameter by parameter: each probe restores its entry, so the order is free
+    # the first entry of every tensor, then random others up to n_params in all; probed
+    # parameter by parameter: each probe restores its entry, so the order is free
     sizes = {name: p.size for name, p in sorted(params.items())}
     total = sum(sizes.values())
-    picks = rng.choice(total, size=min(n_params, total), replace=False)
+    firsts = np.cumsum([0, *sizes.values()])[:-1]
+    others = np.setdiff1d(np.arange(total), firsts)
+    n_others = min(max(n_params - len(firsts), 0), others.size)
+    picks = np.concatenate([firsts, rng.choice(others, size=n_others, replace=False)])
     probes, off = [], 0
     for name, size in sizes.items():
         flat, gflat = params[name].reshape(-1), grads[name].reshape(-1)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anchors import IGNORE, POSITIVE
-from .errors import ValidationError
+from .errors import ValidationError, check_fields
 from .layers import sigmoid, softplus
 
 
@@ -23,6 +23,7 @@ class LossConfig:
     smooth_l1_beta: float = 1.0 / 9.0
 
     def __post_init__(self):
+        check_fields(self, "loss")
         if self.gamma < 0:
             raise ValidationError(f"gamma must be >= 0, got {self.gamma}")
         if not (0.0 < self.alpha <= 1.0):

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import layers
 from .anchors import AnchorConfig
-from .errors import ValidationError, require_ints
+from .errors import ValidationError, check_fields
 
 INPUT_CHANNELS = 3  # load_ppm and preprocess always give RGB
 
@@ -41,8 +41,7 @@ class NetworkConfig:
     prior_prob: float = 0.01
 
     def __post_init__(self):
-        self.stem_channels = tuple(self.stem_channels)
-        require_ints("network", self, "stem_channels", "fpn_channels", "head_depth")
+        check_fields(self, "network")
         if not self.stem_channels or any(c <= 0 for c in self.stem_channels):
             raise ValidationError(f"stem_channels must be positive, got {self.stem_channels}")
         if self.fpn_channels <= 0:

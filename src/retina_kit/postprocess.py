@@ -23,7 +23,7 @@ import numpy as np
 
 from .anchors import AnchorGrid
 from .boxes import BBox, boxes_to_array, clip_boxes, decode_boxes
-from .errors import NumericError, ValidationError, require_ints
+from .errors import NumericError, ValidationError, check_fields
 from .layers import sigmoid
 from .outputs import atomic_write
 
@@ -39,8 +39,7 @@ class EvalConfig:
     max_detections_per_image: int = 100
 
     def __post_init__(self):
-        require_ints("eval", self, "pre_nms_topk", "max_detections_per_image")
-        self.iou_thresholds = tuple(float(t) for t in self.iou_thresholds)
+        check_fields(self, "eval")
         if not self.iou_thresholds:
             raise ValidationError("iou_thresholds must be non-empty")
         if any(not (0.0 < t < 1.0) for t in self.iou_thresholds):

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import SampleRecord, write_manifest
-from .errors import ValidationError, require_ints
+from .errors import ValidationError, check_fields
 from .ppm import save_ppm
 
 STREAM_SYNTH = 101
@@ -43,18 +43,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.image_size = tuple(self.image_size)
-        self.pedestrians_per_image = tuple(self.pedestrians_per_image)
-        self.template_aspect = tuple(float(v) for v in self.template_aspect)
-        self.template_height_px = tuple(self.template_height_px)
-        require_ints(
-            "synth", self,
-            "image_size", "num_images", "pedestrians_per_image", "template_height_px", "seed",
-        )
-        if len(self.image_size) != 2:
-            raise ValidationError(
-                f"synth.image_size must be [width, height], got {self.image_size}"
-            )
+        check_fields(self, "synth")
         w, h = self.image_size
         if w <= 0 or h <= 0:
             raise ValidationError(f"image_size must be positive, got {self.image_size}")

@@ -131,7 +131,6 @@ def evaluate_params(params, cfg: RunConfig, samples: list[Sample]):
 class TrainResult:
     checkpoint_path: str
     metrics_path: str
-    metrics: list[dict]
     final_val: dict | None
 
 
@@ -323,7 +322,6 @@ def run_training(
     metrics_path = out / "metrics.jsonl"
     metrics_partial = out / "metrics.jsonl.partial"
 
-    metrics = [json.loads(line) for line in carried]
     final_val = None
     inputs = _minibatch_inputs(prepared, grid, cfg, n, start_epoch)
     with open(metrics_partial, "w", encoding="utf-8") as mf, _prefetch(
@@ -365,7 +363,6 @@ def run_training(
                 save_checkpoint(partial_path, build_checkpoint(params, state, config_echo))
             mf.write(json.dumps(row) + "\n")
             mf.flush()
-            metrics.append(row)
 
     # written through <name>.partial, so this also retires the periodic checkpoint
     save_checkpoint(ckpt_path, build_checkpoint(params, state, config_echo))
@@ -373,7 +370,6 @@ def run_training(
     return TrainResult(
         checkpoint_path=str(ckpt_path),
         metrics_path=str(metrics_path),
-        metrics=metrics,
         final_val=final_val,
     )
 
@@ -416,7 +412,7 @@ def check_config_echo(ckpt: Checkpoint, cfg: RunConfig, resume: bool) -> None:
         echo = _leaves(ckpt.config())
     except (ValueError, AttributeError) as e:
         raise ValidationError(f"checkpoint config echo is not a JSON object: {e}") from e
-    current = _leaves(json.loads(canonical_json(run_config_to_dict(cfg))))
+    current = _leaves(run_config_to_dict(cfg))
 
     def compared(key):
         if resume:

@@ -679,6 +679,14 @@ class TestExitCodes:
         assert err.startswith("error: ") and key in err
         assert not out.exists()
 
+    def test_bool_for_a_number_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**TINY, "loss": {"gamma": True}}))
+        out = tmp_path / "data"
+        assert main(["synth", "--config", str(path), "--out", str(out)]) == 1
+        assert "loss.gamma must be a number, got True" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "name", ["sub/ckpt.rkck", "ABSOLUTE", "metrics.jsonl", "ckpt.rkck.partial", "..", ""]
     )

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from retina_kit.anchors import AnchorConfig
 from retina_kit.config import (
     RunConfig,
     load_run_config,
@@ -190,3 +191,45 @@ def test_finite_check_covers_in_process_configs():
     cfg = run_config_from_dict({})
     with pytest.raises(ValidationError, match=r"^loss\.gamma must be finite"):
         dataclasses.replace(cfg, loss=LossConfig(gamma=float("nan")))
+
+
+LEVEL_16 = {"stride": 16, "base_size": 32.0}
+
+
+@pytest.mark.parametrize(
+    "section, key, value, field",
+    [("training", "lr", True, "training.lr"),
+     ("loss", "gamma", True, "loss.gamma"),
+     ("augment", "hflip_prob", False, "augment.hflip_prob"),
+     ("eval", "score_threshold", True, "eval.score_threshold"),
+     ("anchors", "force_match", "false", "anchors.force_match"),
+     ("anchors", "force_match", 0, "anchors.force_match"),
+     ("anchors", "scales", ["1.0", "2"], "anchors.scales[0]"),
+     ("anchors", "levels", [{"stride": 8, "base_size": "16"}, LEVEL_16],
+      "anchors.levels[0].base_size"),
+     ("synth", "template_aspect", ["2", "3.5"], "synth.template_aspect[0]"),
+     ("eval", "iou_thresholds", ["0.5"], "eval.iou_thresholds[0]"),
+     ("training", "checkpoint_path", 5, "training.checkpoint_path")],
+)
+def test_wrong_json_types_rejected(section, key, value, field):
+    # bools are not numbers, strings are not numbers or bools, numbers are not strings
+    with pytest.raises(ValidationError, match=rf"{re.escape(field)} must be"):
+        run_config_from_dict({section: {key: value}})
+
+
+def test_in_process_configs_check_field_types():
+    with pytest.raises(TypeError, match=r"anchors\.force_match must be true or false"):
+        AnchorConfig(force_match="no")
+    with pytest.raises(TypeError, match=r"loss\.alpha must be a number"):
+        LossConfig(alpha=True)
+
+
+def test_list_entries_of_float_fields_become_floats():
+    cfg = run_config_from_dict(
+        {"anchors": {"scales": [1, 2], "levels": [{"stride": 8, "base_size": 16}, LEVEL_16]},
+         "loss": {"gamma": 2}}
+    )
+    d = run_config_to_dict(cfg)
+    assert d["anchors"]["scales"] == [1.0, 2.0] and isinstance(d["anchors"]["scales"][0], float)
+    assert isinstance(d["anchors"]["levels"][0]["base_size"], float)
+    assert type(d["loss"]["gamma"]) is int  # a scalar stays as written

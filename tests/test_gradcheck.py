@@ -30,18 +30,25 @@ TINY_NET = {
 }
 
 
-@pytest.mark.parametrize("suite", SUITES)
-def test_sabotaged_gradient_is_caught(suite):
+@pytest.mark.parametrize(
+    "suite, config, param, step",
+    [(s, TINY_NET, "smooth0.w", 1e-2) for s in SUITES]
+    # under the default config end_to_end probes 200 of 96,157 entries: always the
+    # first entry of every tensor, so one wrong entry there cannot slip through
+    + [("end_to_end", {}, p, 1.0) for p in ("cls_out.b", "box_out.b", "stem0.b", "smooth1.w")],
+    ids=SUITES + [f"default-{p}" for p in ("cls_out.b", "box_out.b", "stem0.b", "smooth1.w")],
+)
+def test_sabotaged_gradient_is_caught(suite, config, param, step):
     # corrupt one suite's analytic gradient: that suite must fail and every other pass
     def perturb(name, analytic):
         if name != suite:
             return analytic
-        if isinstance(analytic, dict):  # end_to_end: one entry of one parameter's gradient
+        if isinstance(analytic, dict):  # end_to_end: entry 0 of one parameter's gradient
             out = {k: v.copy() for k, v in analytic.items()}
-            out["smooth0.w"].reshape(-1)[0] += 1e-2
+            out[param].reshape(-1)[0] += step
             return out
-        return analytic + 1e-2  # a scalar derivative, or every entry of an array
+        return analytic + step  # a scalar derivative, or every entry of an array
 
-    report = run_gradcheck(run_config_from_dict({"seed": 0, **TINY_NET}), perturb=perturb)
+    report = run_gradcheck(run_config_from_dict({"seed": 0, **config}), perturb=perturb)
     assert not report["passed"]
     assert [s["name"] for s in report["suites"] if not s["passed"]] == [suite]
