@@ -6,7 +6,7 @@ a COCO-protocol mAP evaluator.
 """
 
 from .anchors import AnchorConfig, AnchorGrid, AnchorLevel, assign_targets, generate_anchors
-from .boxes import BBox, iou_matrix
+from .boxes import iou_matrix
 from .config import RunConfig, load_run_config, run_config_from_dict, run_config_to_dict
 from .data import AugmentConfig, SampleRecord, augment, preprocess, read_manifest, write_manifest
 from .errors import NumericError, RetinaKitError, ValidationError

@@ -87,10 +87,6 @@ class AnchorGrid:
     def __len__(self) -> int:
         return self.anchors.shape[0]
 
-    def level_slice(self, level: int) -> slice:
-        start = sum(self.per_level_counts[:level])
-        return slice(start, start + self.per_level_counts[level])
-
 
 @dataclass
 class AnchorAssignment:

@@ -3,7 +3,7 @@
 IoU, clipping, mapping through a 2x3 affine, and the anchor-relative offset
 parameterization used by the regression head: center shifts are measured in
 anchor widths/heights, sizes as log ratios, so encode and decode are exact
-inverses. `BBox` is the validated row type for boxes parsed from files.
+inverses. `BBox`, a checked box row, is kept only for the test oracles and perfbench.
 """
 
 from __future__ import annotations
@@ -55,10 +55,8 @@ class BBox:
 
 
 def boxes_to_array(boxes) -> np.ndarray:
-    """(N, 4) float64 corner array from a BBox sequence or array-like."""
-    if isinstance(boxes, np.ndarray):
-        return boxes.astype(np.float64, copy=False).reshape(-1, 4)
-    return np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)
+    """(N, 4) float64 corner array from an array-like of corner rows."""
+    return np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
 
 
 def box_areas(boxes) -> np.ndarray:
@@ -71,8 +69,6 @@ def iou_matrix(boxes_a, boxes_b) -> np.ndarray:
     """Pairwise IoU in [0, 1] of rows i and j; 0 where the union has zero area."""
     a = boxes_to_array(boxes_a)
     b = boxes_to_array(boxes_b)
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        return np.zeros((a.shape[0], b.shape[0]))
     area_a = box_areas(a)
     area_b = box_areas(b)
     lt = np.maximum(a[:, None, :2], b[None, :, :2])

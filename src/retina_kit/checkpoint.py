@@ -58,16 +58,10 @@ class Checkpoint:
         return json.loads(self.config_json)
 
 
-def build_checkpoint(params, state: AdamState, config) -> Checkpoint:
+def build_checkpoint(params, state: AdamState, config_json: str) -> Checkpoint:
     """Assemble the canonical tensor order: params, then moments, then step."""
-    tensors: dict[str, np.ndarray] = {}
-    for name, p in params.items():
-        tensors[name] = p
-    for name in params:
-        tensors[f"{name}.m"] = state.m[name]
-        tensors[f"{name}.v"] = state.v[name]
-    tensors["step"] = np.array(float(state.step), dtype=np.float32)
-    config_json = config if isinstance(config, str) else canonical_json(config)
+    moments = {f"{name}.{k}": getattr(state, k)[name] for name in params for k in "mv"}
+    tensors = {**params, **moments, "step": np.array(float(state.step), dtype=np.float32)}
     return Checkpoint(tensors=tensors, config_json=config_json)
 
 

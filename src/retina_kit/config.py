@@ -119,7 +119,7 @@ def run_config_from_dict(raw: dict) -> RunConfig:
 def load_run_config(path) -> RunConfig:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or an integer past the int-string limit
         raise ValidationError(f"{path}: invalid JSON: {e}") from e
     return run_config_from_dict(raw)
 

@@ -12,12 +12,13 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .boxes import BBox, box_areas, boxes_to_array, clip_boxes, transform_boxes
+from .boxes import box_areas, clip_boxes, transform_boxes
 from .errors import ValidationError, check_fields
 from .outputs import atomic_write
 
@@ -32,15 +33,6 @@ class ManifestError(ValidationError):
 class SampleRecord:
     image_path: str
     boxes: np.ndarray  # (G, 4) float64 corners
-
-    def __post_init__(self):
-        if not self.image_path:
-            raise ValidationError("sample image_path must be non-empty")
-        self.boxes = boxes_to_array(self.boxes)
-        area = box_areas(self.boxes)
-        if np.any(area <= 0):
-            bad = tuple(self.boxes[area <= 0][0].tolist())
-            raise ValidationError(f"{self.image_path}: box {bad} has no area")
 
 
 @dataclass
@@ -196,29 +188,60 @@ def write_manifest(records, path) -> None:
 
 
 def read_manifest(path) -> list[SampleRecord]:
-    """Parse a manifest; the detector is single-class, so every label must be 0."""
-    records = []
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    """Parse a manifest; the one place a box row read from a file is checked.
+
+    Per line: image a non-empty string, boxes 4 JSON numbers each, labels all the integer 0.
+    Then, over all rows at once: each box finite (no int past float range), ordered, with area.
+    """
+    images, linenos, starts, rows = [], [], [], []
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # a JSONDecodeError, or an integer past the int-string limit
             raise ManifestError(f"{path}: line {lineno}: invalid JSON: {e}") from e
-        if not isinstance(obj, dict) or not {"image", "boxes", "labels"} <= set(obj):
-            raise ManifestError(f"{path}: line {lineno}: expected image/boxes/labels keys")
         try:
-            boxes = [BBox(*(float(v) for v in row)) for row in obj["boxes"]]
-            labels = list(obj["labels"])
+            if not isinstance(obj, dict) or not {"image", "boxes", "labels"} <= set(obj):
+                raise ValueError("expected image/boxes/labels keys")
+            image, boxes, labels = obj["image"], obj["boxes"], list(obj["labels"])
+            if type(image) is not str:
+                raise ValueError(f"image must be a string, got {image!r}")
+            if not image:
+                raise ValueError("sample image_path must be non-empty")
+            rows_ok = type(boxes) is list and all(type(b) is list and len(b) == 4 for b in boxes)
+            if not (rows_ok and {type(v) for b in boxes for v in b} <= {int, float}):
+                raise ValueError(f"boxes must be lists of 4 numbers, got {boxes!r}")
             if len(labels) != len(boxes):
                 raise ValueError(f"{len(boxes)} boxes vs {len(labels)} labels")
             if any(type(v) is not int or v != 0 for v in labels):  # no 0.0, False or "0"
                 raise ValueError(
                     f"labels {labels} must all be the integer 0: the detector is single-class"
                 )
-            rec = SampleRecord(image_path=str(obj["image"]), boxes=boxes)
         except (TypeError, ValueError) as e:
             raise ManifestError(f"{path}: line {lineno}: {e}") from e
-        records.append(rec)
-    return records
+        images.append(image)
+        linenos.append(lineno)
+        starts.append(len(rows))
+        rows += boxes
+
+    try:
+        arr = np.array(rows, dtype=np.float64).reshape(-1, 4)
+    except OverflowError:  # an integer too large for a float counts as not finite
+        arr = np.array([[math.inf if abs(v) > sys.float_info.max else v for v in r] for r in rows])
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, and huge sides
+        w, h = (arr[:, 2:] - arr[:, :2]).T
+        finite = np.isfinite(arr).all(axis=1)
+        ordered = (w >= 0) & (h >= 0)
+        bad = ~(finite & ordered & (w * h > 0))
+    if bad.any():
+        i = int(bad.argmax())
+        r = int(np.searchsorted(starts, i, side="right")) - 1  # the record row i belongs to
+        box = tuple(arr[i].tolist())
+        why = (
+            f"box coordinates must be finite, got {box}" if not finite[i]
+            else f"box corners out of order: {box}" if not ordered[i]
+            else f"{images[r]}: box {box} has no area"
+        )
+        raise ManifestError(f"{path}: line {linenos[r]}: {why}")
+    return [SampleRecord(im, arr[a:b]) for im, a, b in zip(images, starts, starts[1:] + [len(rows)])]

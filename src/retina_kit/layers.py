@@ -44,12 +44,6 @@ def relu_backward(grad_out, pre):
     return grad_out * (pre > 0)
 
 
-def add(a, b):
-    if a.shape != b.shape:
-        raise ValidationError(f"add shape mismatch: {a.shape} vs {b.shape}")
-    return a + b
-
-
 def upsample_nearest_x2(x):
     if x.ndim != 4:
         raise ValidationError(f"expected (C, B, H, W) input, got shape {x.shape}")

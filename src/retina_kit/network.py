@@ -186,7 +186,7 @@ def forward(images, params, config: NetworkConfig, anchors: AnchorConfig):
         elif kind == "relu":  # nothing else reads a pre-activation, so drop it
             tape[out] = layers.relu(tape.pop(ins[0]))
         else:
-            tape[out] = layers.add(x, layers.upsample_nearest_x2(tape[ins[1]]))
+            tape[out] = x + layers.upsample_nearest_x2(tape[ins[1]])
     cache = {"params": params, "ops": ops, "tensors": tape, "heads": heads}
     cls_rows = np.concatenate([_to_rows(tape[c], 1) for c, _ in heads], axis=1)
     box_rows = np.concatenate([_to_rows(tape[b], 4) for _, b in heads], axis=1)

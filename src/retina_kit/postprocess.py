@@ -15,14 +15,12 @@ anchor carries one logit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
 from .anchors import AnchorGrid
-from .boxes import BBox, boxes_to_array, clip_boxes, decode_boxes
+from .boxes import boxes_to_array, clip_boxes, decode_boxes
 from .errors import NumericError, ValidationError, check_fields
 from .layers import sigmoid
 from .outputs import atomic_write
@@ -217,28 +215,3 @@ def write_detections(dets: Detections, path) -> None:
             box = f"[{x1!r}, {y1!r}, {x2!r}, {y2!r}]"
             f.write(f'{{"image_id": {i}, "box": {box}, "score": {s!r}}}\n')
 
-
-def read_detections(path) -> Detections:
-    """Parse detections.jsonl; every box must be finite and ordered, every score in [0, 1]."""
-    boxes, scores, image_ids = [], [], []
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            box = BBox(*(float(v) for v in obj["box"]))
-            score = float(obj["score"])
-            image_id = int(obj["image_id"])
-            if not (0.0 <= score <= 1.0):
-                raise ValueError(f"detection score must be in [0, 1], got {score}")
-        except (KeyError, TypeError, ValueError) as e:
-            raise ValidationError(f"{path}: line {lineno}: {e}") from e
-        boxes.append(box)
-        scores.append(score)
-        image_ids.append(image_id)
-    return Detections(
-        boxes=boxes_to_array(boxes),
-        scores=np.array(scores, dtype=np.float64),
-        image_ids=np.array(image_ids, dtype=np.int64),
-    )

@@ -1,30 +1,76 @@
-"""Independent brute-force oracles.
+"""Independent brute-force oracles, and the code only the tests use.
 
 Everything here is deliberately naive: explicit loops, no sorting shortcuts,
 one box at a time. Nothing is imported from the package except the `BBox`
-row type and the anchor label constants, so no code is shared with the
-implementations under test. `transform_box` and `naive_warp_affine` take a
-2x3 affine matrix as given and apply it with their own numpy; the matrix
-itself is checked against `naive_augment_transform`, which composes 3x3
-homogeneous matrices. Two oracles are the
-loops the batched code replaced, and keep a package function so that they
-must agree bit for bit: `naive_nms_indices`, the one-image greedy NMS, keeps
+row type, the anchor label constants, and the `Detections` container and
+`ValidationError` that `read_detections` returns and raises, so no code is
+shared with the implementations under test. `transform_box` and
+`naive_warp_affine` take a 2x3 affine matrix as given and apply it with their
+own numpy; the matrix itself is checked against `naive_augment_transform`,
+which composes 3x3 homogeneous matrices. Two oracles are the loops the
+batched code replaced, and keep a package function so that they must agree
+bit for bit: `naive_nms_indices`, the one-image greedy NMS, keeps
 `iou_matrix` (rounding at the threshold included), and
 `naive_detection_loss`, the one-image loss, keeps the elementwise focal and
 smooth-L1 functions.
+
+The package takes boxes as arrays only; `box_array` turns a `BBox` list into
+one. `level_slice` and `read_detections`, the `detections.jsonl` reader, have
+no caller in the package.
 """
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 
 from retina_kit.anchors import IGNORE, NEGATIVE, POSITIVE
 from retina_kit.boxes import BBox, boxes_to_array, iou_matrix
+from retina_kit.errors import ValidationError
 from retina_kit.losses import sigmoid_focal_loss, smooth_l1
+from retina_kit.postprocess import Detections
 
 DELTA_CLAMP = math.log(1000.0 / 16.0)
+
+
+def box_array(boxes) -> np.ndarray:
+    """(N, 4) float64 corner array of a BBox sequence."""
+    return np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)
+
+
+def level_slice(grid, level: int) -> slice:
+    """The rows of grid.anchors that belong to pyramid level `level`."""
+    start = sum(grid.per_level_counts[:level])
+    return slice(start, start + grid.per_level_counts[level])
+
+
+def read_detections(path) -> Detections:
+    """Parse detections.jsonl; every box must be finite and ordered, every score in [0, 1]."""
+    boxes, scores, image_ids = [], [], []
+    text = Path(path).read_text(encoding="utf-8")
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+            box = BBox(*(float(v) for v in obj["box"]))
+            score = float(obj["score"])
+            image_id = int(obj["image_id"])
+            if not (0.0 <= score <= 1.0):
+                raise ValueError(f"detection score must be in [0, 1], got {score}")
+        except (KeyError, TypeError, ValueError) as e:
+            raise ValidationError(f"{path}: line {lineno}: {e}") from e
+        boxes.append(box)
+        scores.append(score)
+        image_ids.append(image_id)
+    return Detections(
+        boxes=box_array(boxes),
+        scores=np.array(scores, dtype=np.float64),
+        image_ids=np.array(image_ids, dtype=np.int64),
+    )
 
 
 def iou(a: BBox, b: BBox) -> float:

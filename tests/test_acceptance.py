@@ -13,13 +13,15 @@ import numpy as np
 import pytest
 
 from oracles import (
+    box_array,
     iou,
     logsumexp_bce,
     naive_coco_map,
     random_box,
     random_round_trip_pair,
+    read_detections,
 )
-from retina_kit.boxes import box_areas, boxes_to_array, decode_boxes, encode_boxes, iou_matrix
+from retina_kit.boxes import box_areas, decode_boxes, encode_boxes, iou_matrix
 from retina_kit.checkpoint import load_checkpoint
 from retina_kit.cli import main
 from retina_kit.config import run_config_from_dict, run_config_to_dict
@@ -33,7 +35,6 @@ from retina_kit.postprocess import (
     Detections,
     EvalConfig,
     nms_indices,
-    read_detections,
     write_detections,
 )
 from retina_kit.ppm import load_ppm, save_ppm
@@ -126,16 +127,16 @@ def test_criterion_3_focal_reduction():
 def test_criterion_4_geometry_oracles():
     rng = np.random.default_rng(11)
     pairs = [random_round_trip_pair(rng) for _ in range(10_000)]
-    gts = boxes_to_array([g for g, _ in pairs])
-    anchors = boxes_to_array([a for _, a in pairs])
+    gts = box_array([g for g, _ in pairs])
+    anchors = box_array([a for _, a in pairs])
     rt = decode_boxes(anchors, encode_boxes(gts, anchors))
     worst_rt = float(np.max(np.abs(rt - gts)))
     sym_ok = True
     for _ in range(10_000):
         a = random_box(rng)
         b = random_box(rng)
-        v = iou_matrix([a], [b])[0, 0]
-        sym_ok = sym_ok and v == iou_matrix([b], [a])[0, 0] and v == iou(a, b)
+        v = iou_matrix(box_array([a]), box_array([b]))[0, 0]
+        sym_ok = sym_ok and v == iou_matrix(box_array([b]), box_array([a]))[0, 0] and v == iou(a, b)
         sym_ok = sym_ok and 0.0 <= v <= 1.0
     nms_ok = True
     for _ in range(1000):
@@ -144,7 +145,7 @@ def test_criterion_4_geometry_oracles():
             for _ in range(int(rng.integers(1, 15)))
         ]
         keep = nms_indices(
-            boxes_to_array([b for b, _ in dets])[None], np.array([s for _, s in dets])[None],
+            box_array([b for b, _ in dets])[None], np.array([s for _, s in dets])[None],
             [len(dets)], 0.5, 100,
         )
         kept = [dets[i][0] for i in keep]
@@ -174,8 +175,11 @@ def test_criterion_5_evaluator_oracle_equivalence():
             gts = [random_box(rng, 0, 64, min_side=2) for _ in range(n_g)]
             dets_by_image[img] = dets
             gts_by_image[img] = gts
-            all_dets.append(Detections.for_image(img, [b for b, _ in dets], [s for _, s in dets]))
-        report = coco_map(Detections.concat(all_dets), gts_by_image, cfg)
+            all_dets.append(
+                Detections.for_image(img, box_array([b for b, _ in dets]), [s for _, s in dets])
+            )
+        gts = {img: box_array(g) for img, g in gts_by_image.items()}
+        report = coco_map(Detections.concat(all_dets), gts, cfg)
         naive_aps, naive_map = naive_coco_map(dets_by_image, gts_by_image, cfg.iou_thresholds)
         exact = exact and report["ap_per_threshold"] == naive_aps and report["map"] == naive_map
         aps = report["ap_per_threshold"]
@@ -265,7 +269,7 @@ def test_criterion_9_augmentation_contract():
     bounds_ok = True
     for _ in range(1000):
         bxs = [random_box(rng, 0, 64, min_side=3) for _ in range(int(rng.integers(1, 4)))]
-        _, out = augment(img, boxes_to_array(bxs), cfg, rng)
+        _, out = augment(img, box_array(bxs), cfg, rng)
         for x1, y1, x2, y2 in out:
             bounds_ok = bounds_ok and 0.0 <= x1 <= x2 <= 64.0
             bounds_ok = bounds_ok and 0.0 <= y1 <= y2 <= 64.0
@@ -296,7 +300,7 @@ def test_criterion_10_format_round_trips(tmp_path):
     records = []
     for i in range(40):
         n = int(rng.integers(0, 4))
-        boxes = boxes_to_array([random_box(rng, 0, 64, min_side=1) for _ in range(n)])
+        boxes = box_array([random_box(rng, 0, 64, min_side=1) for _ in range(n)])
         records.append(SampleRecord(f"im{i}.ppm", boxes))
     write_manifest(records, tmp_path / "m.jsonl")
     back = read_manifest(tmp_path / "m.jsonl")
@@ -316,7 +320,7 @@ def test_criterion_10_format_round_trips(tmp_path):
         for _ in range(60)
     ]
     dets = Detections(
-        boxes=boxes_to_array([b for b, _, _ in rows]),
+        boxes=box_array([b for b, _, _ in rows]),
         scores=np.array([s for _, s, _ in rows]),
         image_ids=np.array([i for _, _, i in rows]),
     )
@@ -328,12 +332,14 @@ def test_criterion_10_format_round_trips(tmp_path):
         and np.array_equal(dets.image_ids, dback.image_ids)
     )
 
-    from retina_kit.checkpoint import build_checkpoint, save_checkpoint
+    from retina_kit.checkpoint import build_checkpoint, canonical_json, save_checkpoint
     from retina_kit.network import init_params
 
     cfg = run_config_from_dict({})
     params = init_params(cfg.network, cfg.anchors, np.random.default_rng(5))
-    ckpt = build_checkpoint(params, AdamState.zeros_like(params), run_config_to_dict(cfg))
+    ckpt = build_checkpoint(
+        params, AdamState.zeros_like(params), canonical_json(run_config_to_dict(cfg))
+    )
     save_checkpoint(tmp_path / "a.rkck", ckpt)
     save_checkpoint(tmp_path / "b.rkck", load_checkpoint(tmp_path / "a.rkck"))
     ckpt_ok = (tmp_path / "a.rkck").read_bytes() == (tmp_path / "b.rkck").read_bytes()

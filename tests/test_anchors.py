@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import naive_assign, random_box
+from oracles import box_array, naive_assign, random_box
 from retina_kit.anchors import (
     IGNORE,
     NEGATIVE,
@@ -103,7 +103,7 @@ class TestAssign:
         cfg = single_level_config()
         grid = generate_anchors(cfg, 64, 64)
         target = BBox(*grid.anchors[17])
-        out = assign_targets(grid, [target], cfg)
+        out = assign_targets(grid, box_array([target]), cfg)
         assert out.labels[17] == POSITIVE
         assert out.matched_gt[17] == 0
         assert out.deltas[17] == pytest.approx([0.0, 0.0, 0.0, 0.0], abs=1e-9)
@@ -118,7 +118,7 @@ class TestAssign:
         cfg = single_level_config()
         grid = generate_anchors(cfg, 64, 64)
         gts = [random_box(rng, 0, 64, min_side=4) for _ in range(3)]
-        out = assign_targets(grid, gts, cfg)
+        out = assign_targets(grid, box_array(gts), cfg)
         n_pos = int(np.sum(out.labels == POSITIVE))
         n_neg = int(np.sum(out.labels == NEGATIVE))
         n_ign = int(np.sum(out.labels == IGNORE))
@@ -131,7 +131,7 @@ class TestAssign:
         grid = generate_anchors(cfg, 64, 64)
         for _ in range(5):
             gts = [random_box(rng, 0, 64, min_side=4) for _ in range(rng.integers(1, 4))]
-            got = assign_targets(grid, gts, cfg)
+            got = assign_targets(grid, box_array(gts), cfg)
             anchor_boxes = [BBox(*row) for row in grid.anchors]
             labels, matched, forced = naive_assign(
                 anchor_boxes, gts, cfg.pos_iou, cfg.neg_iou, force
@@ -146,7 +146,7 @@ class TestAssign:
         counts = []
         for pos in (0.45, 0.55, 0.65, 0.75):
             cfg = single_level_config(pos_iou=pos, neg_iou=0.4, force_match=False)
-            counts.append(assign_targets(grid, gts, cfg).num_positive)
+            counts.append(assign_targets(grid, box_array(gts), cfg).num_positive)
         assert all(b <= a for a, b in zip(counts, counts[1:]))
 
     def test_force_match_covers_every_overlapping_gt(self, rng):
@@ -154,7 +154,7 @@ class TestAssign:
         grid = generate_anchors(cfg, 64, 64)
         # gts in separate cells so their best anchors cannot collide
         gts = [BBox(2.0, 2.0, 14.0, 20.0), BBox(40.0, 30.0, 56.0, 60.0)]
-        out = assign_targets(grid, gts, cfg)
+        out = assign_targets(grid, box_array(gts), cfg)
         assert out.num_positive >= len(gts)
         assert set(out.matched_gt[out.labels == POSITIVE]) == {0, 1}
         assert np.all(out.forced[out.labels == POSITIVE])
@@ -163,7 +163,7 @@ class TestAssign:
         cfg = single_level_config()
         grid = generate_anchors(cfg, 64, 64)
         target = BBox(*grid.anchors[100])
-        out = assign_targets(grid, [target], cfg)
+        out = assign_targets(grid, box_array([target]), cfg)
         assert out.labels[100] == POSITIVE
         assert not out.forced[100]  # threshold positive, not a promotion
 
@@ -171,8 +171,8 @@ class TestAssign:
         cfg = single_level_config()
         grid = generate_anchors(cfg, 64, 64)
         gts = [BBox(2.0, 2.0, 14.0, 20.0), BBox(40.0, 30.0, 56.0, 60.0)]
-        fwd = assign_targets(grid, gts, cfg)
-        rev = assign_targets(grid, gts[::-1], cfg)
+        fwd = assign_targets(grid, box_array(gts), cfg)
+        rev = assign_targets(grid, box_array(gts[::-1]), cfg)
         assert np.array_equal(fwd.labels, rev.labels)
         relabeled = np.where(rev.matched_gt >= 0, 1 - rev.matched_gt, -1)
         assert np.array_equal(fwd.matched_gt, relabeled)

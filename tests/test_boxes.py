@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given
 
 from conftest import boxes
-from oracles import clip_to_image, encode, iou, random_box, random_round_trip_pair
+from oracles import box_array, clip_to_image, encode, iou, random_box, random_round_trip_pair
 from retina_kit.boxes import (
     DELTA_CLAMP,
     BBox,
     box_areas,
-    boxes_to_array,
     clip_boxes,
     decode_boxes,
     encode_boxes,
@@ -64,27 +63,27 @@ class TestIou:
 
     @given(boxes(), boxes())
     def test_symmetric_and_bounded(self, a, b):
-        v = iou_matrix([a], [b])[0, 0]
-        assert v == iou_matrix([b], [a])[0, 0]
+        v = iou_matrix(box_array([a]), box_array([b]))[0, 0]
+        assert v == iou_matrix(box_array([b]), box_array([a]))[0, 0]
         assert 0.0 <= v <= 1.0
         assert v == iou(a, b)
 
     def test_matrix_matches_pairwise(self, rng):
         a = [random_box(rng) for _ in range(3)]
         b = [random_box(rng) for _ in range(4)]
-        m = iou_matrix(a, b)
+        m = iou_matrix(box_array(a), box_array(b))
         assert m.shape == (3, 4)
         for i in range(3):
             for j in range(4):
                 assert m[i, j] == iou(a[i], b[j])
 
     def test_matrix_empty(self):
-        assert iou_matrix([], [BBox(0, 0, 1, 1)]).shape == (0, 1)
-        assert iou_matrix([BBox(0, 0, 1, 1)], []).shape == (1, 0)
+        assert iou_matrix([], box_array([BBox(0, 0, 1, 1)])).shape == (0, 1)
+        assert iou_matrix(box_array([BBox(0, 0, 1, 1)]), []).shape == (1, 0)
 
     def test_matrix_identity(self):
         b = BBox(0, 0, 4, 4)
-        m = iou_matrix([b], [b])
+        m = iou_matrix(box_array([b]), box_array([b]))
         assert m.shape == (1, 1) and m[0, 0] == 1.0
 
 
@@ -125,8 +124,8 @@ class TestEncodeDecode:
         # sides span [1, 512]; size ratios stay under the decode clamp, the
         # only region where decode can invert encode
         pairs = [random_round_trip_pair(rng) for _ in range(1000)]
-        gts = boxes_to_array([g for g, _ in pairs])
-        anchors = boxes_to_array([a for _, a in pairs])
+        gts = box_array([g for g, _ in pairs])
+        anchors = box_array([a for _, a in pairs])
         deltas = encode_boxes(gts, anchors)
         assert np.allclose(deltas, [encode(g, a) for g, a in pairs], rtol=0.0, atol=1e-9)
         rt = decode_boxes(anchors, deltas)
@@ -155,7 +154,7 @@ class TestClip:
 
     @given(boxes(lo=-100, hi=300))
     def test_idempotent(self, b):
-        once = clip_boxes([b], 128, 128)
+        once = clip_boxes(box_array([b]), 128, 128)
         assert clip_boxes(once, 128, 128).tolist() == once.tolist()
         assert once.tolist() == [list(clip_to_image(b, 128, 128).as_tuple())]
 

@@ -28,7 +28,7 @@ def small_state(rng):
 
 def test_save_load_save_is_byte_identical(tmp_path, small_state):
     params, state = small_state
-    ckpt = build_checkpoint(params, state, {"seed": 3, "training": {"lr": 0.001}})
+    ckpt = build_checkpoint(params, state, canonical_json({"seed": 3, "training": {"lr": 0.001}}))
     p1 = tmp_path / "a.rkck"
     p2 = tmp_path / "b.rkck"
     save_checkpoint(p1, ckpt)
@@ -38,7 +38,7 @@ def test_save_load_save_is_byte_identical(tmp_path, small_state):
 
 def test_round_trip_preserves_everything(tmp_path, small_state):
     params, state = small_state
-    ckpt = build_checkpoint(params, state, {"seed": 3})
+    ckpt = build_checkpoint(params, state, canonical_json({"seed": 3}))
     path = tmp_path / "c.rkck"
     save_checkpoint(path, ckpt)
     loaded = load_checkpoint(path)
@@ -55,7 +55,7 @@ def test_round_trip_preserves_everything(tmp_path, small_state):
 def test_magic_and_truncation_errors(tmp_path, small_state):
     params, state = small_state
     path = tmp_path / "d.rkck"
-    save_checkpoint(path, build_checkpoint(params, state, {}))
+    save_checkpoint(path, build_checkpoint(params, state, canonical_json({})))
     raw = path.read_bytes()
 
     bad_magic = tmp_path / "bad_magic.rkck"
@@ -78,7 +78,7 @@ def test_format_layout_is_as_documented(tmp_path):
     params = {"w": np.array([1.0, 2.0], dtype=np.float32)}
     state = AdamState.zeros_like(params)
     path = tmp_path / "layout.rkck"
-    save_checkpoint(path, build_checkpoint(params, state, {}))
+    save_checkpoint(path, build_checkpoint(params, state, canonical_json({})))
     raw = path.read_bytes()
     assert raw[:4] == b"RKCK"
     assert int.from_bytes(raw[4:8], "little") == 1  # version
@@ -96,7 +96,7 @@ def test_forward_after_reload_is_bitwise_identical(tmp_path, rng):
     params = init_params(cfg, anchors, np.random.default_rng(11))
     state = AdamState.zeros_like(params)
     path = tmp_path / "net.rkck"
-    save_checkpoint(path, build_checkpoint(params, state, {"seed": 11}))
+    save_checkpoint(path, build_checkpoint(params, state, canonical_json({"seed": 11})))
     loaded = load_checkpoint(path).params()
     img = rng.standard_normal((2, 3, 64, 64)).astype(np.float32)
     (ca, ba), _ = forward(img, params, cfg, anchors)

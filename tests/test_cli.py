@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 import retina_kit
+from oracles import read_detections
 from retina_kit.checkpoint import load_checkpoint, save_checkpoint
 from retina_kit.cli import main
 from retina_kit.config import run_config_from_dict, run_config_to_dict
-from retina_kit.postprocess import read_detections
 
 TINY = {
     "seed": 11,
@@ -396,7 +396,7 @@ class TestEvalStreaming:
     @pytest.fixture(scope="class")
     def split(self, tmp_path_factory):
         """A 70-image split (two whole chunks and a ragged one) and a checkpoint with detections."""
-        from retina_kit.checkpoint import build_checkpoint
+        from retina_kit.checkpoint import build_checkpoint, canonical_json
         from retina_kit.network import init_params
         from retina_kit.optim import AdamState
         from retina_kit.training import EVAL_CHUNK
@@ -413,7 +413,7 @@ class TestEvalStreaming:
         params["cls_out.b"] = params["cls_out.b"] + 1.5
         ckpt = tmp / "lifted.rkck"
         save_checkpoint(ckpt, build_checkpoint(
-            params, AdamState.zeros_like(params), run_config_to_dict(cfg)
+            params, AdamState.zeros_like(params), canonical_json(run_config_to_dict(cfg))
         ))
         return cfg_path, data, ckpt
 
@@ -677,6 +677,28 @@ class TestExitCodes:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
+        assert not out.exists()
+
+    def test_integer_past_the_int_string_limit_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"seed": 1%s}' % ("0" * 4999))  # 5,000 digits; json.loads stops at 4,300
+        out = tmp_path / "data"
+        assert main(["synth", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: invalid JSON")
+        assert not out.exists()
+
+    def test_manifest_box_of_strings_and_bools_exits_one(self, tiny_cfg_path, tmp_path, capsys):
+        data = synth_dir(tiny_cfg_path, tmp_path)
+        manifest = data / "manifest.jsonl"
+        lines = manifest.read_text().splitlines()
+        lines[1] = '{"image": "img_00001.ppm", "boxes": [["1", true, "10", 20]], "labels": [0]}'
+        manifest.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        out = tmp_path / "eval"
+        code = main(["eval", "--config", tiny_cfg_path, "--manifest", str(manifest),
+                     "--out", str(out), "--replay-gt"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {manifest}: line 2: ")
         assert not out.exists()
 
     def test_bool_for_a_number_exits_one(self, tmp_path, capsys):

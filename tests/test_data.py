@@ -5,8 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_augment_boxes, naive_augment_transform, naive_warp_affine, random_box
-from retina_kit.boxes import BBox, box_areas, boxes_to_array, transform_boxes
+from oracles import (
+    box_array,
+    naive_augment_boxes,
+    naive_augment_transform,
+    naive_warp_affine,
+    random_box,
+)
+from retina_kit.boxes import BBox, box_areas, transform_boxes
 from retina_kit.data import (
     IMAGENET_MEAN,
     AugmentConfig,
@@ -129,7 +135,7 @@ class TestAugment:
         cfg = AugmentConfig()
         for _ in range(200):
             img = np.zeros((3, 64, 64), np.float32)
-            boxes = boxes_to_array([random_box(rng, 0, 64, min_side=3) for _ in range(3)])
+            boxes = box_array([random_box(rng, 0, 64, min_side=3) for _ in range(3)])
             _, out = augment(img, boxes, cfg, rng)
             for x1, y1, x2, y2 in out:
                 assert 0.0 <= x1 <= x2 <= 64.0
@@ -191,10 +197,10 @@ class TestAugment:
                 bxs.append(BBox(x1, y1, x1 + rng.uniform(1, w / 2), y1 + rng.uniform(1, h / 2)))
             seed = int(rng.integers(2**32))
             img = np.zeros((1, h, w), np.float32)
-            _, got = augment(img, boxes_to_array(bxs), cfg, np.random.default_rng(seed))
+            _, got = augment(img, box_array(bxs), cfg, np.random.default_rng(seed))
             m = draw_augment_transform(w, h, cfg, np.random.default_rng(seed))
             want = naive_augment_boxes(bxs, m, w, h, cfg.min_box_area_px, cfg.min_visible_frac)
-            assert got.tobytes() == boxes_to_array(want).tobytes(), i
+            assert got.tobytes() == box_array(want).tobytes(), i
             kept += len(want)
             dropped += len(bxs) - len(want)
         assert kept > 1000 and dropped > 200
@@ -241,7 +247,7 @@ class TestManifest:
         records = []
         for i in range(100):
             n = int(rng.integers(0, 4))
-            boxes = boxes_to_array([random_box(rng, 0, 64, min_side=1) for _ in range(n)])
+            boxes = box_array([random_box(rng, 0, 64, min_side=1) for _ in range(n)])
             records.append(SampleRecord(f"img_{i}.ppm", boxes))
         path = tmp_path / "m.jsonl"
         write_manifest(records, path)
@@ -300,6 +306,40 @@ class TestManifest:
         ]
         path.write_text("".join(json.dumps(r) + "\n" for r in rows))
         with pytest.raises(ManifestError, match=r"labels\.jsonl: line 2: .*integer 0"):
+            read_manifest(path)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"image": "b.ppm", "boxes": [["1", true, "10", 20]], "labels": [0]}',
+            '{"image": 5, "boxes": [], "labels": []}',
+            '{"image": null, "boxes": [], "labels": []}',
+            '{"image": "b.ppm", "boxes": [[0, 0, 1%s, 4]], "labels": [0]}' % ("0" * 4999),
+            '{"image": "b.ppm", "boxes": [[0, 0, 1%s, 4]], "labels": [0]}' % ("0" * 400),
+        ],
+        ids=["string-and-bool-coords", "image-int", "image-null", "5000-digits", "401-digits"],
+    )
+    def test_coords_must_be_json_numbers_and_image_a_string(self, tmp_path, line):
+        path = tmp_path / "types.jsonl"
+        path.write_text('{"image": "a.ppm", "boxes": [[0, 0, 4, 4]], "labels": [0]}\n' + line + "\n")
+        with pytest.raises(ManifestError, match=r"types\.jsonl: line 2: "):
+            read_manifest(path)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"image": "b.ppm", "boxes": [[0, 0, NaN, 4]], "labels": [0]}',
+             r"box coordinates must be finite, got \(0\.0, 0\.0, nan, 4\.0\)"),
+            ('{"image": "b.ppm", "boxes": [[2, 0, 2, 4]], "labels": [0]}',
+             r"b\.ppm: box \(2\.0, 0\.0, 2\.0, 4\.0\) has no area"),
+            ('{"image": "", "boxes": [], "labels": []}', "sample image_path must be non-empty"),
+        ],
+        ids=["nan", "zero-area", "empty-image"],
+    )
+    def test_rejection_messages(self, tmp_path, line, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"image": "a.ppm", "boxes": [[0, 0, 4, 4]], "labels": [0]}\n' + line + "\n")
+        with pytest.raises(ManifestError, match=rf"bad\.jsonl: line 2: {message}$"):
             read_manifest(path)
 
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from oracles import naive_average_precision, naive_coco_map, naive_match, random_box
-from retina_kit.boxes import BBox, boxes_to_array
+from oracles import box_array, naive_average_precision, naive_coco_map, naive_match, random_box
+from retina_kit.boxes import BBox
 from retina_kit.errors import ValidationError
 from retina_kit.evaluation import average_precision, coco_map, match_detections
 from retina_kit.postprocess import Detections, EvalConfig
@@ -15,14 +15,19 @@ def det(x1, y1, x2, y2, score, image_id=0):
 def arrays(dets):
     """Detections from (BBox, score, image_id) rows."""
     return Detections(
-        boxes=boxes_to_array([b for b, _, _ in dets]),
+        boxes=box_array([b for b, _, _ in dets]),
         scores=np.array([s for _, s, _ in dets], dtype=np.float64),
         image_ids=np.array([i for _, _, i in dets], dtype=np.int64),
     )
 
 
 def boxes(dets):
-    return boxes_to_array([b for b, _, _ in dets])
+    return box_array([b for b, _, _ in dets])
+
+
+def gt_arrays(gts_by_image):
+    """{image_id: (G, 4) array} from {image_id: [BBox]}."""
+    return {img: box_array(gts) for img, gts in gts_by_image.items()}
 
 
 def random_scene(rng, max_dets=10, max_gts=5, span=64):
@@ -44,20 +49,20 @@ class TestMatch:
 
     def test_exact_match_is_tp_at_any_threshold(self):
         g = BBox(3.0, 4.0, 13.0, 24.0)
-        tp, matched = match_detections(boxes_to_array([g]), [g], [0.5, 0.75, 0.95, 1.0])
+        tp, matched = match_detections(box_array([g]), box_array([g]), [0.5, 0.75, 0.95, 1.0])
         assert tp.all() and matched.all()
 
     def test_each_gt_matches_once(self):
         g = BBox(0.0, 0.0, 10.0, 10.0)
         dets = [det(0, 0, 10, 10, 0.9), det(0, 0, 10, 10, 0.8)]
-        tp, _ = match_detections(boxes(dets), [g], [0.5])
+        tp, _ = match_detections(boxes(dets), box_array([g]), [0.5])
         assert tp.tolist() == [[True, False]]
 
     def test_score_order_priority(self):
         # the higher-scored det takes the only gt even if listed later
         g = BBox(0.0, 0.0, 10.0, 10.0)
         dets = [det(0, 0, 10, 10, 0.9), det(1, 0, 11, 10, 0.7)]
-        tp, _ = match_detections(boxes(dets), [g], [0.5])
+        tp, _ = match_detections(boxes(dets), box_array([g]), [0.5])
         assert tp.tolist() == [[True, False]]
 
     def test_matches_brute_force(self, rng):
@@ -67,7 +72,7 @@ class TestMatch:
             det_rows = sorted(dets, key=lambda d: -d[1])
             det_boxes = [b for b, _ in det_rows]
             scores = [s for _, s in det_rows]
-            tp, matched = match_detections(boxes_to_array(det_boxes), gts, thresholds)
+            tp, matched = match_detections(box_array(det_boxes), box_array(gts), thresholds)
             # every threshold of the one-pass matcher equals its own greedy run
             for row, used, thresh in zip(tp, matched, thresholds):
                 order, naive_tp = naive_match(det_boxes, scores, gts, thresh)
@@ -121,13 +126,13 @@ class TestCocoMap:
             boxes = [random_box(rng, 0, 64, min_side=2) for _ in range(3)]
             gts[img] = boxes
             dets.extend((b, 1.0, img) for b in boxes)
-        report = coco_map(arrays(dets), gts, self.cfg)
+        report = coco_map(arrays(dets), gt_arrays(gts), self.cfg)
         assert report["map"] == 1.0
         assert report["ap50"] == 1.0 and report["ap75"] == 1.0
 
     def test_empty_detections(self, rng):
         gts = {0: [random_box(rng, 0, 64)], 1: []}
-        report = coco_map(arrays([]), gts, self.cfg)
+        report = coco_map(arrays([]), gt_arrays(gts), self.cfg)
         assert report["map"] == 0.0
         assert not report["undefined"]
 
@@ -150,7 +155,7 @@ class TestCocoMap:
                 dets_by_image[img] = dets
                 gts_by_image[img] = gts
                 all_dets.extend((b, s, img) for b, s in dets)
-            report = coco_map(arrays(all_dets), gts_by_image, self.cfg)
+            report = coco_map(arrays(all_dets), gt_arrays(gts_by_image), self.cfg)
             naive_aps, naive_map = naive_coco_map(
                 dets_by_image, gts_by_image, self.cfg.iou_thresholds
             )
@@ -161,7 +166,7 @@ class TestCocoMap:
         for _ in range(50):
             dets, gts = random_scene(rng, max_dets=10, max_gts=5)
             all_dets = [(b, s, 0) for b, s in dets]
-            report = coco_map(arrays(all_dets), {0: gts}, self.cfg)
+            report = coco_map(arrays(all_dets), gt_arrays({0: gts}), self.cfg)
             aps = report["ap_per_threshold"]
             assert all(b <= a + 1e-15 for a, b in zip(aps, aps[1:]))
 
@@ -170,16 +175,16 @@ class TestCocoMap:
         # distinct scores so the canonical sort is unambiguous
         dets = [(b, (i + 1) / (len(dets) + 1)) for i, (b, s) in enumerate(dets)]
         all_dets = [(b, s, 0) for b, s in dets]
-        base = coco_map(arrays(all_dets), {0: gts}, self.cfg)
+        base = coco_map(arrays(all_dets), gt_arrays({0: gts}), self.cfg)
         perm = [all_dets[i] for i in rng.permutation(len(all_dets))]
-        shuffled = coco_map(arrays(perm), {0: gts}, self.cfg)
+        shuffled = coco_map(arrays(perm), gt_arrays({0: gts}), self.cfg)
         assert base["ap_per_threshold"] == shuffled["ap_per_threshold"]
 
     def test_ap_in_unit_interval(self, rng):
         for _ in range(20):
             dets, gts = random_scene(rng)
             report = coco_map(
-                arrays([(b, s, 0) for b, s in dets]), {0: gts}, self.cfg
+                arrays([(b, s, 0) for b, s in dets]), gt_arrays({0: gts}), self.cfg
             )
             assert all(0.0 <= a <= 1.0 for a in report["ap_per_threshold"])
             assert 0.0 <= report["map"] <= 1.0
@@ -189,7 +194,7 @@ class TestCocoMap:
         cfg = EvalConfig(iou_thresholds=(0.5, 0.95))
         dets, gts = random_scene(rng)
         report = coco_map(
-            arrays([(b, s, 0) for b, s in dets]), {0: gts}, cfg
+            arrays([(b, s, 0) for b, s in dets]), gt_arrays({0: gts}), cfg
         )
         assert len(report["ap_per_threshold"]) == 2
         assert report["ap75"] is None
@@ -212,7 +217,7 @@ class TestCocoMap:
                 dets_by_image[img] = dets
                 gts_by_image[img] = [random_box(rng, 0, 32, min_side=2) for _ in range(n_g)]
                 all_dets.extend((b, s, img) for b, s in dets)
-            report = coco_map(arrays(all_dets), gts_by_image, cfg)
+            report = coco_map(arrays(all_dets), gt_arrays(gts_by_image), cfg)
             naive_aps, naive_map = naive_coco_map(dets_by_image, gts_by_image, cfg.iou_thresholds)
             assert report["ap_per_threshold"] == naive_aps  # same floats
             assert report["map"] == naive_map

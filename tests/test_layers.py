@@ -4,7 +4,6 @@ import pytest
 from oracles import naive_conv2d, rel_err
 from retina_kit.errors import ValidationError
 from retina_kit.layers import (
-    add,
     conv2d_backward,
     conv2d_forward,
     relu,
@@ -25,10 +24,6 @@ class TestElementwise:
         pre = np.array([-1.0, 0.0, 3.0])
         g = relu_backward(np.ones(3), pre)
         assert g.tolist() == [0.0, 0.0, 1.0]
-
-    def test_add_shape_mismatch(self):
-        with pytest.raises(ValidationError):
-            add(np.zeros((2, 2)), np.zeros((2, 3)))
 
     def test_sigmoid_extremes_finite(self):
         x = np.array([-800.0, -80.0, 0.0, 80.0, 800.0])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import central_difference, logsumexp_bce, naive_detection_loss, rel_err
+from oracles import box_array, central_difference, logsumexp_bce, naive_detection_loss, rel_err
 from retina_kit.anchors import AnchorConfig, AnchorLevel, assign_targets, generate_anchors
 from retina_kit.boxes import BBox
 from retina_kit.errors import ValidationError
@@ -161,7 +161,7 @@ def small_scene(rng, n_gts=2):
     )
     grid = generate_anchors(cfg, 16, 16)
     gts = [BBox(1.0, 1.0, 9.0, 13.0), BBox(6.0, 2.0, 14.0, 15.0)][:n_gts]
-    assignment = assign_targets(grid, gts, cfg)
+    assignment = assign_targets(grid, box_array(gts), cfg)
     logits = rng.standard_normal(len(grid)) * 2.0
     deltas = rng.standard_normal((len(grid), 4)) * 0.3
     return assignment, logits, deltas

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import rel_err
+from oracles import box_array, level_slice, rel_err
 from retina_kit.anchors import AnchorConfig, AnchorLevel, assign_targets, generate_anchors
 from retina_kit.boxes import BBox
 from retina_kit.config import run_config_from_dict
@@ -215,7 +215,7 @@ class TestBackward:
         per_level = []
         for li in range(3):
             keep = np.zeros(len(grid), bool)
-            keep[grid.level_slice(li)] = True
+            keep[level_slice(grid, li)] = True
             per_level.append(backward(cache, np.where(keep, gc, 0), np.where(keep[:, None], gb, 0)))
         for name, g in full.items():
             summed = (per_level[0][name] + per_level[1][name]) + per_level[2][name]
@@ -318,7 +318,7 @@ class TestTrainingStep:
         grid = generate_anchors(anchor_cfg, 64, 64)
         loss_cfg = LossConfig()
         gts = [BBox(20.0, 12.0, 36.0, 44.0)]
-        labels, targets = loss_targets([assign_targets(grid, gts, anchor_cfg)])
+        labels, targets = loss_targets([assign_targets(grid, box_array(gts), anchor_cfg)])
         failures = 0
         for seed in range(10):
             net_cfg = NetworkConfig()

@@ -3,9 +3,17 @@ import json
 import numpy as np
 import pytest
 
-from oracles import iou, naive_decode_detections, naive_nms_indices, random_box
+from oracles import (
+    box_array,
+    iou,
+    level_slice,
+    naive_decode_detections,
+    naive_nms_indices,
+    random_box,
+    read_detections,
+)
 from retina_kit.anchors import AnchorConfig, generate_anchors
-from retina_kit.boxes import BBox, boxes_to_array, clip_boxes, decode_boxes
+from retina_kit.boxes import BBox, clip_boxes, decode_boxes
 from retina_kit.config import RunConfig
 from retina_kit.errors import NumericError, ValidationError
 from retina_kit.network import NetworkConfig, forward, init_params
@@ -14,7 +22,6 @@ from retina_kit.postprocess import (
     EvalConfig,
     decode_detections,
     nms_indices,
-    read_detections,
     write_detections,
 )
 from retina_kit.training import infer_detections
@@ -26,7 +33,7 @@ def det(x1, y1, x2, y2, score):
 
 def run_nms(dets, iou_thresh, max_out):
     """nms_indices over (BBox, score) rows, as a batch of one image."""
-    boxes = boxes_to_array([b for b, _ in dets])
+    boxes = box_array([b for b, _ in dets])
     scores = np.array([s for _, s in dets], dtype=np.float64)
     return nms_indices(boxes[None], scores[None], [len(dets)], iou_thresh, max_out).tolist()
 
@@ -224,7 +231,7 @@ class TestDecode:
         scores = 1.0 / (1.0 + np.exp(-flat_cls))
         want = []
         for li in range(len(self.grid.per_level_counts)):
-            sl = self.grid.level_slice(li)
+            sl = level_slice(self.grid, li)
             idx = [i for i in range(sl.start, sl.stop) if scores[i] >= cfg.score_threshold]
             want += sorted(idx, key=lambda i: (-flat_cls[i], i))[: cfg.pre_nms_topk]
         assert sorted(want)[:6] == [3, 20, 30, 40, 41, 50]
@@ -338,7 +345,7 @@ class TestBatchIndependence:
 class TestDetectionsIo:
     def test_round_trip(self, tmp_path, rng):
         dets = Detections(
-            boxes=boxes_to_array([random_box(rng, 0, 64, min_side=1) for _ in range(50)]),
+            boxes=box_array([random_box(rng, 0, 64, min_side=1) for _ in range(50)]),
             scores=rng.uniform(0, 1, size=50),
             image_ids=rng.integers(0, 5, size=50),
         )
