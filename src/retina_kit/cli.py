@@ -71,8 +71,7 @@ def cmd_eval(args) -> int:
         )
         report = coco_map(dets, all_gts, cfg.eval)
     else:
-        ckpt = load_checkpoint(args.checkpoint)
-        params = load_params_for_config(ckpt, cfg)
+        params, _ = load_params_for_config(load_checkpoint(args.checkpoint), cfg)
         report, dets = evaluate_params(params, cfg, samples)
 
     report["config"] = run_config_to_dict(cfg)
@@ -101,8 +100,7 @@ def _burn_outline(image: np.ndarray, box) -> None:
 
 def cmd_detect(args) -> int:
     cfg = load_run_config(args.config)
-    ckpt = load_checkpoint(args.checkpoint)
-    params = load_params_for_config(ckpt, cfg)
+    params, _ = load_params_for_config(load_checkpoint(args.checkpoint), cfg)
     image = load_ppm(args.image)
     in_w, in_h = cfg.training.input_size
     grid = generate_anchors(cfg.anchors, in_w, in_h)

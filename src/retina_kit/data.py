@@ -190,7 +190,7 @@ def write_manifest(records, path) -> None:
 def read_manifest(path) -> list[SampleRecord]:
     """Parse a manifest; the one place a box row read from a file is checked.
 
-    Per line: image a non-empty string, boxes 4 JSON numbers each, labels all the integer 0.
+    Per line: image a non-empty string, boxes 4 JSON numbers each, labels a list of integer 0s.
     Then, over all rows at once: each box finite (no int past float range), ordered, with area.
     """
     images, linenos, starts, rows = [], [], [], []
@@ -204,7 +204,7 @@ def read_manifest(path) -> list[SampleRecord]:
         try:
             if not isinstance(obj, dict) or not {"image", "boxes", "labels"} <= set(obj):
                 raise ValueError("expected image/boxes/labels keys")
-            image, boxes, labels = obj["image"], obj["boxes"], list(obj["labels"])
+            image, boxes, labels = obj["image"], obj["boxes"], obj["labels"]
             if type(image) is not str:
                 raise ValueError(f"image must be a string, got {image!r}")
             if not image:
@@ -212,6 +212,8 @@ def read_manifest(path) -> list[SampleRecord]:
             rows_ok = type(boxes) is list and all(type(b) is list and len(b) == 4 for b in boxes)
             if not (rows_ok and {type(v) for b in boxes for v in b} <= {int, float}):
                 raise ValueError(f"boxes must be lists of 4 numbers, got {boxes!r}")
+            if type(labels) is not list:
+                raise ValueError(f"labels must be a list, got {labels!r}")
             if len(labels) != len(boxes):
                 raise ValueError(f"{len(boxes)} boxes vs {len(labels)} labels")
             if any(type(v) is not int or v != 0 for v in labels):  # no 0.0, False or "0"

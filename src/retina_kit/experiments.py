@@ -42,7 +42,7 @@ def make_split(cfg: RunConfig, workdir) -> tuple[str, str]:
 def train_and_eval(cfg: RunConfig, train_manifest, val_manifest, out_dir) -> dict:
     """Train, then evaluate the final checkpoint on the validation split."""
     result = run_training(cfg, train_manifest, val_manifest=None, out_dir=out_dir)
-    params = load_params_for_config(load_checkpoint(result.checkpoint_path), cfg)
+    params, _ = load_params_for_config(load_checkpoint(result.checkpoint_path), cfg)
     report, _ = evaluate_params(params, cfg, load_samples(val_manifest))
     report["checkpoint"] = result.checkpoint_path
     report["metrics_path"] = result.metrics_path

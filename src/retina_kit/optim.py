@@ -8,6 +8,8 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class AdamState:
@@ -17,14 +19,10 @@ class AdamState:
 
     @classmethod
     def zeros_like(cls, params: dict[str, np.ndarray]) -> "AdamState":
-        return cls(
-            m={k: np.zeros_like(p) for k, p in params.items()},
-            v={k: np.zeros_like(p) for k, p in params.items()},
-            step=0,
-        )
+        return cls(*({k: np.zeros_like(p) for k, p in params.items()} for _ in "mv"))
 
 
-def adam_step(params, grads, state: AdamState, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+def adam_step(params, grads, state: AdamState, lr):
     """One in-place Adam update: m, v moving averages with bias correction.
 
     Aborts before touching any state if a gradient is non-finite, naming the
@@ -36,15 +34,15 @@ def adam_step(params, grads, state: AdamState, lr, beta1=0.9, beta2=0.999, eps=1
     for name in params:
         if not np.all(np.isfinite(grads[name])):
             raise NumericError(f"non-finite gradient for parameter '{name}' at step {t}")
-    bc1 = 1.0 - beta1**t
-    bc2 = 1.0 - beta2**t
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
     for name, p in params.items():
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * np.square(g)
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * np.square(g)
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
     state.step = t

@@ -301,9 +301,7 @@ def run_training(
     steps_per_epoch = math.ceil(n / batch_size)
     carried: list[str] = []
     if resume is not None:
-        ckpt = load_checkpoint(resume)
-        params = load_params_for_config(ckpt, cfg, resume=True)
-        state = ckpt.adam_state()
+        params, state = load_params_for_config(load_checkpoint(resume), cfg, resume=True)
         if state.step % steps_per_epoch:
             raise ValidationError(
                 f"checkpoint step {state.step} is not on an epoch boundary: {n} images at "
@@ -374,22 +372,6 @@ def run_training(
     )
 
 
-def check_param_shapes(params: dict, cfg: RunConfig) -> None:
-    """Compare a loaded parameter dict against what the config would build."""
-    expected = param_shapes(cfg.network, cfg.anchors)
-    for name, shape in expected.items():
-        if name not in params:
-            raise ValidationError(f"checkpoint is missing tensor '{name}'")
-        if params[name].shape != shape:
-            raise ValidationError(
-                f"checkpoint tensor '{name}' has shape {params[name].shape}, "
-                f"config expects {shape}"
-            )
-    extra = set(params) - set(expected)
-    if extra:
-        raise ValidationError(f"checkpoint has unexpected tensors: {sorted(extra)}")
-
-
 def _leaves(tree: dict, prefix: str = "") -> dict:
     """Nested config dict -> {"section.field": value}; lists stay whole."""
     out = {}
@@ -427,17 +409,14 @@ def check_config_echo(ckpt: Checkpoint, cfg: RunConfig, resume: bool) -> None:
         )
 
 
-def load_params_for_config(ckpt: Checkpoint, cfg: RunConfig, resume: bool = False) -> dict:
-    """The checkpoint's parameters, once they fit cfg and every tensor is finite.
+def load_params_for_config(
+    ckpt: Checkpoint, cfg: RunConfig, resume: bool = False
+) -> tuple[dict, AdamState]:
+    """The checkpoint's parameters and Adam state, once it fits cfg.
 
     Every checkpoint a run reads comes through here: `eval`, `detect` and
     `train --resume`. The config echo is compared first (see
-    check_config_echo); the Adam moments are checked for finiteness too.
+    check_config_echo), then the tensor table (see Checkpoint.unpack).
     """
     check_config_echo(ckpt, cfg, resume)
-    params = ckpt.params()
-    check_param_shapes(params, cfg)
-    for name, tensor in ckpt.tensors.items():
-        if not np.isfinite(tensor).all():
-            raise NumericError(f"checkpoint tensor '{name}' has non-finite values")
-    return params
+    return ckpt.unpack(param_shapes(cfg.network, cfg.anchors))

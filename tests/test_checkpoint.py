@@ -10,7 +10,7 @@ from retina_kit.checkpoint import (
     save_checkpoint,
 )
 from retina_kit.errors import ValidationError
-from retina_kit.network import NetworkConfig, forward, init_params
+from retina_kit.network import NetworkConfig, forward, init_params, param_shapes
 from retina_kit.optim import AdamState
 
 
@@ -43,10 +43,9 @@ def test_round_trip_preserves_everything(tmp_path, small_state):
     save_checkpoint(path, ckpt)
     loaded = load_checkpoint(path)
     assert loaded.config() == {"seed": 3}
-    got_params = loaded.params()
+    got_params, got_state = loaded.unpack({k: p.shape for k, p in params.items()})
     assert set(got_params) == set(params)
     assert all(np.array_equal(got_params[k], params[k]) for k in params)
-    got_state = loaded.adam_state()
     assert got_state.step == 17
     assert np.array_equal(got_state.m["stem0.w"], state.m["stem0.w"])
     assert np.array_equal(got_state.v["stem0.b"], state.v["stem0.b"])
@@ -73,6 +72,19 @@ def test_magic_and_truncation_errors(tmp_path, small_state):
     with pytest.raises(ValidationError, match="trailing"):
         load_checkpoint(trailing)
 
+    # magic, version, count, then the first tensor's u16 name length
+    assert raw[14:21] == b"stem0.w"
+    bad_name = tmp_path / "bad_name.rkck"
+    bad_name.write_bytes(raw[:16] + b"\xff" + raw[17:])
+    with pytest.raises(ValidationError, match=r"non-UTF-8 checkpoint tensor name \(byte 16\)"):
+        load_checkpoint(bad_name)
+
+    assert raw.endswith(b"{}")  # the config blob closes the file
+    bad_blob = tmp_path / "bad_blob.rkck"
+    bad_blob.write_bytes(raw[:-1] + b"\xff")
+    with pytest.raises(ValidationError, match=rf"config blob \(byte {len(raw) - 1}\)"):
+        load_checkpoint(bad_blob)
+
 
 def test_format_layout_is_as_documented(tmp_path):
     params = {"w": np.array([1.0, 2.0], dtype=np.float32)}
@@ -97,7 +109,7 @@ def test_forward_after_reload_is_bitwise_identical(tmp_path, rng):
     state = AdamState.zeros_like(params)
     path = tmp_path / "net.rkck"
     save_checkpoint(path, build_checkpoint(params, state, canonical_json({"seed": 11})))
-    loaded = load_checkpoint(path).params()
+    loaded, _ = load_checkpoint(path).unpack(param_shapes(cfg, anchors))
     img = rng.standard_normal((2, 3, 64, 64)).astype(np.float32)
     (ca, ba), _ = forward(img, params, cfg, anchors)
     (cb, bb), _ = forward(img, loaded, cfg, anchors)
@@ -110,5 +122,5 @@ def test_canonical_json_is_stable():
 
 def test_adam_state_requires_moments():
     ckpt = Checkpoint(tensors={"w": np.zeros(1, np.float32)}, config_json="{}")
-    with pytest.raises(ValidationError, match="Adam state"):
-        ckpt.adam_state()
+    with pytest.raises(ValidationError, match="missing tensor 'w.m'"):
+        ckpt.unpack({"w": (1,)})

@@ -12,6 +12,7 @@ from oracles import read_detections
 from retina_kit.checkpoint import load_checkpoint, save_checkpoint
 from retina_kit.cli import main
 from retina_kit.config import run_config_from_dict, run_config_to_dict
+from retina_kit.network import param_shapes
 
 TINY = {
     "seed": 11,
@@ -32,6 +33,20 @@ def synth_dir(cfg_path, tmp_path, name="data"):
     out = tmp_path / name
     assert main(["synth", "--config", cfg_path, "--out", str(out)]) == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def finished(tmp_path_factory):
+    """A finished TINY run: (config path, data dir, run dir holding checkpoint.rkck)."""
+    # TINY: 12 images at batch size 8, so 2 steps per epoch; step 4 after 2 epochs
+    tmp = tmp_path_factory.mktemp("finished")
+    cfg_path = tmp / "config.json"
+    cfg_path.write_text(json.dumps(TINY))
+    data = synth_dir(str(cfg_path), tmp)
+    run = tmp / "run"
+    assert main(["train", "--config", str(cfg_path), "--manifest",
+                 str(data / "manifest.jsonl"), "--out", str(run)]) == 0
+    return str(cfg_path), data, run
 
 
 class TestSynthCommand:
@@ -74,7 +89,7 @@ class TestTrainCommand:
         assert (out / "checkpoint.rkck").exists()
         assert (out / "metrics.jsonl").read_text() == ""
         ckpt = load_checkpoint(out / "checkpoint.rkck")
-        assert ckpt.adam_state().step == 0
+        assert ckpt.tensors["step"].tolist() == [0.0]
 
     def test_training_is_deterministic(self, tiny_cfg_path, tmp_path):
         data = synth_dir(tiny_cfg_path, tmp_path)
@@ -127,7 +142,7 @@ class TestTrainCommand:
 
         a = load_checkpoint(straight / "checkpoint.rkck")
         b = load_checkpoint(resumed / "checkpoint.rkck")
-        assert a.adam_state().step == b.adam_state().step
+        assert a.tensors["step"].tolist() == b.tensors["step"].tolist()
         for name in a.tensors:
             assert np.array_equal(a.tensors[name], b.tensors[name]), name
         assert (resumed / "metrics.jsonl").read_bytes() == (straight / "metrics.jsonl").read_bytes()
@@ -254,18 +269,6 @@ class TestTrainCommand:
 class TestResumeChecks:
     """A resumed run continues a finished epoch of the run it names."""
 
-    @pytest.fixture(scope="class")
-    def finished(self, tmp_path_factory):
-        # TINY: 12 images at batch size 8, so 2 steps per epoch; step 4 after 2 epochs
-        tmp = tmp_path_factory.mktemp("finished")
-        cfg_path = tmp / "config.json"
-        cfg_path.write_text(json.dumps(TINY))
-        data = synth_dir(str(cfg_path), tmp)
-        run = tmp / "run"
-        assert main(["train", "--config", str(cfg_path), "--manifest",
-                     str(data / "manifest.jsonl"), "--out", str(run)]) == 0
-        return str(cfg_path), data, run
-
     @staticmethod
     def resume(finished, ckpt, out, manifest=None):
         cfg_path, data, _ = finished
@@ -315,6 +318,48 @@ class TestResumeChecks:
         out = tmp_path / "out"
         assert self.resume(finished, moved / "checkpoint.rkck", out) == 1
         assert str(moved / "metrics.jsonl") in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestCheckpointTable:
+    """A checkpoint holds exactly the tensors a run of its config writes, or no run reads it."""
+
+    @pytest.mark.parametrize(
+        "command, tensor, value, code",
+        [
+            pytest.param("train", "stem0.w.m", np.zeros((2, 8, 3, 3, 3)), 1, id="m-shape"),
+            pytest.param("train", "stem0.b.v", np.zeros(3), 1, id="v-shape"),  # stem0.b is (4,)
+            pytest.param("train", "step", [2.5], 1, id="fractional-step"),
+            pytest.param("train", "step", [-2.0], 1, id="negative-step"),
+            pytest.param("train", "step", [4.0, 4.0], 1, id="two-entry-step"),
+            pytest.param("train", "foo.m", [0.0], 1, id="orphan-moment"),
+            pytest.param("train", "stem0.b.v", [-1.0, 0.0, 0.0, 0.0], 2, id="negative-second-moment"),
+            pytest.param("eval", "stem0.w.m", None, 1, id="parameters-only"),
+        ],
+    )
+    def test_malformed_table_exits_naming_the_tensor(self, finished, tmp_path, capsys,
+                                                    command, tensor, value, code):
+        cfg_path, data, run = finished
+        ckpt = load_checkpoint(run / "checkpoint.rkck")
+        if value is None:  # drop the Adam state
+            ckpt.tensors = {n: t for n, t in ckpt.tensors.items()
+                            if not n.endswith((".m", ".v", "step"))}
+        else:
+            ckpt.tensors[tensor] = np.asarray(value, np.float32)
+        bad = tmp_path / "bad.rkck"
+        save_checkpoint(bad, ckpt)
+        manifest = str(data / "manifest.jsonl")
+        argv = {
+            # the checkpoint holds every epoch, so a good one resumes to no training step
+            "train": ["train", "--manifest", manifest, "--resume", str(bad)],
+            "eval": ["eval", "--manifest", manifest, "--checkpoint", str(bad)],
+        }[command]
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(argv + ["--config", cfg_path, "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        prefix = "error: " if code == 1 else "numeric error: "
+        assert err.startswith(prefix) and f"'{tensor}'" in err, err
         assert not out.exists()
 
 
@@ -470,7 +515,7 @@ class TestEvalStreaming:
         assert self.run_eval(split, data / "manifest.jsonl", out) == 0
 
         cfg = run_config_from_dict(json.loads(cfg_path.read_text()))
-        params = load_checkpoint(ckpt).params()
+        params, _ = load_checkpoint(ckpt).unpack(param_shapes(cfg.network, cfg.anchors))
         grid = generate_anchors(cfg.anchors, *cfg.training.input_size)
         parts, gts = [], {}
         for sample in load_samples(data / "manifest.jsonl"):
@@ -493,7 +538,7 @@ class TestEvalStreaming:
 
         cfg_path, _, ckpt = split
         cfg = run_config_from_dict(json.loads(cfg_path.read_text()))
-        params = load_checkpoint(ckpt).params()
+        params, _ = load_checkpoint(ckpt).unpack(param_shapes(cfg.network, cfg.anchors))
         manifests = [self.manifest_of(split, tmp_path / f"{n}.jsonl", n) for n in (32, 96)]
         evaluate_params(params, cfg, load_samples(manifests[0]))  # warm caches first
         peaks = []
@@ -769,6 +814,19 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert main(argv + ["--config", tiny_cfg_path, "--out", str(out)]) == 2
         assert f"checkpoint tensor '{tensor}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_utf8_checkpoint_config_exits_one(self, finished, tmp_path, capsys):
+        cfg_path, data, run = finished
+        raw = (run / "checkpoint.rkck").read_bytes()
+        ckpt = tmp_path / "c.rkck"
+        ckpt.write_bytes(raw[:-1] + b"\xff")  # the config echo's closing brace
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(["eval", "--config", cfg_path, "--checkpoint", str(ckpt),
+                     "--manifest", str(data / "manifest.jsonl"), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: non-UTF-8 checkpoint config blob (byte {len(raw) - 1})" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(

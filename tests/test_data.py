@@ -333,8 +333,10 @@ class TestManifest:
             ('{"image": "b.ppm", "boxes": [[2, 0, 2, 4]], "labels": [0]}',
              r"b\.ppm: box \(2\.0, 0\.0, 2\.0, 4\.0\) has no area"),
             ('{"image": "", "boxes": [], "labels": []}', "sample image_path must be non-empty"),
+            ('{"image": "b.ppm", "boxes": [], "labels": ""}', "labels must be a list, got ''"),
+            ('{"image": "b.ppm", "boxes": [], "labels": {}}', r"labels must be a list, got \{\}"),
         ],
-        ids=["nan", "zero-area", "empty-image"],
+        ids=["nan", "zero-area", "empty-image", "labels-string", "labels-object"],
     )
     def test_rejection_messages(self, tmp_path, line, message):
         path = tmp_path / "bad.jsonl"
