@@ -1,9 +1,9 @@
 """Command line entry point: synth / train / eval / detect / gradcheck.
 
-Exit codes are a stable contract: 0 success, 1 validation error, 2
-runtime/numeric error, 3 I/O error. Config validation happens before any
-output file is written; repeated invocations with the same inputs produce
-byte-identical outputs (no timestamps in any format).
+Exit codes are a stable contract: 0 success, 1 validation error (a usage
+error included), 2 runtime/numeric error, 3 I/O error. Config validation
+happens before any output file is written; repeated invocations with the same
+inputs produce byte-identical outputs (no timestamps in any format).
 """
 
 from __future__ import annotations
@@ -141,8 +141,15 @@ def cmd_gradcheck(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is rejected input: it raises ValidationError, so main exits 1."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="retina-kit",
         description="Desk-scale single-stage pedestrian detection pipeline.",
     )
@@ -163,10 +170,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a manifest")
     p.add_argument("--config", required=True)
-    p.add_argument("--checkpoint", default=None)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", default=".", help="directory for report.json + detections.jsonl")
-    p.add_argument(
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--checkpoint")
+    source.add_argument(
         "--replay-gt",
         action="store_true",
         help="debug: score the ground truth against itself (expects mAP 1.0)",
@@ -190,12 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "eval" and not args.replay_gt and not args.checkpoint:
-        print("error: eval requires --checkpoint (or --replay-gt)", file=sys.stderr)
-        return 1
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -1,8 +1,10 @@
 """Run configuration: JSON round trip with explicit defaults.
 
-Every section materializes its defaults when serialized, so two run reports
-are comparable by diff. Cross-module consistency (anchor strides vs stem
-stages, input size vs max stride) is enforced at load.
+A JSON object becomes a RunConfig by one rule, errors.check_value, which
+checks every section and field against its annotation and names the dotted
+field it rejects. Every section materializes its defaults when serialized, so
+two run reports are comparable by diff. Cross-module consistency (anchor
+strides vs stem stages, input size vs max stride) is enforced at load.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -83,37 +84,13 @@ class RunConfig:
             )
 
 
-def _from_section(cls, raw: dict, where: str):
-    if not isinstance(raw, dict):
-        raise ValidationError(f"config section '{where}' must be an object")
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(raw) - names
-    if unknown:
-        raise ValidationError(f"unknown keys in config section '{where}': {sorted(unknown)}")
-    try:
-        return cls(**raw)
-    except TypeError as e:  # a value of the wrong JSON type or shape (see check_fields)
-        raise ValidationError(f"bad config section '{where}': {e}") from e
-
-
-# section name -> config class, in RunConfig's field order
-_SECTIONS = {name: cls for name, cls in typing.get_type_hints(RunConfig).items() if name != "seed"}
-
-
-def run_config_from_dict(raw: dict) -> RunConfig:
-    if not isinstance(raw, dict):
-        raise ValidationError("run config must be a JSON object")
-    unknown = set(raw) - set(_SECTIONS) - {"seed"}
-    if unknown:
-        raise ValidationError(f"unknown top-level config keys: {sorted(unknown)}")
-    seed = check_value(raw.get("seed", 0), int, "seed")  # before synth inherits it
-    kwargs = {}
-    for name, cls in _SECTIONS.items():
-        section = raw.get(name, {})
-        if name == "synth" and isinstance(section, dict) and "seed" not in section:
-            section = {**section, "seed": seed}  # synth inherits the run seed unless pinned
-        kwargs[name] = _from_section(cls, section, name)
-    return RunConfig(seed=seed, **kwargs)
+def run_config_from_dict(raw) -> RunConfig:
+    synth = raw.get("synth", {}) if isinstance(raw, dict) else None
+    if isinstance(synth, dict) and "seed" not in synth:
+        # synth inherits the run seed unless pinned; seed is RunConfig's first
+        # field, so it is checked, and a bad one named, before synth.seed
+        raw = {**raw, "synth": {**synth, "seed": raw.get("seed", 0)}}
+    return check_value(raw, RunConfig, "")
 
 
 def load_run_config(path) -> RunConfig:
@@ -124,18 +101,10 @@ def load_run_config(path) -> RunConfig:
     return run_config_from_dict(raw)
 
 
-def run_config_to_dict(cfg: RunConfig) -> dict:
-    """Materialize every field, defaults included."""
-
-    def plain(obj):
-        if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-            return {f.name: plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-        if isinstance(obj, (list, tuple)):
-            return [plain(v) for v in obj]
-        return obj
-
-    out = {"seed": cfg.seed}
-    for name in _SECTIONS:
-        out[name] = plain(getattr(cfg, name))
-    return out
-
+def run_config_to_dict(cfg):
+    """cfg as JSON values, every field materialized, defaults included; tuples become lists."""
+    if dataclasses.is_dataclass(cfg):
+        return {f.name: run_config_to_dict(getattr(cfg, f.name)) for f in dataclasses.fields(cfg)}
+    if isinstance(cfg, (list, tuple)):
+        return [run_config_to_dict(v) for v in cfg]
+    return cfg

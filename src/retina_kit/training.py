@@ -285,6 +285,15 @@ def run_training(
     train_samples = load_samples(train_manifest)
     if not train_samples:
         raise ValidationError(f"training manifest {train_manifest} has no samples")
+    n = len(train_samples)
+    batch_size = cfg.training.batch_size
+    steps_per_epoch = math.ceil(n / batch_size)
+    final_step = cfg.training.epochs * steps_per_epoch
+    if final_step > 2**24:  # the checkpoint stores the Adam step as float32, exact up to 2**24
+        raise ValidationError(
+            f"training.epochs {cfg.training.epochs} at {steps_per_epoch} steps per epoch ends at "
+            f"Adam step {final_step}, past 2**24, the last step a checkpoint stores exactly"
+        )
     val_samples = load_samples(val_manifest) if val_manifest else None
     # the preprocessed inputs and input-frame boxes, read once; augmentation
     # operates in the input frame every epoch
@@ -296,9 +305,6 @@ def run_training(
     grid = generate_anchors(cfg.anchors, in_w, in_h)
     config_echo = canonical_json(run_config_to_dict(cfg))
 
-    n = len(train_samples)
-    batch_size = cfg.training.batch_size
-    steps_per_epoch = math.ceil(n / batch_size)
     carried: list[str] = []
     if resume is not None:
         params, state = load_params_for_config(load_checkpoint(resume), cfg, resume=True)
@@ -306,6 +312,11 @@ def run_training(
             raise ValidationError(
                 f"checkpoint step {state.step} is not on an epoch boundary: {n} images at "
                 f"batch size {batch_size} make {steps_per_epoch} steps per epoch"
+            )
+        if state.step > final_step:
+            raise ValidationError(
+                f"checkpoint has trained {state.step // steps_per_epoch} epochs, past "
+                f"training.epochs {cfg.training.epochs}"
             )
         carried = _prior_metrics_rows(resume, state.step // steps_per_epoch)
     else:

@@ -27,6 +27,11 @@ def test_workloads_resolve_bbox_and_the_map_oracle(monkeypatch):
     assert naive_coco_map({0: [(box, 0.9)]}, {0: [box]}, [0.5]) == ([1.0], 1.0)
 
 
+def test_call_cli_reads_usage_errors_as_exit_one(monkeypatch):
+    module = load_perfbench("workloads", monkeypatch)
+    assert module.call_cli(["train"]) == 1
+
+
 def test_tracer_hooks_resolve_to_functions(monkeypatch):
     """Every tracer hook names a package function, or the tracer reports it absent and times nothing.
 

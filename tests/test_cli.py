@@ -270,9 +270,9 @@ class TestResumeChecks:
     """A resumed run continues a finished epoch of the run it names."""
 
     @staticmethod
-    def resume(finished, ckpt, out, manifest=None):
-        cfg_path, data, _ = finished
-        return main(["train", "--config", cfg_path, "--manifest",
+    def resume(finished, ckpt, out, manifest=None, cfg_path=None):
+        run_cfg, data, _ = finished
+        return main(["train", "--config", str(cfg_path or run_cfg), "--manifest",
                      str(manifest or data / "manifest.jsonl"), "--out", str(out),
                      "--resume", str(ckpt)])
 
@@ -298,6 +298,17 @@ class TestResumeChecks:
         assert self.resume(finished, run / "checkpoint.rkck", out, manifest=twenty) == 1
         err = capsys.readouterr().err
         assert "step 4" in err and "3 steps per epoch" in err
+        assert not out.exists()
+
+    def test_past_the_epoch_count_exits_one(self, finished, tmp_path, capsys):
+        _, _, run = finished
+        shorter = tmp_path / "one-epoch.json"
+        shorter.write_text(json.dumps({**TINY, "training": {**TINY["training"], "epochs": 1}}))
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert self.resume(finished, run / "checkpoint.rkck", out, cfg_path=shorter) == 1
+        err = capsys.readouterr().err
+        assert "trained 2 epochs" in err and "training.epochs 1" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -679,20 +690,68 @@ class TestExitCodes:
         path.write_text(json.dumps({"synth": synth}))
         out = tmp_path / "data"
         assert main(["synth", "--config", str(path), "--out", str(out)]) == 1
-        assert "error: bad config section 'synth'" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error: synth.")
         assert not out.exists()
+
+    def test_adam_step_past_float32_range_exits_one(self, finished, tmp_path, capsys, monkeypatch):
+        # the checkpoint stores the Adam step as float32, which holds every whole number to 2**24
+        _, data, _ = finished
+        one = data / "one-image.jsonl"
+        one.write_text((data / "manifest.jsonl").read_text().splitlines(keepends=True)[0])
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({**TINY, "training": {**TINY["training"], "epochs": 2**24 + 1}}))
+
+        def init_params(*args):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr("retina_kit.training.init_params", init_params)
+        capsys.readouterr()
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(path), "--manifest", str(one), "--out", str(out)]) == 1
+        assert "error: training.epochs 16777217 at 1 steps per epoch" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [([], "required: command"),
+         (["synth", "--out", "o"], "required: --config"),
+         (["synth", "--config", "c.json", "--out", "o", "--bogus"], "unrecognized arguments: --bogus"),
+         (["frob"], "invalid choice: 'frob'"),
+         (["eval", "--config", "c.json", "--manifest", "m.jsonl"],
+          "one of the arguments --checkpoint --replay-gt is required"),
+         (["eval", "--config", "c.json", "--manifest", "m.jsonl", "--checkpoint", "k.rkck",
+           "--replay-gt"], "not allowed with argument --checkpoint")],
+        ids=["no-command", "missing-flag", "unknown-flag", "unknown-command", "eval-no-source",
+             "eval-both-sources"],
+    )
+    def test_usage_error_exits_one(self, tmp_path, capsys, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not any(tmp_path.iterdir())
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["eval", "--help"])
+        assert e.value.code == 0 and "--replay-gt" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "cfg, message",
         [({"training": None}, "config section 'training' must be an object"),
          ({"synth": [1, 2]}, "config section 'synth' must be an object"),
          ({"anchors": "abc"}, "config section 'anchors' must be an object"),
-         ({"anchors": {"levels": 5}}, "bad config section 'anchors'"),
+         ({"anchors": {"levels": 5}}, "anchors.levels must be a list"),
          ({"anchors": {"levels": [{"stride": 8, "base_size": "abc"}]}},
-          "bad config section 'anchors'"),
+          "anchors.levels[0].base_size must be a number"),
          ({"anchors": {"levels": [{"stride": 8, "base_size": None}]}},
-          "bad config section 'anchors'")],
-        ids=["null", "list", "string", "levels-int", "base-size-str", "base-size-null"],
+          "anchors.levels[0].base_size must be a number"),
+         ({"anchors": {"levels": [{"stride": 8}]}}, "anchors.levels[0].base_size is missing"),
+         ({"anchors": {"levels": [{"stride": 8, "base_size": 16.0, "size": 1}]}},
+          "unknown keys in config section 'anchors.levels[0]': ['size']"),
+         ({"anchors": {"levels": [8]}}, "config section 'anchors.levels[0]' must be an object")],
+        ids=["null", "list", "string", "levels-int", "base-size-str", "base-size-null",
+             "level-missing-key", "level-unknown-key", "level-not-object"],
     )
     def test_malformed_section_exits_one(self, tmp_path, capsys, cfg, message):
         path = tmp_path / "bad.json"

@@ -5,6 +5,7 @@ import re
 import pytest
 
 from retina_kit.anchors import AnchorConfig
+from retina_kit.checkpoint import canonical_json
 from retina_kit.config import (
     RunConfig,
     load_run_config,
@@ -218,9 +219,9 @@ def test_wrong_json_types_rejected(section, key, value, field):
 
 
 def test_in_process_configs_check_field_types():
-    with pytest.raises(TypeError, match=r"anchors\.force_match must be true or false"):
+    with pytest.raises(ValidationError, match=r"anchors\.force_match must be true or false"):
         AnchorConfig(force_match="no")
-    with pytest.raises(TypeError, match=r"loss\.alpha must be a number"):
+    with pytest.raises(ValidationError, match=r"loss\.alpha must be a number"):
         LossConfig(alpha=True)
 
 
@@ -233,3 +234,46 @@ def test_list_entries_of_float_fields_become_floats():
     assert d["anchors"]["scales"] == [1.0, 2.0] and isinstance(d["anchors"]["scales"][0], float)
     assert isinstance(d["anchors"]["levels"][0]["base_size"], float)
     assert type(d["loss"]["gamma"]) is int  # a scalar stays as written
+
+
+# every checkpoint stores the config echo, so a byte moved here moves a byte of every checkpoint
+ECHO_CUSTOM = {"seed": 5, "synth": {"seed": 9}, "loss": {"gamma": 2},
+               "anchors": {"scales": [1, 2], "levels": [{"stride": 8, "base_size": 16}, LEVEL_16]}}
+ECHO_BYTES = [
+    ({},
+     '{"anchors":{"force_match":true,"levels":[{"base_size":16.0,"stride":8},'
+     '{"base_size":32.0,"stride":16}],"neg_iou":0.4,"pos_iou":0.5,"ratios":[0.5,1.0,2.0],'
+     '"scales":[1.0,1.2599210498948732,1.5874010519681994]},"augment":{"hflip_prob":0.5,'
+     '"max_rot_deg":5.0,"min_box_area_px":16.0,"min_visible_frac":0.4,"scale_max":1.1,'
+     '"scale_min":0.9,"translate_frac":0.1},"eval":{"iou_thresholds":[0.5,0.55,0.6,0.65,'
+     '0.7,0.75,0.8,0.85,0.9,0.95],"max_detections_per_image":100,"nms_iou":0.5,'
+     '"pre_nms_topk":1000,"score_threshold":0.05},"loss":{"alpha":0.25,"gamma":2.0,'
+     '"smooth_l1_beta":0.1111111111111111},"network":{"fpn_channels":32,"head_depth":2,'
+     '"prior_prob":0.01,"stem_channels":[8,16,32,64]},"seed":0,'
+     '"synth":{"background_mode":"flat","image_size":[64,64],"noise_std":0.05,'
+     '"num_images":300,"pedestrians_per_image":[1,3],"seed":0,"template_aspect":[2.0,3.5],'
+     '"template_height_px":[20,40]},"training":{"batch_size":8,'
+     '"checkpoint_path":"checkpoint.rkck","epochs":30,"eval_every":5,"input_size":[64,64],'
+     '"lr":0.001}}'),
+    (ECHO_CUSTOM,
+     '{"anchors":{"force_match":true,"levels":[{"base_size":16.0,"stride":8},'
+     '{"base_size":32.0,"stride":16}],"neg_iou":0.4,"pos_iou":0.5,"ratios":[0.5,1.0,2.0],'
+     '"scales":[1.0,2.0]},"augment":{"hflip_prob":0.5,"max_rot_deg":5.0,'
+     '"min_box_area_px":16.0,"min_visible_frac":0.4,"scale_max":1.1,"scale_min":0.9,'
+     '"translate_frac":0.1},"eval":{"iou_thresholds":[0.5,0.55,0.6,0.65,0.7,0.75,0.8,0.85,'
+     '0.9,0.95],"max_detections_per_image":100,"nms_iou":0.5,"pre_nms_topk":1000,'
+     '"score_threshold":0.05},"loss":{"alpha":0.25,"gamma":2,'
+     '"smooth_l1_beta":0.1111111111111111},"network":{"fpn_channels":32,"head_depth":2,'
+     '"prior_prob":0.01,"stem_channels":[8,16,32,64]},"seed":5,'
+     '"synth":{"background_mode":"flat","image_size":[64,64],"noise_std":0.05,'
+     '"num_images":300,"pedestrians_per_image":[1,3],"seed":9,"template_aspect":[2.0,3.5],'
+     '"template_height_px":[20,40]},"training":{"batch_size":8,'
+     '"checkpoint_path":"checkpoint.rkck","epochs":30,"eval_every":5,"input_size":[64,64],'
+     '"lr":0.001}}'),
+]
+
+
+@pytest.mark.parametrize("raw, echo", ECHO_BYTES, ids=["defaults", "custom"])
+def test_config_echo_bytes_are_pinned(raw, echo):
+    assert canonical_json(run_config_to_dict(run_config_from_dict(raw))) == echo
+
