@@ -8,11 +8,12 @@ downstream (head output flattening, decoding) relies on that order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Annotated
 
 import numpy as np
 
 from .boxes import boxes_to_array, encode_boxes, iou_matrix
-from .errors import ValidationError, check_fields
+from .errors import ABOVE_0, UNIT, ValidationError, check_fields, check_ordered
 
 POSITIVE = 1
 NEGATIVE = 0
@@ -24,8 +25,8 @@ DEFAULT_RATIOS = (0.5, 1.0, 2.0)
 
 @dataclass(frozen=True)
 class AnchorLevel:
-    stride: int
-    base_size: float
+    stride: Annotated[int, ABOVE_0]
+    base_size: Annotated[float, ABOVE_0]
 
     def __post_init__(self):
         check_fields(self, "anchors.levels")
@@ -38,31 +39,17 @@ def _default_levels() -> tuple[AnchorLevel, ...]:
 @dataclass
 class AnchorConfig:
     levels: tuple[AnchorLevel, ...] = field(default_factory=_default_levels)
-    scales: tuple[float, ...] = DEFAULT_SCALES
-    ratios: tuple[float, ...] = DEFAULT_RATIOS
-    pos_iou: float = 0.5
-    neg_iou: float = 0.4
+    scales: Annotated[tuple[float, ...], ABOVE_0] = DEFAULT_SCALES
+    ratios: Annotated[tuple[float, ...], ABOVE_0] = DEFAULT_RATIOS
+    pos_iou: Annotated[float, UNIT] = 0.5
+    neg_iou: Annotated[float, UNIT] = 0.4
     force_match: bool = True
 
     def __post_init__(self):
         check_fields(self, "anchors")
-        if not self.levels:
-            raise ValidationError("anchor config needs at least one pyramid level")
-        strides = self.strides
-        if any(s <= 0 for s in strides):
-            raise ValidationError(f"anchor strides must be positive, got {strides}")
-        if any(b - a <= 0 for a, b in zip(strides, strides[1:])):
-            raise ValidationError(f"anchor strides must be strictly increasing, got {strides}")
-        if any(lvl.base_size <= 0 for lvl in self.levels):
-            raise ValidationError("anchor base sizes must be positive")
-        if not self.scales or any(s <= 0 for s in self.scales):
-            raise ValidationError(f"anchor scales must be non-empty and positive, got {self.scales}")
-        if not self.ratios or any(r <= 0 for r in self.ratios):
-            raise ValidationError(f"anchor ratios must be non-empty and positive, got {self.ratios}")
-        if not (0.0 <= self.neg_iou <= self.pos_iou <= 1.0):
-            raise ValidationError(
-                f"need 0 <= neg_iou <= pos_iou <= 1, got neg={self.neg_iou} pos={self.pos_iou}"
-            )
+        strides = [(f"anchors.levels[{i}].stride", s) for i, s in enumerate(self.strides)]
+        check_ordered(strides, strict=True)
+        check_ordered([("anchors.neg_iou", self.neg_iou), ("anchors.pos_iou", self.pos_iou)])
 
     @property
     def strides(self) -> tuple[int, ...]:

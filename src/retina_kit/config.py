@@ -14,10 +14,11 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Annotated
 
 from .anchors import AnchorConfig
 from .data import AugmentConfig
-from .errors import ValidationError, check_fields, check_value
+from .errors import ABOVE_0, AT_LEAST_0, Bounds, ValidationError, check_fields, check_value
 from .losses import LossConfig
 from .network import NetworkConfig, check_level_strides
 from .postprocess import EvalConfig
@@ -26,36 +27,26 @@ from .synth import SynthConfig
 
 @dataclass
 class TrainingConfig:
-    lr: float = 0.001
-    batch_size: int = 8
-    epochs: int = 30
-    eval_every: int = 5
+    lr: Annotated[float, ABOVE_0] = 0.001
+    batch_size: Annotated[int, Bounds(1)] = 8
+    epochs: Annotated[int, AT_LEAST_0] = 30
+    eval_every: Annotated[int, Bounds(1)] = 5
     checkpoint_path: str = "checkpoint.rkck"
-    input_size: tuple[int, int] = (64, 64)
+    input_size: Annotated[tuple[int, int], ABOVE_0] = (64, 64)
 
     def __post_init__(self):
         check_fields(self, "training")
-        if self.lr <= 0:
-            raise ValidationError(f"lr must be > 0, got {self.lr}")
-        if self.batch_size < 1:
-            raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.epochs < 0:
-            raise ValidationError(f"epochs must be >= 0, got {self.epochs}")
-        if self.eval_every < 1:
-            raise ValidationError(f"eval_every must be >= 1, got {self.eval_every}")
         name = self.checkpoint_path  # saved in --out, next to metrics.jsonl
         if name in ("", "..", "metrics.jsonl") or Path(name).name != name or name.endswith(".partial"):
             raise ValidationError(
                 "training.checkpoint_path must be a bare file name other than metrics.jsonl "
                 f"and *.partial, got {name!r}"
             )
-        if self.input_size[0] <= 0 or self.input_size[1] <= 0:
-            raise ValidationError(f"input_size must be positive, got {self.input_size}")
 
 
 @dataclass
 class RunConfig:
-    seed: int = 0
+    seed: Annotated[int, AT_LEAST_0] = 0
     anchors: AnchorConfig = field(default_factory=AnchorConfig)
     loss: LossConfig = field(default_factory=LossConfig)
     network: NetworkConfig = field(default_factory=NetworkConfig)
@@ -66,14 +57,12 @@ class RunConfig:
 
     def __post_init__(self):
         check_fields(self, "")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         check_level_strides(self.network, self.anchors)
         s_max = self.anchors.max_stride
         w, h = self.training.input_size
         if w % s_max or h % s_max:
             raise ValidationError(
-                f"training input_size {w}x{h} must be divisible by the largest stride {s_max}"
+                f"training.input_size {w}x{h} must be divisible by the largest stride {s_max}"
             )
         # augmented boxes span at most about 8 * scale_max * max(w, h) pixels; areas square it
         span = 8.0 * self.augment.scale_max * max(w, h)

@@ -14,13 +14,13 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from pathlib import Path
+from typing import Annotated
 
 import numpy as np
 
 from .boxes import box_areas, clip_boxes, transform_boxes
-from .errors import ValidationError, check_fields
-from .outputs import atomic_write
+from .errors import ABOVE_0, AT_LEAST_0, UNIT, Bounds, ValidationError, check_fields, check_ordered
+from .outputs import atomic_write, read_lines
 
 IMAGENET_MEAN = (0.485, 0.456, 0.406)
 
@@ -37,28 +37,18 @@ class SampleRecord:
 
 @dataclass
 class AugmentConfig:
-    translate_frac: float = 0.10
-    max_rot_deg: float = 5.0
-    scale_min: float = 0.9
+    translate_frac: Annotated[float, Bounds(0, 1, open_hi=True)] = 0.10
+    max_rot_deg: Annotated[float, Bounds(0, 180)] = 5.0
+    scale_min: Annotated[float, ABOVE_0] = 0.9
     scale_max: float = 1.1
-    hflip_prob: float = 0.5
-    min_box_area_px: float = 16.0
-    min_visible_frac: float = 0.4
+    hflip_prob: Annotated[float, UNIT] = 0.5
+    min_box_area_px: Annotated[float, AT_LEAST_0] = 16.0
+    min_visible_frac: Annotated[float, UNIT] = 0.4
 
     def __post_init__(self):
         check_fields(self, "augment")
-        if not (0.0 <= self.translate_frac < 1.0):
-            raise ValidationError(f"translate_frac must be in [0, 1), got {self.translate_frac}")
-        if not (0.0 <= self.max_rot_deg <= 180.0):
-            raise ValidationError(f"max_rot_deg must be in [0, 180], got {self.max_rot_deg}")
-        if not (0.0 < self.scale_min <= self.scale_max):
-            raise ValidationError(
-                f"need 0 < scale_min <= scale_max, got {self.scale_min}..{self.scale_max}"
-            )
-        if not (0.0 <= self.hflip_prob <= 1.0):
-            raise ValidationError(f"hflip_prob must be in [0, 1], got {self.hflip_prob}")
-        if self.min_box_area_px < 0 or not (0.0 <= self.min_visible_frac <= 1.0):
-            raise ValidationError("box survival thresholds out of range")
+        scales = [("augment.scale_min", self.scale_min), ("augment.scale_max", self.scale_max)]
+        check_ordered(scales)
 
 
 def resize_bilinear(image, out_w: int, out_h: int) -> np.ndarray:
@@ -194,7 +184,7 @@ def read_manifest(path) -> list[SampleRecord]:
     Then, over all rows at once: each box finite (no int past float range), ordered, with area.
     """
     images, linenos, starts, rows = [], [], [], []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_lines(path), 1):
         if not line.strip():
             continue
         try:

@@ -8,28 +8,23 @@ anchors always accumulate in float64.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
 from .anchors import IGNORE, POSITIVE
-from .errors import ValidationError, check_fields
+from .errors import ABOVE_0, AT_LEAST_0, Bounds, ValidationError, check_fields
 from .layers import sigmoid, softplus
 
 
 @dataclass
 class LossConfig:
-    gamma: float = 2.0
-    alpha: float = 0.25
-    smooth_l1_beta: float = 1.0 / 9.0
+    gamma: Annotated[float, AT_LEAST_0] = 2.0
+    alpha: Annotated[float, Bounds(0, 1, open_lo=True)] = 0.25
+    smooth_l1_beta: Annotated[float, ABOVE_0] = 1.0 / 9.0
 
     def __post_init__(self):
         check_fields(self, "loss")
-        if self.gamma < 0:
-            raise ValidationError(f"gamma must be >= 0, got {self.gamma}")
-        if not (0.0 < self.alpha <= 1.0):
-            raise ValidationError(f"alpha must be in (0, 1], got {self.alpha}")
-        if self.smooth_l1_beta <= 0:
-            raise ValidationError(f"smooth_l1_beta must be > 0, got {self.smooth_l1_beta}")
 
 
 def sigmoid_focal_loss(logits, targets, config: LossConfig):

@@ -23,52 +23,45 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
 from . import layers
 from .anchors import AnchorConfig
-from .errors import ValidationError, check_fields
+from .errors import ABOVE_0, AT_LEAST_0, OPEN_UNIT, ValidationError, check_fields
 
 INPUT_CHANNELS = 3  # load_ppm and preprocess always give RGB
 
 
 @dataclass
 class NetworkConfig:
-    stem_channels: tuple[int, ...] = (8, 16, 32, 64)
-    fpn_channels: int = 32
-    head_depth: int = 2
-    prior_prob: float = 0.01
+    stem_channels: Annotated[tuple[int, ...], ABOVE_0] = (8, 16, 32, 64)
+    fpn_channels: Annotated[int, ABOVE_0] = 32
+    head_depth: Annotated[int, AT_LEAST_0] = 2
+    prior_prob: Annotated[float, OPEN_UNIT] = 0.01
 
     def __post_init__(self):
         check_fields(self, "network")
-        if not self.stem_channels or any(c <= 0 for c in self.stem_channels):
-            raise ValidationError(f"stem_channels must be positive, got {self.stem_channels}")
-        if self.fpn_channels <= 0:
-            raise ValidationError(f"fpn_channels must be positive, got {self.fpn_channels}")
-        if self.head_depth < 0:
-            raise ValidationError(f"head_depth must be >= 0, got {self.head_depth}")
-        if not (0.0 < self.prior_prob < 1.0):
-            raise ValidationError(f"prior_prob must be in (0, 1), got {self.prior_prob}")
 
 
 def check_level_strides(config: NetworkConfig, anchors: AnchorConfig) -> list[int]:
     """Map anchor strides onto stem stages (stage i sits at stride 2^(i+1))."""
     stages = []
-    for s in anchors.strides:
+    for i, s in enumerate(anchors.strides):
+        where = f"anchors.levels[{i}].stride {s}"
         idx = int(round(math.log2(s))) - 1
         if 2 ** (idx + 1) != s or idx < 0:
-            raise ValidationError(f"stride {s} is not a power of two >= 2")
+            raise ValidationError(f"{where} is not a power of two >= 2")
         if idx >= len(config.stem_channels):
             raise ValidationError(
-                f"anchor stride {s} needs stem stage {idx + 1} but the network has "
+                f"{where} needs stem stage {idx + 1} but network.stem_channels has "
                 f"only {len(config.stem_channels)} stages"
             )
-        stages.append(idx)
-    for a, b in zip(stages, stages[1:]):
-        if b != a + 1:
+        if stages and idx != stages[-1] + 1:
             # the x2 top-down merge only lines up for consecutive strides
-            raise ValidationError(f"anchor strides {anchors.strides} must double level to level")
+            raise ValidationError(f"{where} must be twice anchors.levels[{i - 1}].stride")
+        stages.append(idx)
     return stages
 
 

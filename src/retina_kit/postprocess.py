@@ -16,12 +16,15 @@ anchor carries one logit.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import Annotated
 
 import numpy as np
 
 from .anchors import AnchorGrid
 from .boxes import boxes_to_array, clip_boxes, decode_boxes
-from .errors import NumericError, ValidationError, check_fields
+from .errors import (
+    ABOVE_0, OPEN_UNIT, UNIT, NumericError, ValidationError, check_fields, check_ordered, indexed
+)
 from .layers import sigmoid
 from .outputs import atomic_write
 
@@ -30,26 +33,15 @@ _DEFAULT_SWEEP = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
 
 @dataclass
 class EvalConfig:
-    iou_thresholds: tuple[float, ...] = _DEFAULT_SWEEP
-    score_threshold: float = 0.05
-    pre_nms_topk: int = 1000
-    nms_iou: float = 0.5
-    max_detections_per_image: int = 100
+    iou_thresholds: Annotated[tuple[float, ...], OPEN_UNIT] = _DEFAULT_SWEEP
+    score_threshold: Annotated[float, UNIT] = 0.05
+    pre_nms_topk: Annotated[int, ABOVE_0] = 1000
+    nms_iou: Annotated[float, UNIT] = 0.5
+    max_detections_per_image: Annotated[int, ABOVE_0] = 100
 
     def __post_init__(self):
         check_fields(self, "eval")
-        if not self.iou_thresholds:
-            raise ValidationError("iou_thresholds must be non-empty")
-        if any(not (0.0 < t < 1.0) for t in self.iou_thresholds):
-            raise ValidationError(f"iou_thresholds must lie in (0, 1), got {self.iou_thresholds}")
-        if any(b <= a for a, b in zip(self.iou_thresholds, self.iou_thresholds[1:])):
-            raise ValidationError("iou_thresholds must be strictly increasing")
-        if not (0.0 <= self.score_threshold <= 1.0):
-            raise ValidationError(f"score_threshold must be in [0, 1], got {self.score_threshold}")
-        if self.pre_nms_topk <= 0 or self.max_detections_per_image <= 0:
-            raise ValidationError("pre_nms_topk and max_detections_per_image must be positive")
-        if not (0.0 <= self.nms_iou <= 1.0):
-            raise ValidationError(f"nms_iou must be in [0, 1], got {self.nms_iou}")
+        check_ordered(indexed("eval.iou_thresholds", self.iou_thresholds), strict=True)
 
 
 @dataclass(frozen=True)

@@ -16,11 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Annotated
 
 import numpy as np
 
 from .data import SampleRecord, write_manifest
-from .errors import ValidationError, check_fields
+from .errors import (
+    ABOVE_0, AT_LEAST_0, Bounds, ValidationError, check_fields, check_ordered, indexed
+)
 from .ppm import save_ppm
 
 STREAM_SYNTH = 101
@@ -33,46 +36,29 @@ BACKGROUND_GRAY = 0.5
 
 @dataclass
 class SynthConfig:
-    image_size: tuple[int, int] = (64, 64)
-    num_images: int = 300
-    pedestrians_per_image: tuple[int, int] = (1, 3)
-    template_aspect: tuple[float, float] = (2.0, 3.5)
-    template_height_px: tuple[int, int] = (20, 40)
-    noise_std: float = 0.05
+    image_size: Annotated[tuple[int, int], ABOVE_0] = (64, 64)
+    num_images: Annotated[int, AT_LEAST_0] = 300
+    pedestrians_per_image: Annotated[tuple[int, int], AT_LEAST_0] = (1, 3)
+    template_aspect: Annotated[tuple[float, float], ABOVE_0] = (2.0, 3.5)
+    template_height_px: Annotated[tuple[int, int], Bounds(4)] = (20, 40)
+    noise_std: Annotated[float, AT_LEAST_0] = 0.05
     background_mode: str = "flat"
-    seed: int = 0
+    seed: Annotated[int, AT_LEAST_0] = 0
 
     def __post_init__(self):
         check_fields(self, "synth")
-        w, h = self.image_size
-        if w <= 0 or h <= 0:
-            raise ValidationError(f"image_size must be positive, got {self.image_size}")
-        if self.num_images < 0:
-            raise ValidationError(f"num_images must be >= 0, got {self.num_images}")
-        lo, hi = self.pedestrians_per_image
-        if lo < 0 or hi < lo:
-            raise ValidationError(f"bad pedestrians_per_image range {lo}..{hi}")
-        a_lo, a_hi = self.template_aspect
-        if a_lo <= 0 or a_hi < a_lo:
-            raise ValidationError(f"bad template_aspect range {a_lo}..{a_hi}")
-        h_lo, h_hi = self.template_height_px
-        if h_lo < 4 or h_hi < h_lo:
-            raise ValidationError(
-                f"template_height_px range must be >= 4 and ordered, got {h_lo}..{h_hi}"
-            )
-        if self.noise_std < 0:
-            raise ValidationError(f"noise_std must be >= 0, got {self.noise_std}")
+        for name in ("pedestrians_per_image", "template_aspect", "template_height_px"):
+            check_ordered(indexed(f"synth.{name}", getattr(self, name)))
         if self.background_mode not in ("flat", "gradient"):
             raise ValidationError(
-                f"background_mode must be 'flat' or 'gradient', got {self.background_mode!r}"
+                f"synth.background_mode must be 'flat' or 'gradient', got {self.background_mode!r}"
             )
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         # worst-case template footprint must fit the image
-        w_max = max(3, round(h_hi / a_lo))
-        if h_hi > h or w_max > w:
+        w, h = self.image_size
+        w_max, h_max = template_size(self.template_height_px[1], self.template_aspect[0])
+        if h_max > h or w_max > w:
             raise ValidationError(
-                f"template up to {w_max}x{h_hi} px cannot fit a {w}x{h} image"
+                f"synth.image_size {w}x{h} cannot fit a template up to {w_max}x{h_max} px"
             )
 
 

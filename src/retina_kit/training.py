@@ -42,6 +42,7 @@ from .evaluation import coco_map
 from .losses import loss_targets, total_detection_loss
 from .network import backward, forward, init_params, param_shapes
 from .optim import AdamState, adam_step
+from .outputs import read_lines
 from .postprocess import Detections, decode_detections
 from .ppm import load_ppm
 
@@ -146,7 +147,7 @@ def _prior_metrics_rows(checkpoint_path, epochs: int) -> list[str]:
     path = ckpt.with_name(name)
     if not path.is_file():
         raise ValidationError(f"cannot resume: metrics file {path} of the resumed run is missing")
-    lines = path.read_text(encoding="utf-8").splitlines()[:epochs]
+    lines = read_lines(path)[:epochs]
     try:
         found = [json.loads(line)["epoch"] for line in lines]
     except (ValueError, TypeError, KeyError):
@@ -295,6 +296,8 @@ def run_training(
             f"Adam step {final_step}, past 2**24, the last step a checkpoint stores exactly"
         )
     val_samples = load_samples(val_manifest) if val_manifest else None
+    if val_samples == []:
+        raise ValidationError(f"validation manifest {val_manifest} has no samples")
     # the preprocessed inputs and input-frame boxes, read once; augmentation
     # operates in the input frame every epoch
     prepared = [prepare_eval_input(s, cfg) for s in train_samples]
@@ -334,7 +337,7 @@ def run_training(
     final_val = None
     inputs = _minibatch_inputs(prepared, grid, cfg, n, start_epoch)
     with open(metrics_partial, "w", encoding="utf-8") as mf, _prefetch(
-        inputs, (batch_size, 3, in_h, in_w)
+        inputs, (min(batch_size, n), 3, in_h, in_w)
     ) as batches:
         mf.writelines(line + "\n" for line in carried)
         for epoch in range(start_epoch, cfg.training.epochs):

@@ -252,6 +252,18 @@ class TestTrainCommand:
         assert "pixel payload" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_empty_val_manifest_exits_one_before_training(self, tiny_cfg_path, tmp_path, capsys):
+        data = synth_dir(tiny_cfg_path, tmp_path)
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        out = tmp_path / "run"
+        capsys.readouterr()
+        code = main(["train", "--config", tiny_cfg_path, "--manifest", str(data / "manifest.jsonl"),
+                     "--val-manifest", str(empty), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: validation manifest {empty} has no samples\n"
+        assert not out.exists()
+
     def test_class_label_rejected_before_training(self, tiny_cfg_path, tmp_path, capsys):
         data = synth_dir(tiny_cfg_path, tmp_path)
         rows = [json.loads(l) for l in (data / "manifest.jsonl").read_text().splitlines()]
@@ -315,7 +327,8 @@ class TestResumeChecks:
         "metrics",
         [
             pytest.param(None, id="missing"),
-            pytest.param('{"epoch": 1, "train_loss": 1.0}\n', id="misnumbered"),
+            pytest.param(b'{"epoch": 1, "train_loss": 1.0}\n', id="misnumbered"),
+            pytest.param(b'{"epoch": 0, "note": "\xff"}\n', id="not-utf8"),
         ],
     )
     def test_unusable_metrics_exits_one(self, finished, tmp_path, capsys, metrics):
@@ -324,7 +337,7 @@ class TestResumeChecks:
         moved.mkdir()
         (moved / "checkpoint.rkck").write_bytes((run / "checkpoint.rkck").read_bytes())
         if metrics is not None:
-            (moved / "metrics.jsonl").write_text(metrics)
+            (moved / "metrics.jsonl").write_bytes(metrics)
         capsys.readouterr()
         out = tmp_path / "out"
         assert self.resume(finished, moved / "checkpoint.rkck", out) == 1
@@ -803,6 +816,22 @@ class TestExitCodes:
                      "--out", str(out), "--replay-gt"])
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {manifest}: line 2: ")
+        assert not out.exists()
+
+    def test_non_utf8_manifest_exits_one(self, tiny_cfg_path, tmp_path, capsys):
+        data = synth_dir(tiny_cfg_path, tmp_path)
+        manifest = data / "manifest.jsonl"
+        lines = manifest.read_bytes().splitlines(keepends=True)
+        manifest.write_bytes(b"".join(lines[:2]) + b'{"image": "\xff.ppm"}\n' + b"".join(lines[2:]))
+        capsys.readouterr()
+        out = tmp_path / "eval"
+        code = main(["eval", "--config", tiny_cfg_path, "--manifest", str(manifest),
+                     "--out", str(out), "--replay-gt"])
+        assert code == 1
+        offset = len(lines[0]) + len(lines[1]) + len(b'{"image": "')
+        assert capsys.readouterr().err == (
+            f"error: {manifest}: line 3: byte 0xff at offset {offset} is not UTF-8\n"
+        )
         assert not out.exists()
 
     def test_bool_for_a_number_exits_one(self, tmp_path, capsys):

@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import math
 import re
+import typing
 
 import pytest
 
@@ -12,7 +14,7 @@ from retina_kit.config import (
     run_config_from_dict,
     run_config_to_dict,
 )
-from retina_kit.errors import ValidationError
+from retina_kit.errors import ValidationError, _field_types
 from retina_kit.losses import LossConfig
 
 
@@ -277,3 +279,118 @@ ECHO_BYTES = [
 def test_config_echo_bytes_are_pinned(raw, echo):
     assert canonical_json(run_config_to_dict(run_config_from_dict(raw))) == echo
 
+
+def _set(raw, path, value):
+    """A copy of the nested config raw with the entry at path (keys and list indices) set."""
+    if not path:
+        return value
+    head, *rest = path
+    copy = list(raw) if isinstance(raw, list) else dict(raw)
+    copy[head] = _set(raw[head], rest, value)
+    return copy
+
+
+def _dotted(path):
+    return "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path).lstrip(".")
+
+
+def _past_each_end(bounds, kind):
+    """The values of type kind (int or float) just outside bounds, at each finite end."""
+    out = []
+    for end, is_open, away in [(bounds.lo, bounds.open_lo, -1), (bounds.hi, bounds.open_hi, 1)]:
+        if not math.isfinite(end):
+            continue
+        if is_open:
+            past = end
+        elif kind is int:
+            past = end + away
+        else:
+            past = math.nextafter(end, away * math.inf)
+        out.append(kind(past))
+    return out
+
+
+def _bounded_cases(hint, path, default):
+    """(path, bad value, Bounds) for each bounded field, or list entry, under hint."""
+    if typing.get_origin(hint) is typing.Annotated:
+        base, bounds = hint.__origin__, hint.__metadata__[0]
+        if typing.get_origin(base) is tuple:  # a list field's bounds hold for each entry
+            paths, kind = [[*path, i] for i in range(len(default))], typing.get_args(base)[0]
+        else:
+            paths, kind = [path], base
+        for p in paths:
+            for bad in _past_each_end(bounds, kind):
+                yield p, bad, bounds
+    elif dataclasses.is_dataclass(hint):
+        for name, t in _field_types(hint).items():
+            yield from _bounded_cases(t, [*path, name], default[name])
+    elif typing.get_origin(hint) is tuple and dataclasses.is_dataclass(typing.get_args(hint)[0]):
+        for i, entry in enumerate(default):
+            yield from _bounded_cases(typing.get_args(hint)[0], [*path, i], entry)
+
+
+DEFAULTS = run_config_to_dict(RunConfig())
+BOUNDED = list(_bounded_cases(RunConfig, [], DEFAULTS))
+
+
+def test_every_annotated_bound_is_walked():
+    names = {_dotted(path) for path, _, _ in BOUNDED}
+    assert {"seed", "training.lr", "synth.seed", "anchors.levels[1].base_size",
+            "eval.iou_thresholds[9]", "network.prior_prob", "synth.template_height_px[0]"} <= names
+    assert len(names) == 60
+
+
+@pytest.mark.parametrize(
+    "path, bad, bounds", BOUNDED, ids=[f"{_dotted(p)}={b!r}" for p, b, _ in BOUNDED]
+)
+def test_value_past_a_bound_names_the_dotted_field(path, bad, bounds):
+    raw = _set(DEFAULTS, path, bad)
+    field = _dotted(path)
+    with pytest.raises(ValidationError) as info:
+        run_config_from_dict(raw)
+    assert str(info.value) == f"{field} must be {bounds}, got {bad}"
+
+
+LEVEL_8 = {"stride": 8, "base_size": 16.0}
+
+
+@pytest.mark.parametrize(
+    "raw, field",
+    [({"anchors": {"levels": []}}, "anchors.levels"),
+     ({"anchors": {"scales": []}}, "anchors.scales"),
+     ({"anchors": {"ratios": []}}, "anchors.ratios"),
+     ({"network": {"stem_channels": []}}, "network.stem_channels"),
+     ({"eval": {"iou_thresholds": []}}, "eval.iou_thresholds"),
+     # relational checks
+     ({"anchors": {"pos_iou": 0.3, "neg_iou": 0.4}},
+      "anchors.neg_iou 0.4 must be <= anchors.pos_iou 0.3"),
+     ({"anchors": {"levels": [LEVEL_16, LEVEL_8]}}, "anchors.levels[0].stride 16 must be <"),
+     ({"anchors": {"levels": [LEVEL_8, LEVEL_8]}}, "anchors.levels[0].stride 8 must be <"),
+     ({"augment": {"scale_min": 1.2}}, "augment.scale_min 1.2 must be <= augment.scale_max"),
+     ({"synth": {"pedestrians_per_image": [3, 1]}}, "synth.pedestrians_per_image[0] 3 must be <="),
+     ({"synth": {"template_aspect": [3.0, 2.0]}}, "synth.template_aspect[0] 3.0 must be <="),
+     ({"synth": {"template_height_px": [30, 20]}}, "synth.template_height_px[0] 30 must be <="),
+     ({"eval": {"iou_thresholds": [0.6, 0.5]}}, "eval.iou_thresholds[0] 0.6 must be <"),
+     ({"eval": {"iou_thresholds": [0.5, 0.5]}}, "eval.iou_thresholds[0] 0.5 must be <"),
+     ({"synth": {"background_mode": "plaid"}}, "synth.background_mode"),
+     ({"synth": {"template_height_px": [20, 80]}}, "synth.image_size 64x64 cannot fit"),
+     ({"training": {"checkpoint_path": "a/b"}}, "training.checkpoint_path"),
+     ({"anchors": {"levels": [{"stride": 6, "base_size": 16.0}]}},
+      "anchors.levels[0].stride 6 is not a power of two"),
+     ({"anchors": {"levels": [{"stride": 32, "base_size": 16.0}]}},
+      "anchors.levels[0].stride 32 needs stem stage 5"),
+     ({"anchors": {"levels": [{"stride": 4, "base_size": 8.0}, LEVEL_16]}},
+      "anchors.levels[1].stride 16 must be twice anchors.levels[0].stride"),
+     ({"training": {"input_size": [60, 64]}}, "training.input_size 60x64 must be divisible"),
+     ({"augment": {"scale_max": 1e300}}, "augment.scale_max 1e+300 overflows")],
+)
+def test_empty_lists_and_relational_faults_name_the_dotted_field(raw, field):
+    with pytest.raises(ValidationError, match=rf"^{re.escape(field)}"):
+        run_config_from_dict(raw)
+
+
+def test_in_process_configs_check_bounds():
+    with pytest.raises(ValidationError, match=r"^loss\.alpha must be in \(0, 1\], got 0$"):
+        LossConfig(alpha=0)
+    with pytest.raises(ValidationError, match=r"^anchors\.scales must be non-empty$"):
+        AnchorConfig(scales=())

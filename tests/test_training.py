@@ -94,6 +94,26 @@ def fail_mid_epoch(split, tmp_path, capsys, monkeypatch, fail):
     return result, sorted(worker)
 
 
+def test_batch_past_the_split_equals_in_process(split, tmp_path, capsys, monkeypatch):
+    # one minibatch per epoch holds all 13 images; the slots hold 13 images, not 10,000,000
+    cfg = tmp_path / "big-batch.json"
+    big_batch = {**CONFIG["training"], "batch_size": 10_000_000}
+    cfg.write_text(json.dumps({**CONFIG, "training": big_batch}))
+    big = (str(cfg), split[1])
+    shapes = []
+    real = training._prefetch
+    monkeypatch.setattr(
+        training, "_prefetch", lambda inputs, shape: shapes.append(shape) or real(inputs, shape)
+    )
+    assert train(big, tmp_path / "worker", capsys) == (0, "")
+    assert shapes == [(13, 3, 64, 64)]
+    in_process(monkeypatch)
+    assert train(big, tmp_path / "serial", capsys) == (0, "")
+    worker, serial = tree(tmp_path / "worker"), tree(tmp_path / "serial")
+    assert sorted(worker) == ["checkpoint.rkck", "metrics.jsonl"]
+    assert worker == serial
+
+
 def test_worker_error_mid_epoch_matches_in_process(split, tmp_path, capsys, monkeypatch):
     def fail():
         raise ValidationError("augment refused image")
