@@ -25,11 +25,10 @@ DEFAULT_RATIOS = (0.5, 1.0, 2.0)
 
 @dataclass(frozen=True)
 class AnchorLevel:
+    """One pyramid level; AnchorConfig checks it, as anchors.levels[i]."""
+
     stride: Annotated[int, ABOVE_0]
     base_size: Annotated[float, ABOVE_0]
-
-    def __post_init__(self):
-        check_fields(self, "anchors.levels")
 
 
 def _default_levels() -> tuple[AnchorLevel, ...]:
@@ -47,6 +46,8 @@ class AnchorConfig:
 
     def __post_init__(self):
         check_fields(self, "anchors")
+        for i, level in enumerate(self.levels):
+            check_fields(level, f"anchors.levels[{i}]")
         strides = [(f"anchors.levels[{i}].stride", s) for i, s in enumerate(self.strides)]
         check_ordered(strides, strict=True)
         check_ordered([("anchors.neg_iou", self.neg_iou), ("anchors.pos_iou", self.pos_iou)])

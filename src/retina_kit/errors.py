@@ -115,16 +115,19 @@ def check_value(value, hint, where: str, listed: bool = False):
             raise ValidationError(f"{where} must be {what}, got {value!r}")
     elif dataclasses.is_dataclass(hint):
         if isinstance(value, hint):
-            return value  # checked by its own __post_init__
+            return value  # checked by its own __post_init__ (a level by its AnchorConfig's)
         if not isinstance(value, dict):
             raise ValidationError(
-                f"config section '{where}' must be an object" if where else "run config must be a JSON object"
+                f"{where} must be an object" if where else "run config must be a JSON object"
             )
         types = _field_types(hint)
         unknown = sorted(set(value) - set(types))
         if unknown:
-            keys = f"keys in config section '{where}'" if where else "top-level config keys"
-            raise ValidationError(f"unknown {keys}: {unknown}")
+            raise ValidationError(
+                f"{where} has unknown keys: {unknown}"
+                if where
+                else f"unknown top-level config keys: {unknown}"
+            )
         prefix = f"{where}." if where else ""
         for f in dataclasses.fields(hint):  # a field with neither default nor factory is required
             if f.name not in value and f.default is f.default_factory is dataclasses.MISSING:

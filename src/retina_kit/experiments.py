@@ -49,23 +49,28 @@ def train_and_eval(cfg: RunConfig, train_manifest, val_manifest, out_dir) -> dic
     return report
 
 
-def focal_vs_ce(base_seed: int, seeds: int, workdir, epochs: int = 30) -> dict:
+def focal_vs_ce(base_seed: int, seeds: int, workdir, epochs: int = 30, done=None) -> dict:
     """Train gamma=2 vs gamma=0 on one fixed split over several seeds.
 
     The split is synthesized once from base_seed; both settings then train
     on it with the same seed set {base_seed, ..., base_seed + seeds - 1}.
-    Returns per-seed sweep mAPs plus their means; the directional claim is
-    mean(gamma=2) >= mean(gamma=0).
+    done maps (seed, gamma) to the eval report of a desk_config(seed, gamma,
+    epochs) run already trained on that split, which stands in for training
+    it again. Returns per-seed sweep mAPs plus their means; the directional
+    claim is mean(gamma=2) >= mean(gamma=0).
     """
     workdir = Path(workdir)
     split_cfg = desk_config(seed=base_seed, epochs=epochs)
     train_m, val_m = make_split(split_cfg, workdir / "data")
+    done = done or {}
     runs = {"gamma2": [], "gamma0": []}
     for i in range(seeds):
         seed = base_seed + i
         for tag, gamma in (("gamma2", 2.0), ("gamma0", 0.0)):
-            cfg = desk_config(seed=seed, gamma=gamma, epochs=epochs)
-            report = train_and_eval(cfg, train_m, val_m, workdir / f"seed{seed}" / tag)
+            report = done.get((seed, gamma))
+            if report is None:
+                cfg = desk_config(seed=seed, gamma=gamma, epochs=epochs)
+                report = train_and_eval(cfg, train_m, val_m, workdir / f"seed{seed}" / tag)
             runs[tag].append({"seed": seed, "map": report["map"], "ap50": report["ap50"]})
     mean2 = sum(r["map"] for r in runs["gamma2"]) / seeds
     mean0 = sum(r["map"] for r in runs["gamma0"]) / seeds

@@ -8,15 +8,19 @@ and box subnets (head_depth 3x3 conv + ReLU blocks, then a 3x3 output conv)
 share their parameters across levels.
 
 _build spells that graph out once, as parameter shapes plus an ordered list
-of conv, relu and up_add ops over named tensors; param_shapes, forward() and
-backward() all read it. forward() runs a (B, 3, H, W) minibatch in the
-channel-major (C, B, H, W) layout of `layers`; it takes the AnchorConfig (its
-strides pick the levels, scales x ratios fix the anchors per cell), records
-every op's output by name in its cache, and returns one logit and one
-box-delta row per image and anchor in generate_anchors order. backward()
-walks the ops in reverse from gradients on those rows and returns exact
-gradients for every parameter, summed over the batch and, for the shared
-heads, over levels, level 0 first.
+of conv, relu and up_add ops over named tensors, and marks the tensors held
+in the padded layout of `layers.pad`; param_shapes, forward() and backward()
+all read it. forward() runs a (B, 3, H, W) minibatch in the channel-major
+(C, B, H, W) layout of `layers`; it takes the AnchorConfig (its strides pick
+the levels, scales x ratios fix the anchors per cell), records every op's
+output by name in its cache, and returns one logit and one box-delta row per
+image and anchor in generate_anchors order. The smoothing outputs and the
+heads' hidden activations, which only stride-1 3x3 convs read, live in the
+padded buffers those convs read, written once by their producer. backward()
+walks the ops in reverse from gradients on those rows, carrying those
+tensors' gradients in the column layout, and returns exact gradients for
+every parameter, summed over the batch and, for the shared heads, over
+levels, level 0 first.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import numpy as np
 from . import layers
 from .anchors import AnchorConfig
 from .errors import ABOVE_0, AT_LEAST_0, OPEN_UNIT, ValidationError, check_fields
+from .optim import packed
 
 INPUT_CHANNELS = 3  # load_ppm and preprocess always give RGB
 
@@ -66,16 +71,24 @@ def check_level_strides(config: NetworkConfig, anchors: AnchorConfig) -> list[in
 
 
 def _build(config: NetworkConfig, anchors: AnchorConfig):
-    """Parameter shapes, the ordered op list and each level's head outputs.
+    """Parameter shapes, the ordered op list, each level's head outputs, and the padded tensors.
 
     An op is (kind, out, ins, param, stride) over named tensors ("image" is
     the input): "conv" uses params[param + ".w" / ".b"], "relu" gates, and
     "up_add" adds a lateral to the nearest x2 upsample of the coarser merge.
     Stem stages past the deepest level keep their parameters but get no ops.
+
+    Every tensor a stride-1 3x3 conv reads (the smoothing and head convs) is
+    held in the padded layout of layers.pad. padded maps it to True where
+    its producer writes that buffer: a smoothing output, or a head's hidden
+    conv and its ReLU, read only by such convs; its gradient then travels
+    in the column layout. False marks a smoothing conv's input, which other
+    ops read too or an up_add makes, so forward pads it once.
     """
     stages = check_level_strides(config, anchors)
     shapes: dict[str, tuple[int, ...]] = {}
     ops: list[tuple] = []
+    padded: dict[str, bool] = {}
 
     def declare(param, c_out, c_in, k):
         shapes[f"{param}.w"] = (c_out, c_in, k, k)
@@ -105,7 +118,8 @@ def _build(config: NetworkConfig, anchors: AnchorConfig):
     for li in reversed(range(n_levels - 1)):
         ops.append(("up_add", merged[li], (f"lateral{li}", merged[li + 1]), None, None))
     for li in range(n_levels):
-        conv(f"smooth{li}", merged[li])
+        padded[merged[li]] = False
+        padded[conv(f"smooth{li}", merged[li])] = True
 
     a = anchors.num_anchors_per_cell
     heads = {"cls": a, "box": a * 4}
@@ -120,9 +134,12 @@ def _build(config: NetworkConfig, anchors: AnchorConfig):
         for prefix in heads:
             x = f"smooth{li}"
             for j in range(config.head_depth):
-                x = relu(conv(f"{prefix}{j}", x, out=f"{prefix}{j}/{li}"))
+                hidden = conv(f"{prefix}{j}", x, out=f"{prefix}{j}/{li}")
+                x = relu(hidden)
+                padded[hidden] = padded[x] = True
             conv(f"{prefix}_out", x, out=f"{prefix}_out/{li}")
-    return shapes, ops, [(f"cls_out/{li}", f"box_out/{li}") for li in range(n_levels)]
+    heads = [(f"cls_out/{li}", f"box_out/{li}") for li in range(n_levels)]
+    return shapes, ops, heads, padded
 
 
 def param_shapes(config: NetworkConfig, anchors: AnchorConfig) -> dict[str, tuple[int, ...]]:
@@ -131,7 +148,7 @@ def param_shapes(config: NetworkConfig, anchors: AnchorConfig) -> dict[str, tupl
 
 
 def init_params(config: NetworkConfig, anchors: AnchorConfig, rng) -> dict[str, np.ndarray]:
-    """Seeded float32 parameters in a fixed, name-ordered dict.
+    """Seeded float32 parameters in a fixed, name-ordered dict of views of one buffer.
 
     Hidden convs draw from fan-in-scaled Gaussians (std sqrt(2 / fan_in));
     the two output convs use std 0.01 and the classification bias starts at
@@ -149,7 +166,7 @@ def init_params(config: NetworkConfig, anchors: AnchorConfig, rng) -> dict[str, 
         else:
             std = 0.01 if name.endswith("_out.w") else math.sqrt(2.0 / math.prod(shape[1:]))
             params[name] = rng.normal(0.0, std, size=shape).astype(np.float32)
-    return params
+    return packed(params)
 
 
 def forward(images, params, config: NetworkConfig, anchors: AnchorConfig):
@@ -159,12 +176,15 @@ def forward(images, params, config: NetworkConfig, anchors: AnchorConfig):
     one box-delta row per anchor, in the order generate_anchors lays them out
     for an H x W image; an image's rows do not depend on the rest of its
     batch. cache["tensors"] holds every op's (C, B, h, w) output by name,
-    except the pre-activations a ReLU replaces.
+    except the pre-activations a ReLU replaces; a padded tensor's entry is
+    the crop view of its buffer in cache["bufs"] (see _build). A conv
+    whose output is padded writes it straight into its consumers' buffer,
+    and its ReLU runs there in place, so the pads stay +0.0.
     """
     images = np.asarray(images)
     if images.ndim != 4 or images.shape[1] != INPUT_CHANNELS:
         raise ValidationError(f"expected (B, {INPUT_CHANNELS}, H, W) images, got {images.shape}")
-    _, ops, heads = _build(config, anchors)
+    _, ops, heads, padded = _build(config, anchors)
     s_max = anchors.max_stride
     if images.shape[2] % s_max or images.shape[3] % s_max:
         raise ValidationError(
@@ -172,15 +192,30 @@ def forward(images, params, config: NetworkConfig, anchors: AnchorConfig):
         )
 
     tape = {"image": np.ascontiguousarray(images.transpose(1, 0, 2, 3))}
+    bufs = {}
     for kind, out, ins, param, stride in ops:
         x = tape[ins[0]]
         if kind == "conv":
-            tape[out] = layers.conv2d_forward(x, params[f"{param}.w"], params[f"{param}.b"], stride)
+            w = params[f"{param}.w"]
+            if padded.get(out):  # a stride-1 3x3 conv: the output's buffer has the input's size
+                bufs[out] = np.zeros((len(w), bufs[ins[0]].shape[1]), np.result_type(x, w))
+            tape[out] = layers.conv2d_forward(
+                x, w, params[f"{param}.b"], stride, padded=bufs.get(ins[0]), out=bufs.get(out)
+            )
         elif kind == "relu":  # nothing else reads a pre-activation, so drop it
-            tape[out] = layers.relu(tape.pop(ins[0]))
+            pre = tape.pop(ins[0])
+            if padded.get(out):  # in place: the view `pre` now shows the output
+                buf = bufs.pop(ins[0])
+                bufs[out] = layers.relu(buf, out=buf)
+                tape[out] = pre
+            else:
+                tape[out] = layers.relu(pre)
         else:
             tape[out] = x + layers.upsample_nearest_x2(tape[ins[1]])
-    cache = {"params": params, "ops": ops, "tensors": tape, "heads": heads}
+        if padded.get(out) is False:
+            bufs[out] = layers.pad(tape[out])
+    cache = {"params": params, "ops": ops, "tensors": tape, "heads": heads,
+             "padded": padded, "bufs": bufs}
     cls_rows = np.concatenate([_to_rows(tape[c], 1) for c, _ in heads], axis=1)
     box_rows = np.concatenate([_to_rows(tape[b], 4) for _, b in heads], axis=1)
     return (cls_rows[:, :, 0], box_rows), cache
@@ -190,10 +225,15 @@ def backward(cache, cls_grad, box_grad) -> dict[str, np.ndarray]:
     """Exact reverse pass from gradients on the (B, N) / (B, N, 4) anchor rows.
 
     Walks the op list in reverse; a tensor read by several ops gets the sum
-    of their gradients. A stem stage past the deepest level has no op, so its
-    gradient is exactly zero; the image's own gradient is never computed.
+    of their gradients. A padded tensor's producer writes (see _build) gets
+    its gradient in the column layout its conv's GEMMs use, with +0.0 in the
+    junk columns; the rest get (C, B, h, w) arrays. A stem stage past the
+    deepest level has no op, so its gradient is exactly zero; the image's own
+    gradient is never computed. The returned gradients are views of one
+    zeroed buffer, in the parameters' order (see optim.packed). The cache is
+    left as it was, so backward may run on it again.
     """
-    tape, params = cache["tensors"], cache["params"]
+    tape, params, padded, bufs = cache["tensors"], cache["params"], cache["padded"], cache["bufs"]
     batch = tape["image"].shape[1]
     n = sum(tape[c].size for c, _ in cache["heads"]) // batch
     got = (np.shape(cls_grad), np.shape(box_grad))
@@ -206,18 +246,24 @@ def backward(cache, cls_grad, box_grad) -> dict[str, np.ndarray]:
         g[b] = _from_rows(box_grad[:, off:end], tape[b].shape, 4)
         off = end
 
-    grads = {name: np.zeros_like(p) for name, p in params.items()}
+    grads = packed(params, copy=False)
     for kind, out, ins, param, stride in reversed(cache["ops"]):
         g_out = g.pop(out)
         if kind == "conv":
+            x, w = tape[ins[0]], params[f"{param}.w"]
+            cols = g_out if padded.get(out) else None  # then stride 1: x's shape, w's channels
             gi, gw, gb = layers.conv2d_backward(
-                tape[ins[0]], params[f"{param}.w"], stride, g_out, input_grad=ins[0] != "image"
+                x, w, stride, g_out if cols is None else layers.crop(cols, (len(w), *x.shape[1:])),
+                input_grad=ins[0] != "image", padded=bufs.get(ins[0]), grad_cols=cols,
             )
+            if padded.get(ins[0]) is False:  # back from the column layout
+                gi = np.ascontiguousarray(layers.crop(gi, x.shape))
             grads[f"{param}.w"] += gw
             grads[f"{param}.b"] += gb
             g_ins = (gi,)
         elif kind == "relu":  # the output is positive exactly where its input was
-            g_ins = (layers.relu_backward(g_out, tape[out]),)
+            mask = layers.columns(bufs[out], tape[out].shape) if padded.get(out) else tape[out]
+            g_ins = (layers.relu_backward(g_out, mask),)
         else:
             g_ins = (g_out, layers.upsample_nearest_x2_backward(g_out))
         for name, g_in in zip(ins, g_ins):

@@ -41,7 +41,7 @@ from .errors import NumericError, RetinaKitError, ValidationError
 from .evaluation import coco_map
 from .losses import loss_targets, total_detection_loss
 from .network import backward, forward, init_params, param_shapes
-from .optim import AdamState, adam_step
+from .optim import AdamState, adam_step, flat_buffer, packed
 from .outputs import read_lines
 from .postprocess import Detections, decode_detections
 from .ppm import load_ppm
@@ -310,7 +310,10 @@ def run_training(
 
     carried: list[str] = []
     if resume is not None:
-        params, state = load_params_for_config(load_checkpoint(resume), cfg, resume=True)
+        loaded, moments = load_params_for_config(load_checkpoint(resume), cfg, resume=True)
+        # adam_step steps each of these as one flat buffer
+        params = packed(loaded)
+        state = AdamState(packed(moments.m), packed(moments.v), moments.step)
         if state.step % steps_per_epoch:
             raise ValidationError(
                 f"checkpoint step {state.step} is not on an epoch boundary: {n} images at "
@@ -358,9 +361,8 @@ def run_training(
                         )
                     loss_sum += loss
                 grads = backward(cache, g_cls, g_box)
-                scale = 1.0 / len(images)
-                for name in grads:
-                    grads[name] *= scale
+                flat = flat_buffer(grads)
+                np.multiply(flat, 1.0 / len(images), out=flat)
                 adam_step(params, grads, state, lr=cfg.training.lr)
 
             row = {"epoch": epoch, "train_loss": loss_sum / n}

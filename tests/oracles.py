@@ -17,6 +17,12 @@ smooth-L1 functions.
 The package takes boxes as arrays only; `box_array` turns a `BBox` list into
 one. `level_slice` and `read_detections`, the `detections.jsonl` reader, have
 no caller in the package.
+
+The tap-GEMM conv pair, the network walk over (C, B, H, W) tensors and the
+per-parameter Adam step at the end are the loops the padded tape and the flat
+Adam buffer replaced; the fast paths must match them byte for byte. The walk
+reads the network's op list and row layout (`network._build`, `_to_rows`,
+`_from_rows`) and nothing else of it.
 """
 
 from __future__ import annotations
@@ -471,3 +477,150 @@ def logsumexp_bce(logits, targets, alpha):
     log_1mp = -np.logaddexp(0.0, x)
     alpha_t = alpha * t + (1.0 - alpha) * (1.0 - t)
     return -alpha_t * (t * log_p + (1.0 - t) * log_1mp)
+
+
+# -- the tap-GEMM convolution, network walk and Adam step the fast paths replaced --
+#
+# These are the library's own loops from before the padded tape and the flat
+# Adam buffer, kept so that the new paths must agree with them bit for bit.
+# Every GEMM gets the same operands, in the same 32-column blocks, and every
+# tap and Adam update is added in the same order.
+
+TAP_COLUMN_BLOCK = 32
+
+
+def _tap_buffers(x, k, stride):
+    """(bufs, [(phase, shift)] per tap, (B, gh, gw), n): the zero-padded flat tap buffer."""
+    c, b, h, w = x.shape
+    pad, split = k // 2, stride if k > 1 else 1
+    grid = (b, -(-h // stride) + pad, -(-w // stride) + pad)
+    n = -(-math.prod(grid) // TAP_COLUMN_BLOCK) * TAP_COLUMN_BLOCK
+    taps = [
+        (i % split * split + j % split, i // split * grid[2] + j // split)
+        for i, j in np.ndindex(k, k)
+    ]
+    bufs = np.zeros((split * split, c, n + taps[-1][1]), dtype=x.dtype)
+    for phase, part in _phase_pairs(bufs, grid, x, k, stride):
+        phase[...] = part
+    return bufs, taps, grid, n
+
+
+def _phase_pairs(bufs, grid, x, k, stride):
+    pad, split = k // 2, stride if k > 1 else 1
+    phases = bufs[:, :, : math.prod(grid)].reshape(split, split, -1, *grid)
+    for a, d in np.ndindex(split, split):
+        u, v = int(a < pad), int(d < pad)
+        part = x[:, :, stride * u + a - pad :: stride, stride * v + d - pad :: stride]
+        yield phases[a, d, :, :, u : u + part.shape[2], v : v + part.shape[3]], part
+
+
+def tap_gemm_conv2d_forward(inp, weights, bias, stride=1):
+    """Nine tap GEMMs over a freshly built tap buffer; crop, then add the bias."""
+    k = weights.shape[2]
+    dtype = np.result_type(inp, weights)
+    bufs, taps, grid, n = _tap_buffers(inp.astype(dtype, copy=False), k, stride)
+    w_taps = weights.transpose(2, 3, 0, 1).astype(dtype).reshape(k * k, *weights.shape[:2])
+    out = np.zeros((weights.shape[0], n), dtype=dtype)
+    term = np.empty_like(out)
+    for w_k, (phase, s) in zip(w_taps, taps):
+        out += np.matmul(w_k, bufs[phase, :, s : s + n], out=term)
+    oh, ow = -(-inp.shape[2] // stride), -(-inp.shape[3] // stride)
+    out = out[:, : math.prod(grid)].reshape(-1, *grid)[:, :, :oh, :ow]
+    return out + bias.astype(dtype)[:, None, None, None]
+
+
+def tap_gemm_conv2d_backward(inp, weights, stride, grad_out, input_grad=True):
+    """Rebuild the tap buffer, scatter grad_out into zeroed columns, and scatter
+    W_k.T @ g back through the taps into a zeroed buffer."""
+    k = weights.shape[2]
+    c_out, c_in = weights.shape[:2]
+    oh, ow = grad_out.shape[2:]
+    dtype = np.result_type(inp, weights, grad_out)
+    bufs, taps, grid, n = _tap_buffers(inp.astype(dtype, copy=False), k, stride)
+    g = np.zeros((c_out, n), dtype=dtype)
+    g[:, : math.prod(grid)].reshape(c_out, *grid)[:, :, :oh, :ow] = grad_out
+    grad_taps = np.empty((k * k, c_out, c_in), dtype=dtype)
+    for gw_k, (phase, s) in zip(grad_taps, taps):
+        np.matmul(g, bufs[phase, :, s : s + n].T, out=gw_k)
+    grad_weights = grad_taps.reshape(k, k, c_out, c_in).transpose(2, 3, 0, 1).copy()
+    grad_bias = grad_out.sum(axis=(1, 2, 3))
+    if not input_grad:
+        return None, grad_weights, grad_bias
+    grad_bufs = np.zeros_like(bufs)
+    term = np.empty((c_in, n), dtype=dtype)
+    w_taps = weights.transpose(2, 3, 0, 1).astype(dtype).reshape(k * k, c_out, c_in)
+    for w_k, (phase, s) in zip(w_taps, taps):
+        grad_bufs[phase, :, s : s + n] += np.matmul(w_k.T, g, out=term)
+    grad_input = np.zeros(inp.shape, dtype=dtype)
+    for phase, part in _phase_pairs(grad_bufs, grid, grad_input, k, stride):
+        part[...] = phase
+    return grad_input, grad_weights, grad_bias
+
+
+def tape_forward(images, params, config, anchors):
+    """network.forward with every tensor held as a (C, B, H, W) array."""
+    from retina_kit import network
+
+    _, ops, heads, _ = network._build(config, anchors)
+    tape = {"image": np.ascontiguousarray(np.asarray(images).transpose(1, 0, 2, 3))}
+    for kind, out, ins, param, stride in ops:
+        x = tape[ins[0]]
+        if kind == "conv":
+            w, b = params[f"{param}.w"], params[f"{param}.b"]
+            tape[out] = tap_gemm_conv2d_forward(x, w, b, stride)
+        elif kind == "relu":
+            tape[out] = np.maximum(tape.pop(ins[0]), 0)
+        else:
+            tape[out] = x + np.repeat(np.repeat(tape[ins[1]], 2, axis=2), 2, axis=3)
+    cache = {"params": params, "ops": ops, "tensors": tape, "heads": heads}
+    cls_rows = np.concatenate([network._to_rows(tape[c], 1) for c, _ in heads], axis=1)
+    box_rows = np.concatenate([network._to_rows(tape[b], 4) for _, b in heads], axis=1)
+    return (cls_rows[:, :, 0], box_rows), cache
+
+
+def tape_backward(cache, cls_grad, box_grad):
+    """network.backward over tape_forward's cache, one tap-GEMM backward per conv."""
+    from retina_kit import network
+
+    tape, params = cache["tensors"], cache["params"]
+    batch = tape["image"].shape[1]
+    g, off = {}, 0
+    for c, b in cache["heads"]:
+        end = off + tape[c].size // batch
+        g[c] = network._from_rows(cls_grad[:, off:end, None], tape[c].shape, 1)
+        g[b] = network._from_rows(box_grad[:, off:end], tape[b].shape, 4)
+        off = end
+    grads = {name: np.zeros_like(p) for name, p in params.items()}
+    for kind, out, ins, param, stride in reversed(cache["ops"]):
+        g_out = g.pop(out)
+        if kind == "conv":
+            gi, gw, gb = tap_gemm_conv2d_backward(
+                tape[ins[0]], params[f"{param}.w"], stride, g_out, input_grad=ins[0] != "image"
+            )
+            grads[f"{param}.w"] += gw
+            grads[f"{param}.b"] += gb
+            g_ins = (gi,)
+        elif kind == "relu":
+            g_ins = (g_out * (tape[out] > 0),)
+        else:
+            c, b, h, w = g_out.shape
+            g_ins = (g_out, g_out.reshape(c, b, h // 2, 2, w // 2, 2).sum(axis=(3, 5)))
+        for name, g_in in zip(ins, g_ins):
+            if g_in is not None:
+                g[name] = g[name] + g_in if name in g else g_in
+    return grads
+
+
+def per_parameter_adam_step(params, grads, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One Adam update, parameter by parameter, in place; returns the new step."""
+    t = step + 1
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
+    for name, p in params.items():
+        g = grads[name]
+        m[name] *= beta1
+        m[name] += (1.0 - beta1) * g
+        v[name] *= beta2
+        v[name] += (1.0 - beta2) * np.square(g)
+        p -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
+    return t

@@ -22,7 +22,7 @@ from oracles import (
     read_detections,
 )
 from retina_kit.boxes import box_areas, decode_boxes, encode_boxes, iou_matrix
-from retina_kit.checkpoint import load_checkpoint
+from retina_kit.checkpoint import canonical_json, load_checkpoint
 from retina_kit.cli import main
 from retina_kit.config import run_config_from_dict, run_config_to_dict
 from retina_kit.data import AugmentConfig, augment, read_manifest, write_manifest
@@ -72,7 +72,7 @@ def desk_cfg_path(workdir):
 
 @pytest.fixture(scope="module")
 def trained(split, desk_cfg_path, workdir):
-    """Criterion 6 training run, shared by criteria 6 and 8."""
+    """Criterion 6 training run, shared by criteria 6, 7 and 8."""
     train_m, val_m = split
     out = workdir / "run_a"
     t0 = time.time()
@@ -189,8 +189,10 @@ def test_criterion_5_evaluator_oracle_equivalence():
     )
 
 
-def test_criterion_6_end_to_end_training(trained, split, desk_cfg_path, workdir):
-    out, seconds = trained
+@pytest.fixture(scope="module")
+def trained_report(trained, split, desk_cfg_path, workdir):
+    """The criterion 6 run's eval report on the val split, shared by criteria 6 and 7."""
+    out, _ = trained
     _, val_m = split
     eval_out = workdir / "eval_a"
     code = main(
@@ -198,7 +200,12 @@ def test_criterion_6_end_to_end_training(trained, split, desk_cfg_path, workdir)
          "--manifest", val_m, "--out", str(eval_out)]
     )
     assert code == 0
-    report = json.loads((eval_out / "report.json").read_text())
+    return json.loads((eval_out / "report.json").read_text())
+
+
+def test_criterion_6_end_to_end_training(trained, trained_report):
+    _, seconds = trained
+    report = trained_report
     ok = report["ap50"] >= 0.70 and report["map"] >= 0.35 and seconds <= TRAIN_SECONDS_CAP
     assert report_line(
         6,
@@ -209,8 +216,15 @@ def test_criterion_6_end_to_end_training(trained, split, desk_cfg_path, workdir)
     )
 
 
-def test_criterion_7_focal_vs_cross_entropy(workdir):
-    report = focal_vs_ce(base_seed=0, seeds=3, workdir=workdir / "focal_vs_ce", epochs=EPOCHS)
+def test_criterion_7_focal_vs_cross_entropy(trained, trained_report, workdir):
+    # the criterion 6 run is the seed-0 gamma=2 run on the same split, so it is not trained twice
+    out, _ = trained
+    echo = load_checkpoint(out / "checkpoint.rkck").config_json
+    assert echo == canonical_json(run_config_to_dict(desk_config(seed=0, gamma=2.0, epochs=EPOCHS)))
+    report = focal_vs_ce(
+        base_seed=0, seeds=3, workdir=workdir / "focal_vs_ce", epochs=EPOCHS,
+        done={(0, 2.0): trained_report},
+    )
     write_report(report, workdir / "focal_vs_ce.json")
     ok = report["focal_at_least_as_good"]
     assert report_line(

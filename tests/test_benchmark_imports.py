@@ -53,3 +53,48 @@ def test_tracer_hooks_resolve_to_functions(monkeypatch):
     for fn in (conv2d_forward, conv2d_backward):
         assert tracing._arg_getter(fn, "weights") and tracing._arg_getter(fn, "stride"), fn
     assert tracing._arg_getter(conv2d_backward, "grad_out")
+
+
+def test_desk_minibatch_conv_calls_as_the_tracer_reads_them(monkeypatch):
+    """One desk minibatch makes 20 conv forwards and 20 backwards, and the tracer's
+    argument getters find weights, stride and a (C_out, B, h, w) grad_out in them."""
+    import numpy as np
+
+    from retina_kit import layers
+    from retina_kit.config import run_config_from_dict
+    from retina_kit.network import backward, forward, init_params
+
+    tracing = load_perfbench("tracing", monkeypatch)
+    real = {name: getattr(layers, name) for name in ("conv2d_forward", "conv2d_backward")}
+    calls = {name: [] for name in real}
+
+    def recorder(name):
+        def recording(*args, **kwargs):
+            result = real[name](*args, **kwargs)
+            calls[name].append((args, kwargs, result))
+            return result
+
+        return recording
+
+    for name in real:
+        monkeypatch.setattr(layers, name, recorder(name))
+    cfg = run_config_from_dict({"seed": 0})
+    params = init_params(cfg.network, cfg.anchors, np.random.default_rng(0))
+    w, h = cfg.training.input_size
+    images = np.random.default_rng(1).standard_normal((8, 3, h, w)).astype(np.float32)
+    (cls_rows, box_rows), cache = forward(images, params, cfg.network, cfg.anchors)
+    backward(cache, np.ones_like(cls_rows), np.ones_like(box_rows))
+
+    assert len(calls["conv2d_forward"]) == len(calls["conv2d_backward"]) == 20
+    seen = {}
+    for name, fn in real.items():
+        get_w, get_stride = tracing._arg_getter(fn, "weights"), tracing._arg_getter(fn, "stride")
+        get_grad = tracing._arg_getter(fn, "grad_out")
+        for args, kwargs, result in calls[name]:
+            weights, stride = get_w(args, kwargs), get_stride(args, kwargs)
+            out = result if name == "conv2d_forward" else get_grad(args, kwargs)
+            assert weights.ndim == 4 and stride in (1, 2)
+            assert out.ndim == 4 and out.shape[:2] == (weights.shape[0], 8)
+            seen.setdefault(name, []).append((weights.shape, stride, out.shape))
+    # the backward sees each forward conv's output shape, walked in reverse
+    assert seen["conv2d_backward"] == seen["conv2d_forward"][::-1]

@@ -751,9 +751,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "cfg, message",
-        [({"training": None}, "config section 'training' must be an object"),
-         ({"synth": [1, 2]}, "config section 'synth' must be an object"),
-         ({"anchors": "abc"}, "config section 'anchors' must be an object"),
+        [({"training": None}, "training must be an object"),
+         ({"synth": [1, 2]}, "synth must be an object"),
+         ({"anchors": "abc"}, "anchors must be an object"),
          ({"anchors": {"levels": 5}}, "anchors.levels must be a list"),
          ({"anchors": {"levels": [{"stride": 8, "base_size": "abc"}]}},
           "anchors.levels[0].base_size must be a number"),
@@ -761,8 +761,8 @@ class TestExitCodes:
           "anchors.levels[0].base_size must be a number"),
          ({"anchors": {"levels": [{"stride": 8}]}}, "anchors.levels[0].base_size is missing"),
          ({"anchors": {"levels": [{"stride": 8, "base_size": 16.0, "size": 1}]}},
-          "unknown keys in config section 'anchors.levels[0]': ['size']"),
-         ({"anchors": {"levels": [8]}}, "config section 'anchors.levels[0]' must be an object")],
+          "anchors.levels[0] has unknown keys: ['size']"),
+         ({"anchors": {"levels": [8]}}, "anchors.levels[0] must be an object")],
         ids=["null", "list", "string", "levels-int", "base-size-str", "base-size-null",
              "level-missing-key", "level-unknown-key", "level-not-object"],
     )

@@ -6,7 +6,7 @@ import typing
 
 import pytest
 
-from retina_kit.anchors import AnchorConfig
+from retina_kit.anchors import AnchorConfig, AnchorLevel
 from retina_kit.checkpoint import canonical_json
 from retina_kit.config import (
     RunConfig,
@@ -65,7 +65,7 @@ def test_unknown_section_key_rejected():
         ("network", "input_channels", 3),
     ]
     for section, key, value in cases:
-        with pytest.raises(ValidationError, match=f"unknown keys in config section '{section}'.*{key}"):
+        with pytest.raises(ValidationError, match=rf"^{section} has unknown keys: .*{key}"):
             run_config_from_dict({section: {key: value}})
 
 
@@ -74,7 +74,7 @@ def test_cross_check_anchors_per_cell():
     # network-side count that could disagree with it is rejected outright
     for count in (4, 9):
         with pytest.raises(
-            ValidationError, match="unknown keys in config section 'network'.*num_anchors_per_cell"
+            ValidationError, match=r"^network has unknown keys: .*num_anchors_per_cell"
         ):
             run_config_from_dict({"network": {"num_anchors_per_cell": count}})
 
@@ -394,3 +394,8 @@ def test_in_process_configs_check_bounds():
         LossConfig(alpha=0)
     with pytest.raises(ValidationError, match=r"^anchors\.scales must be non-empty$"):
         AnchorConfig(scales=())
+    level = AnchorLevel(0, 16.0)  # a level is checked where it sits in its AnchorConfig
+    with pytest.raises(ValidationError, match=r"^anchors\.levels\[1\]\.stride must be > 0, got 0$"):
+        AnchorConfig(levels=(AnchorLevel(8, 16.0), level))
+    with pytest.raises(ValidationError, match=r"^anchors\.levels\[0\]\.base_size must be > 0, got -1\.0$"):
+        AnchorConfig(levels=(AnchorLevel(8, -1.0),))

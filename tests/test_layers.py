@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from oracles import naive_conv2d, rel_err
+from oracles import naive_conv2d, rel_err, tap_gemm_conv2d_backward, tap_gemm_conv2d_forward
 from retina_kit.errors import ValidationError
 from retina_kit.layers import (
+    columns,
     conv2d_backward,
     conv2d_forward,
+    crop,
+    pad,
     relu,
     relu_backward,
     sigmoid,
@@ -216,3 +219,67 @@ class TestConvBackward:
         gi1, gw1, gb1 = conv2d_backward(x, w, 1, g)
         gi2, gw2, gb2 = conv2d_backward(x, w, 1, 2.0 * g)
         assert np.allclose(gi2, 2 * gi1) and np.allclose(gw2, 2 * gw1) and np.allclose(gb2, 2 * gb1)
+
+
+def same_bytes(a, b):
+    same_type = a.dtype == b.dtype and a.shape == b.shape
+    return same_type and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+class TestTapGemmOracle:
+    """The conv pair gives the tap-GEMM oracle's bytes, on the padded path too."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [1, 3, 8])
+    @pytest.mark.parametrize("k, stride", [(3, 1), (3, 2), (1, 1), (1, 2)])
+    def test_conv_pair_matches_oracle_bytes(self, rng, k, stride, batch, dtype):
+        x = rng.standard_normal((5, batch, 7, 10)).astype(dtype)  # an odd height at stride 2
+        w = rng.standard_normal((7, 5, k, k)).astype(dtype)
+        b = rng.standard_normal(7).astype(dtype)
+        out = conv2d_forward(x, w, b, stride)
+        assert same_bytes(out, tap_gemm_conv2d_forward(x, w, b, stride))
+        g = rng.standard_normal(out.shape).astype(dtype)
+        want = tap_gemm_conv2d_backward(x, w, stride, g)
+        for got, wanted in zip(conv2d_backward(x, w, stride, g), want):
+            assert same_bytes(got, wanted)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "batch, height, width",
+        # past 8,192 values per channel numpy sums a crop view in another order than
+        # the contiguous array, so the bias gradient must sum a contiguous copy
+        [(1, 4, 6), (3, 4, 6), (8, 4, 6), (3, 48, 64)],
+    )
+    def test_padded_buffers_match_oracle_bytes(self, rng, batch, height, width, dtype):
+        # input read from its padded buffer, output written into one, gradient in columns
+        x = rng.standard_normal((4, batch, height, width)).astype(dtype)
+        w = rng.standard_normal((6, 4, 3, 3)).astype(dtype)
+        b = rng.standard_normal(6).astype(dtype)
+        x_buf = pad(x)
+        out_shape = (6, batch, height, width)
+        out_buf = np.zeros((6, x_buf.shape[1]), dtype)
+        x_view = crop(columns(x_buf, x.shape), x.shape)
+        out = conv2d_forward(x_view, w, b, 1, padded=x_buf, out=out_buf)
+        assert np.shares_memory(out, out_buf)
+        assert same_bytes(out, tap_gemm_conv2d_forward(x, w, b, 1))
+        assert same_bytes(out_buf, pad(np.ascontiguousarray(out)))  # the pads stay +0.0
+
+        g = -np.abs(rng.standard_normal(out_shape)).astype(dtype)
+        g_cols = columns(pad(g), out_shape).copy()
+        g_view = crop(g_cols, out_shape)
+        gi, gw, gb = conv2d_backward(x, w, 1, g_view, padded=x_buf, grad_cols=g_cols)
+        want_gi, want_gw, want_gb = tap_gemm_conv2d_backward(x, w, 1, g)
+        assert same_bytes(gw, want_gw) and same_bytes(gb, want_gb)
+        # the input gradient in columns: the oracle's values with +0.0 in every junk column
+        assert same_bytes(gi, columns(pad(want_gi), x.shape))
+
+    def test_padded_buffer_of_wrong_layout_rejected(self, rng):
+        x = rng.standard_normal((2, 1, 4, 4))
+        w = rng.standard_normal((3, 2, 3, 3))
+        with pytest.raises(ValidationError, match="padded buffer"):
+            conv2d_forward(x, w, np.zeros(3), 2, padded=pad(x))
+        with pytest.raises(ValidationError, match="padded buffer"):
+            conv2d_forward(x, w, np.zeros(3), 1, padded=pad(x)[:, 1:])
+        out = np.zeros((3, pad(x).shape[1]), np.float32)  # float64 output into float32
+        with pytest.raises(ValidationError, match="out is float32"):
+            conv2d_forward(x, w, np.zeros(3), 1, padded=pad(x), out=out)

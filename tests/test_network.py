@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import box_array, level_slice, rel_err
+from oracles import box_array, level_slice, rel_err, tape_backward, tape_forward
 from retina_kit.anchors import AnchorConfig, AnchorLevel, assign_targets, generate_anchors
 from retina_kit.boxes import BBox
 from retina_kit.config import run_config_from_dict
@@ -262,9 +262,9 @@ class TestBackward:
         asked = []
         real = layers.conv2d_backward
 
-        def recording(inp, weights, stride, grad_out, input_grad=True):
+        def recording(inp, weights, stride, grad_out, input_grad=True, **buffers):
             asked.append(input_grad)
-            return real(inp, weights, stride, grad_out, input_grad=input_grad)
+            return real(inp, weights, stride, grad_out, input_grad=input_grad, **buffers)
 
         monkeypatch.setattr(layers, "conv2d_backward", recording)
         cfg, params = make_net()
@@ -273,6 +273,61 @@ class TestBackward:
         )
         backward(cache, np.ones_like(cls_rows), np.ones_like(box_rows))
         assert asked.count(False) == 1 and asked[-1] is False  # stem0, walked last
+
+
+def run_against_oracle(cfg, anchors, params, images, rng, row_sign=None):
+    """Rows and every gradient equal the all-(C, B, H, W) tap-GEMM walk's, byte for byte."""
+    (cls_rows, box_rows), cache = forward(images, params, cfg, anchors)
+    (want_cls, want_box), oracle_cache = tape_forward(images, params, cfg, anchors)
+    assert cls_rows.tobytes() == want_cls.tobytes() and box_rows.tobytes() == want_box.tobytes()
+    gc = rng.standard_normal(cls_rows.shape).astype(cls_rows.dtype)
+    gb = rng.standard_normal(box_rows.shape).astype(box_rows.dtype)
+    if row_sign is not None:
+        gc, gb = row_sign * np.abs(gc), row_sign * np.abs(gb)
+    want = tape_backward(oracle_cache, gc, gb)
+    for _ in range(2):  # backward leaves the cache as it found it
+        grads = backward(cache, gc, gb)
+        assert list(grads) == list(want)
+        for name, g in grads.items():
+            assert g.dtype == want[name].dtype and g.tobytes() == want[name].tobytes(), name
+
+
+class TestTapeOracle:
+    @pytest.mark.parametrize(
+        "head_depth, strides, hw, batch",
+        [
+            pytest.param(0, (8, 16), (64, 64), 3, id="depth0"),
+            pytest.param(2, (8, 16), (64, 64), 1, id="depth2-batch1"),
+            pytest.param(2, (8, 16), (64, 64), 8, id="depth2-batch8"),
+            pytest.param(3, (8, 16), (64, 64), 3, id="depth3"),
+            pytest.param(2, (4, 8, 16), (32, 32), 3, id="three-levels"),
+            pytest.param(2, (8, 16), (128, 64), 3, id="128x64"),
+        ],
+    )
+    def test_rows_and_grads_match_oracle_bytes(self, rng, head_depth, strides, hw, batch):
+        cfg, anchors = NetworkConfig(head_depth=head_depth), anchors_at(*strides)
+        params = init_params(cfg, anchors, np.random.default_rng(3))
+        images = rng.standard_normal((batch, 3, *hw)).astype(np.float32)
+        run_against_oracle(cfg, anchors, params, images, rng)
+
+    def test_float64_matches_oracle_bytes(self, rng):
+        from retina_kit.gradcheck import _well_conditioned_params
+
+        cfg = NetworkConfig(head_depth=2)
+        params = _well_conditioned_params(cfg, ANCHORS, np.random.default_rng(6))
+        run_against_oracle(cfg, ANCHORS, params, rng.standard_normal((3, 3, 64, 64)), rng)
+
+    @pytest.mark.parametrize("row_sign", [-1.0, 1.0], ids=["negative-rows", "positive-rows"])
+    def test_dead_relu_channels_match_oracle_bytes(self, rng, row_sign):
+        # a channel whose pre-activations are all < 0, and one whose are all exactly 0:
+        # the ReLU mask is False over them and over every pad column
+        cfg, params = make_net(seed=4, head_depth=2)
+        params["cls0.w"][3] = 0.0
+        params["cls0.b"][3] = -1.0
+        params["box1.w"][5] = 0.0
+        params["box1.b"][5] = 0.0
+        images = rng.standard_normal((3, 3, 64, 64)).astype(np.float32)
+        run_against_oracle(cfg, ANCHORS, params, images, rng, row_sign)
 
 
 def sum_of_outputs_fd_error(cfg, rng):
