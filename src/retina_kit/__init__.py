@@ -5,6 +5,15 @@ focal-loss training with hand-written backprop, decode + NMS inference, and
 a COCO-protocol mAP evaluator.
 """
 
+import os
+
+# One BLAS thread per process unless the caller chose otherwise; it only
+# takes effect when numpy has not been imported yet. Training and `eval` each
+# run two processes, which threaded BLAS would oversubscribe on two cores,
+# and at these shapes a threaded GEMM was no faster than a serial one.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 from .anchors import AnchorConfig, AnchorGrid, AnchorLevel, assign_targets, generate_anchors
 from .boxes import iou_matrix
 from .config import RunConfig, load_run_config, run_config_from_dict, run_config_to_dict

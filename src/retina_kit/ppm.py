@@ -22,7 +22,7 @@ class PpmParseError(ValidationError):
 
     def __reduce__(self):
         # rebuilt from the formatted args without re-running __init__, so a
-        # pickled error (the minibatch worker sends them) keeps its message
+        # pickled error (the forked workers send them) keeps its message
         return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 

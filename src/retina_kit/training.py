@@ -7,9 +7,12 @@ batch's summed gradients are divided by the batch size and fed to Adam.
 Augmentation and assignment run one minibatch ahead in a forked worker
 process (see _prefetch), so they overlap the forward and backward; the main
 process does everything else. Evaluation reads, preprocesses, infers and
-decodes EVAL_CHUNK images at a time. Validation mAP runs the exact decode +
-NMS + COCO path used by `eval`, so the reported number is the deployable
-metric.
+decodes EVAL_CHUNK images at a time: the main process runs the even chunks
+and one forked worker the odd ones, and the main process takes their
+detections in chunk order, then scores them (see evaluate_params). Both
+workers run through _forked, and in-process where fork is unavailable.
+Validation mAP runs the exact decode + NMS + COCO path used by `eval`, so the
+reported number is the deployable metric.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import mmap
 import multiprocessing
 import os
 import signal
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass
 from pathlib import Path
 from traceback import format_exc
@@ -113,17 +116,34 @@ def infer_detections(params, cfg: RunConfig, grid: AnchorGrid, tensors, image_id
 
 
 def evaluate_params(params, cfg: RunConfig, samples: list[Sample]):
-    """Full eval, reading the images EVAL_CHUNK at a time; returns (report, Detections)."""
+    """Full eval, reading the images EVAL_CHUNK at a time; returns (report, Detections).
+
+    With two chunks or more, a forked worker runs the odd chunks end to end
+    while the main process runs the even ones. The main process takes each
+    chunk's detections and ground truth in chunk order, so the first error in
+    chunk order is the one raised, as in a serial run.
+    """
     grid = generate_anchors(cfg.anchors, *cfg.training.input_size)
+    chunks = [samples[start : start + EVAL_CHUNK] for start in range(0, len(samples), EVAL_CHUNK)]
+
+    def infer(chunk):
+        """The chunk's Detections, and its ground truth in the input frame by image id."""
+        tensors, gts = [], {}
+        for sample in chunk:
+            tensor, gts[sample.image_id] = prepare_eval_input(sample, cfg)
+            tensors.append(tensor)
+        return infer_detections(params, cfg, grid, tensors, [s.image_id for s in chunk]), gts
+
+    def odd_chunks(conn):
+        return map(infer, chunks[1::2])
+
     parts = []
     all_gts = {}
-    for start in range(0, len(samples), EVAL_CHUNK):
-        chunk = samples[start : start + EVAL_CHUNK]
-        tensors = []
-        for sample in chunk:
-            tensor, all_gts[sample.image_id] = prepare_eval_input(sample, cfg)
-            tensors.append(tensor)
-        parts.append(infer_detections(params, cfg, grid, tensors, [s.image_id for s in chunk]))
+    with _forked(odd_chunks, "eval worker") if len(chunks) > 1 else nullcontext() as worker:
+        for k, chunk in enumerate(chunks):
+            dets, gts = worker.recv() if k % 2 and worker else infer(chunk)
+            parts.append(dets)
+            all_gts.update(gts)
     dets = Detections.concat(parts)
     return coco_map(dets, all_gts, cfg.eval), dets
 
@@ -185,35 +205,27 @@ def _minibatch_inputs(prepared, grid: AnchorGrid, cfg: RunConfig, n: int, start_
             yield (np.stack(tensors), *loss_targets(assignments))
 
 
-# seconds run_training waits for the worker to exit before terminating it
+# seconds a forked worker gets to exit once its pipe is closed, before it is terminated
 WORKER_EXIT_TIMEOUT = 5.0
 
 
-def _fill_slots(conn, main_end, slots, inputs) -> None:
-    """Worker process: write each minibatch of inputs to a free slot, then announce it.
+def _serve(conn, main_end, messages, name: str) -> None:
+    """Forked worker: send each message messages(conn) yields, then None.
 
-    A message is (slot, count, labels, target_deltas), None once the inputs
-    end, or the exception they raised, its traceback attached as a note.
-    Both slots start free; the main process sends a slot back once it is
-    done with it, and the worker waits for one before it writes. The worker
-    holds its end of the pipe until the main process closes its own, so a
-    slot sent back never meets a closed pipe.
+    An exception raised instead is sent in the next message's place, its
+    traceback attached as a note, and the main process raises it when it
+    reads that message. The worker then holds its end of the pipe until the
+    main process closes its own, so a message sent to it never meets a
+    closed pipe.
     """
     main_end.close()  # the fork's copy; the pipe must close when the main process closes it
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the main process's to handle
-    free = [0, 1]
     try:
-        for images, labels, target_deltas in inputs:
-            if not free:
-                free.append(conn.recv())
-            slot = free.pop(0)
-            slots[slot, : len(images)] = images
-            conn.send((slot, len(images), labels, target_deltas))
+        for msg in messages(conn):
+            conn.send(msg)
         conn.send(None)
-    except (EOFError, OSError):
-        return  # the main process closed its end
-    except Exception as e:  # the main process raises it when it reaches this batch
-        e.__notes__ = [*getattr(e, "__notes__", ()), f"in the minibatch worker:\n{format_exc()}"]
+    except Exception as e:  # a send to a closed pipe lands here too, and its forward fails
+        e.__notes__ = [*getattr(e, "__notes__", ()), f"in the {name}:\n{format_exc()}"]
         with suppress(OSError):
             conn.send(e)
     with suppress(EOFError, OSError):
@@ -221,7 +233,65 @@ def _fill_slots(conn, main_end, slots, inputs) -> None:
             conn.recv()
 
 
-def _received(conn, slots, worker):
+@dataclass
+class _Worker:
+    """The main process's end of a forked worker's pipe (see _forked)."""
+
+    conn: multiprocessing.connection.Connection
+    process: multiprocessing.Process
+    name: str
+
+    def send(self, obj) -> None:
+        try:
+            self.conn.send(obj)
+        except OSError:
+            raise self._exited() from None
+
+    def recv(self):
+        """The worker's next message, or None once it has no more; an error it sent is raised."""
+        try:
+            msg = self.conn.recv()
+        except (EOFError, OSError):
+            raise self._exited() from None
+        if isinstance(msg, BaseException):
+            raise msg
+        return msg
+
+    def _exited(self) -> RetinaKitError:
+        self.process.join()
+        return RetinaKitError(f"{self.name} exited with code {self.process.exitcode}")
+
+
+@contextmanager
+def _forked(messages, name: str):
+    """messages(conn) run in a forked worker process, whose _Worker end this yields.
+
+    Yields None where fork is unavailable; the caller then does the work
+    in-process. The worker ends through os._exit, as every fork Process
+    does, so buffers the main process holds open are not flushed twice. On
+    leaving, the pipe is closed and the worker joined, or terminated after
+    WORKER_EXIT_TIMEOUT seconds.
+    """
+    if "fork" not in multiprocessing.get_all_start_methods():
+        yield None
+        return
+    conn, child_conn = multiprocessing.Pipe()
+    process = multiprocessing.get_context("fork").Process(
+        target=_serve, args=(child_conn, conn, messages, name), daemon=True
+    )
+    process.start()
+    child_conn.close()
+    try:
+        yield _Worker(conn, process, name)
+    finally:
+        conn.close()
+        process.join(WORKER_EXIT_TIMEOUT)
+        if process.is_alive():
+            process.terminate()
+            process.join()
+
+
+def _received(worker: _Worker, slots):
     """The worker's minibatches; each image batch is a view of its slot.
 
     The slot goes back to the worker when the next minibatch is asked for,
@@ -229,50 +299,43 @@ def _received(conn, slots, worker):
     """
     slot = None
     while True:
-        try:
-            if slot is not None:
-                conn.send(slot)
-            msg = conn.recv()
-        except (EOFError, OSError):
-            worker.join()
-            raise RetinaKitError(f"minibatch worker exited with code {worker.exitcode}") from None
+        if slot is not None:
+            worker.send(slot)
+        msg = worker.recv()
         if msg is None:
             return
-        if isinstance(msg, BaseException):
-            raise msg
         slot, count, labels, target_deltas = msg
         yield slots[slot, :count], labels, target_deltas
 
 
 @contextmanager
 def _prefetch(inputs, batch_shape):
-    """inputs, run one minibatch ahead in a forked worker process.
+    """inputs, run one minibatch ahead in a forked worker process (see _forked).
 
     Image batches travel through two shared-memory slots of batch_shape
-    (B, 3, H, W); the labels and targets, which are small, through a pipe.
-    Where fork is unavailable, inputs runs in-process. On leaving, the pipe
-    is closed and the worker joined, or terminated after
-    WORKER_EXIT_TIMEOUT seconds.
+    (B, 3, H, W); the labels and targets, which are small, through the
+    worker's pipe. Where fork is unavailable, inputs runs in-process.
     """
-    if "fork" not in multiprocessing.get_all_start_methods():
-        yield inputs
-        return
     nbytes = 2 * math.prod(batch_shape) * np.dtype(np.float32).itemsize
     slots = np.frombuffer(mmap.mmap(-1, nbytes), np.float32).reshape(2, *batch_shape)
-    conn, child_conn = multiprocessing.Pipe()
-    worker = multiprocessing.get_context("fork").Process(
-        target=_fill_slots, args=(child_conn, conn, slots, inputs), daemon=True
-    )
-    worker.start()
-    child_conn.close()
-    try:
-        yield _received(conn, slots, worker)
-    finally:
-        conn.close()
-        worker.join(WORKER_EXIT_TIMEOUT)
-        if worker.is_alive():
-            worker.terminate()
-            worker.join()
+
+    def fill_slots(conn):
+        """Write each minibatch of inputs to a free slot, then announce it.
+
+        A message is (slot, count, labels, target_deltas). Both slots start
+        free; the main process sends a slot back once it is done with it,
+        and the worker waits for one before it writes.
+        """
+        free = [0, 1]
+        for images, labels, target_deltas in inputs:
+            if not free:
+                free.append(conn.recv())
+            slot = free.pop(0)
+            slots[slot, : len(images)] = images
+            yield slot, len(images), labels, target_deltas
+
+    with _forked(fill_slots, "minibatch worker") as worker:
+        yield inputs if worker is None else _received(worker, slots)
 
 
 def run_training(

@@ -1,3 +1,4 @@
+import retina_kit  # noqa: F401  # first, so its BLAS thread pin is set before numpy loads
 import numpy as np
 import pytest
 from hypothesis import strategies as st

@@ -35,6 +35,22 @@ def synth_dir(cfg_path, tmp_path, name="data"):
     return out
 
 
+def fresh_interpreter(args, **env):
+    """stdout of `python args` importing this checkout's retina_kit, with the BLAS
+    thread variables unset unless env sets them."""
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    base["PYTHONPATH"] = str(Path(retina_kit.__file__).parents[1])
+    return subprocess.run([sys.executable, *args], env={**base, **env}, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_import_pins_one_blas_thread_unless_set():
+    code = "import os, retina_kit; print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'])"
+    assert fresh_interpreter(["-c", code]).split() == ["1", "1"]
+    assert fresh_interpreter(["-c", code], OPENBLAS_NUM_THREADS="2").split() == ["2", "1"]
+
+
 @pytest.fixture(scope="module")
 def finished(tmp_path_factory):
     """A finished TINY run: (config path, data dir, run dir holding checkpoint.rkck)."""
@@ -182,17 +198,12 @@ class TestTrainCommand:
 
     def test_checkpoint_identical_across_blas_threads(self, tiny_cfg_path, tmp_path):
         manifest = str(synth_dir(tiny_cfg_path, tmp_path) / "manifest.jsonl")
-        env = {k: v for k, v in os.environ.items()
-               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
-        env["PYTHONPATH"] = str(Path(retina_kit.__file__).parents[1])
         ckpts = []
-        for name, threads in (("one", {"OPENBLAS_NUM_THREADS": "1"}), ("default", {})):
-            out = tmp_path / name
-            subprocess.run(
-                [sys.executable, "-m", "retina_kit.cli", "train", "--config", tiny_cfg_path,
-                 "--manifest", manifest, "--out", str(out)],
-                env={**env, **threads}, check=True, capture_output=True,
-            )
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            fresh_interpreter(["-m", "retina_kit.cli", "train", "--config", tiny_cfg_path,
+                               "--manifest", manifest, "--out", str(out)],
+                              OPENBLAS_NUM_THREADS=threads)
             ckpts.append((out / "checkpoint.rkck").read_bytes())
         assert ckpts[0] == ckpts[1]
 
@@ -553,6 +564,19 @@ class TestEvalStreaming:
         want = (tmp_path / "want.jsonl").read_bytes()
         assert (out / "detections.jsonl").read_bytes() == want
         assert (out / "report.json").read_text() == canonical_json(report) + "\n"
+
+    def test_outputs_identical_across_blas_threads(self, split, tmp_path):
+        cfg_path, data, ckpt = split
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            fresh_interpreter(["-m", "retina_kit.cli", "eval", "--config", str(cfg_path),
+                               "--checkpoint", str(ckpt), "--manifest",
+                               str(data / "manifest.jsonl"), "--out", str(out)],
+                              OPENBLAS_NUM_THREADS=threads)
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert sorted(outputs[0]) == ["detections.jsonl", "report.json"]
+        assert outputs[0] == outputs[1]
 
     def test_eval_memory_does_not_grow_with_the_split(self, split, tmp_path):
         """Reading the manifest and evaluating it peaks alike on 32 and on 96 images."""
