@@ -13,6 +13,7 @@ from pathlib import Path
 
 from .checkpoint import load_checkpoint
 from .config import RunConfig, run_config_from_dict
+from .errors import ValidationError
 from .outputs import atomic_write
 from .synth import synth_generate
 from .training import evaluate_params, load_params_for_config, load_samples, run_training
@@ -59,6 +60,8 @@ def focal_vs_ce(base_seed: int, seeds: int, workdir, epochs: int = 30, done=None
     it again. Returns per-seed sweep mAPs plus their means; the directional
     claim is mean(gamma=2) >= mean(gamma=0).
     """
+    if seeds < 1:
+        raise ValidationError(f"seeds must be at least 1, got {seeds}")
     workdir = Path(workdir)
     split_cfg = desk_config(seed=base_seed, epochs=epochs)
     train_m, val_m = make_split(split_cfg, workdir / "data")

@@ -23,6 +23,7 @@ SMOOTH_L1_TOL = 1e-6
 LAYER_TOL = 1e-4
 TOTAL_LOSS_TOL = 1e-4
 END_TO_END_TOL = 1e-3
+END_TO_END_PROBES = 200  # entries end_to_end probes, the first of every tensor among them
 
 
 def _worst_error(scalar, probes, floor) -> float:
@@ -173,12 +174,13 @@ def _well_conditioned_params(net_cfg, anchors, rng):
     return params
 
 
-def check_end_to_end(cfg: RunConfig, rng, perturb, n_params=200) -> float:
-    """FD through forward + total_detection_loss + backward on a batch of one 16x16 image."""
+def check_end_to_end(cfg: RunConfig, rng, perturb) -> float:
+    """FD through forward + total_detection_loss + backward on a batch of one square image."""
     params = _well_conditioned_params(cfg.network, cfg.anchors, rng)
-    image = rng.standard_normal((1, INPUT_CHANNELS, 16, 16)) * 0.3
+    side = max(16, cfg.anchors.max_stride)  # 16x16, unless a coarser level needs more
+    image = rng.standard_normal((1, INPUT_CHANNELS, side, side)) * 0.3
 
-    grid = generate_anchors(cfg.anchors, 16, 16)
+    grid = generate_anchors(cfg.anchors, side, side)
     gts = np.array([[2.0, 1.0, 8.0, 13.0], [7.0, 3.0, 13.0, 15.0]])
     labels, targets = loss_targets([assign_targets(grid, gts, cfg.anchors)])
 
@@ -191,13 +193,13 @@ def check_end_to_end(cfg: RunConfig, rng, perturb, n_params=200) -> float:
     _, g_cls, g_box = total_detection_loss(cls_rows, box_rows, labels, targets, cfg.loss)
     grads = perturb("end_to_end", backward(cache, g_cls, g_box))
 
-    # the first entry of every tensor, then random others up to n_params in all; probed
+    # the first entry of every tensor, then random others up to the probe count; probed
     # parameter by parameter: each probe restores its entry, so the order is free
     sizes = {name: p.size for name, p in sorted(params.items())}
     total = sum(sizes.values())
     firsts = np.cumsum([0, *sizes.values()])[:-1]
     others = np.setdiff1d(np.arange(total), firsts)
-    n_others = min(max(n_params - len(firsts), 0), others.size)
+    n_others = min(max(END_TO_END_PROBES - len(firsts), 0), others.size)
     picks = np.concatenate([firsts, rng.choice(others, size=n_others, replace=False)])
     probes, off = [], 0
     for name, size in sizes.items():

@@ -8,19 +8,17 @@ and box subnets (head_depth 3x3 conv + ReLU blocks, then a 3x3 output conv)
 share their parameters across levels.
 
 _build spells that graph out once, as parameter shapes plus an ordered list
-of conv, relu and up_add ops over named tensors, and marks the tensors held
-in the padded layout of `layers.pad`; param_shapes, forward() and backward()
-all read it. forward() runs a (B, 3, H, W) minibatch in the channel-major
-(C, B, H, W) layout of `layers`; it takes the AnchorConfig (its strides pick
-the levels, scales x ratios fix the anchors per cell), records every op's
-output by name in its cache, and returns one logit and one box-delta row per
-image and anchor in generate_anchors order. The smoothing outputs and the
-heads' hidden activations, which only stride-1 3x3 convs read, live in the
-padded buffers those convs read, written once by their producer. backward()
-walks the ops in reverse from gradients on those rows, carrying those
-tensors' gradients in the column layout, and returns exact gradients for
-every parameter, summed over the batch and, for the shared heads, over
-levels, level 0 first.
+of conv, relu and up_add ops over named tensors; param_shapes, forward() and
+backward() all read it. forward() runs a (B, 3, H, W) minibatch in the
+channel-major (C, B, H, W) layout of `layers`; it takes the AnchorConfig (its
+strides pick the levels, scales x ratios fix the anchors per cell), records
+every op's output by name in its cache, and returns one logit and one
+box-delta row per image and anchor in generate_anchors order. Every tensor
+after the image lives in the padded buffer of `layers.pad` that the convs
+read, written once by its producer. backward() walks the ops in reverse from
+gradients on those rows, carrying every gradient in the column layout inside
+those buffers, and returns exact gradients for every parameter, summed over
+the batch and, for the shared heads, over levels, level 0 first.
 """
 
 from __future__ import annotations
@@ -71,24 +69,16 @@ def check_level_strides(config: NetworkConfig, anchors: AnchorConfig) -> list[in
 
 
 def _build(config: NetworkConfig, anchors: AnchorConfig):
-    """Parameter shapes, the ordered op list, each level's head outputs, and the padded tensors.
+    """Parameter shapes, the ordered op list, and each level's head outputs.
 
     An op is (kind, out, ins, param, stride) over named tensors ("image" is
     the input): "conv" uses params[param + ".w" / ".b"], "relu" gates, and
     "up_add" adds a lateral to the nearest x2 upsample of the coarser merge.
     Stem stages past the deepest level keep their parameters but get no ops.
-
-    Every tensor a stride-1 3x3 conv reads (the smoothing and head convs) is
-    held in the padded layout of layers.pad. padded maps it to True where
-    its producer writes that buffer: a smoothing output, or a head's hidden
-    conv and its ReLU, read only by such convs; its gradient then travels
-    in the column layout. False marks a smoothing conv's input, which other
-    ops read too or an up_add makes, so forward pads it once.
     """
     stages = check_level_strides(config, anchors)
     shapes: dict[str, tuple[int, ...]] = {}
     ops: list[tuple] = []
-    padded: dict[str, bool] = {}
 
     def declare(param, c_out, c_in, k):
         shapes[f"{param}.w"] = (c_out, c_in, k, k)
@@ -118,8 +108,7 @@ def _build(config: NetworkConfig, anchors: AnchorConfig):
     for li in reversed(range(n_levels - 1)):
         ops.append(("up_add", merged[li], (f"lateral{li}", merged[li + 1]), None, None))
     for li in range(n_levels):
-        padded[merged[li]] = False
-        padded[conv(f"smooth{li}", merged[li])] = True
+        conv(f"smooth{li}", merged[li])
 
     a = anchors.num_anchors_per_cell
     heads = {"cls": a, "box": a * 4}
@@ -134,12 +123,10 @@ def _build(config: NetworkConfig, anchors: AnchorConfig):
         for prefix in heads:
             x = f"smooth{li}"
             for j in range(config.head_depth):
-                hidden = conv(f"{prefix}{j}", x, out=f"{prefix}{j}/{li}")
-                x = relu(hidden)
-                padded[hidden] = padded[x] = True
+                x = relu(conv(f"{prefix}{j}", x, out=f"{prefix}{j}/{li}"))
             conv(f"{prefix}_out", x, out=f"{prefix}_out/{li}")
     heads = [(f"cls_out/{li}", f"box_out/{li}") for li in range(n_levels)]
-    return shapes, ops, heads, padded
+    return shapes, ops, heads
 
 
 def param_shapes(config: NetworkConfig, anchors: AnchorConfig) -> dict[str, tuple[int, ...]]:
@@ -176,15 +163,15 @@ def forward(images, params, config: NetworkConfig, anchors: AnchorConfig):
     one box-delta row per anchor, in the order generate_anchors lays them out
     for an H x W image; an image's rows do not depend on the rest of its
     batch. cache["tensors"] holds every op's (C, B, h, w) output by name,
-    except the pre-activations a ReLU replaces; a padded tensor's entry is
-    the crop view of its buffer in cache["bufs"] (see _build). A conv
-    whose output is padded writes it straight into its consumers' buffer,
-    and its ReLU runs there in place, so the pads stay +0.0.
+    except the pre-activations a ReLU replaces; past the image, each entry
+    is the crop view of its padded buffer in cache["bufs"]. Every conv and
+    up_add writes its output straight into a zeroed buffer, and every ReLU
+    runs there in place, so the pads stay +0.0.
     """
     images = np.asarray(images)
     if images.ndim != 4 or images.shape[1] != INPUT_CHANNELS:
         raise ValidationError(f"expected (B, {INPUT_CHANNELS}, H, W) images, got {images.shape}")
-    _, ops, heads, padded = _build(config, anchors)
+    _, ops, heads = _build(config, anchors)
     s_max = anchors.max_stride
     if images.shape[2] % s_max or images.shape[3] % s_max:
         raise ValidationError(
@@ -197,25 +184,19 @@ def forward(images, params, config: NetworkConfig, anchors: AnchorConfig):
         x = tape[ins[0]]
         if kind == "conv":
             w = params[f"{param}.w"]
-            if padded.get(out):  # a stride-1 3x3 conv: the output's buffer has the input's size
-                bufs[out] = np.zeros((len(w), bufs[ins[0]].shape[1]), np.result_type(x, w))
+            bufs[out] = layers.padded_zeros(_conv_shape(x, w, stride), np.result_type(x, w))
             tape[out] = layers.conv2d_forward(
-                x, w, params[f"{param}.b"], stride, padded=bufs.get(ins[0]), out=bufs.get(out)
+                x, w, params[f"{param}.b"], stride, padded=bufs.get(ins[0]), out=bufs[out]
             )
-        elif kind == "relu":  # nothing else reads a pre-activation, so drop it
-            pre = tape.pop(ins[0])
-            if padded.get(out):  # in place: the view `pre` now shows the output
-                buf = bufs.pop(ins[0])
-                bufs[out] = layers.relu(buf, out=buf)
-                tape[out] = pre
-            else:
-                tape[out] = layers.relu(pre)
+        elif kind == "relu":  # in place: nothing else reads a pre-activation
+            tape[out] = tape.pop(ins[0])
+            bufs[out] = bufs.pop(ins[0])
+            layers.relu(bufs[out], out=bufs[out])
         else:
-            tape[out] = x + layers.upsample_nearest_x2(tape[ins[1]])
-        if padded.get(out) is False:
-            bufs[out] = layers.pad(tape[out])
-    cache = {"params": params, "ops": ops, "tensors": tape, "heads": heads,
-             "padded": padded, "bufs": bufs}
+            bufs[out] = layers.padded_zeros(x.shape, x.dtype)
+            tape[out] = layers.crop(layers.columns(bufs[out], x.shape), x.shape)
+            np.add(x, layers.upsample_nearest_x2(tape[ins[1]]), out=tape[out])
+    cache = {"params": params, "ops": ops, "tensors": tape, "heads": heads, "bufs": bufs}
     cls_rows = np.concatenate([_to_rows(tape[c], 1) for c, _ in heads], axis=1)
     box_rows = np.concatenate([_to_rows(tape[b], 4) for _, b in heads], axis=1)
     return (cls_rows[:, :, 0], box_rows), cache
@@ -225,21 +206,23 @@ def backward(cache, cls_grad, box_grad) -> dict[str, np.ndarray]:
     """Exact reverse pass from gradients on the (B, N) / (B, N, 4) anchor rows.
 
     Walks the op list in reverse; a tensor read by several ops gets the sum
-    of their gradients. A padded tensor's producer writes (see _build) gets
-    its gradient in the column layout its conv's GEMMs use, with +0.0 in the
-    junk columns; the rest get (C, B, h, w) arrays. A stem stage past the
+    of their gradients. Each gradient travels in the column layout of the
+    tensor's padded buffer, with +0.0 in the junk columns, except that the
+    head-output convs take theirs as the (C, B, h, w) views of the rows,
+    whose memory order their bias gradients sum in. A stem stage past the
     deepest level has no op, so its gradient is exactly zero; the image's own
     gradient is never computed. The returned gradients are views of one
     zeroed buffer, in the parameters' order (see optim.packed). The cache is
     left as it was, so backward may run on it again.
     """
-    tape, params, padded, bufs = cache["tensors"], cache["params"], cache["padded"], cache["bufs"]
+    tape, params, bufs = cache["tensors"], cache["params"], cache["bufs"]
     batch = tape["image"].shape[1]
     n = sum(tape[c].size for c, _ in cache["heads"]) // batch
     got = (np.shape(cls_grad), np.shape(box_grad))
     if got != ((batch, n), (batch, n, 4)):
         raise ValidationError(f"row gradients must be ({batch}, {n}) and (..., 4), got {got}")
     g, off = {}, 0
+    rows = {name for pair in cache["heads"] for name in pair}
     for c, b in cache["heads"]:
         end = off + tape[c].size // batch
         g[c] = _from_rows(cls_grad[:, off:end, None], tape[c].shape, 1)
@@ -251,25 +234,29 @@ def backward(cache, cls_grad, box_grad) -> dict[str, np.ndarray]:
         g_out = g.pop(out)
         if kind == "conv":
             x, w = tape[ins[0]], params[f"{param}.w"]
-            cols = g_out if padded.get(out) else None  # then stride 1: x's shape, w's channels
+            cols = None if out in rows else g_out  # a head output's gradient is a view of the rows
+            g_view = g_out if cols is None else layers.crop(cols, _conv_shape(x, w, stride))
             gi, gw, gb = layers.conv2d_backward(
-                x, w, stride, g_out if cols is None else layers.crop(cols, (len(w), *x.shape[1:])),
+                x, w, stride, g_view,
                 input_grad=ins[0] != "image", padded=bufs.get(ins[0]), grad_cols=cols,
             )
-            if padded.get(ins[0]) is False:  # back from the column layout
-                gi = np.ascontiguousarray(layers.crop(gi, x.shape))
             grads[f"{param}.w"] += gw
             grads[f"{param}.b"] += gb
             g_ins = (gi,)
         elif kind == "relu":  # the output is positive exactly where its input was
-            mask = layers.columns(bufs[out], tape[out].shape) if padded.get(out) else tape[out]
-            g_ins = (layers.relu_backward(g_out, mask),)
+            g_ins = (layers.relu_backward(g_out, layers.columns(bufs[out], tape[out].shape)),)
         else:
-            g_ins = (g_out, layers.upsample_nearest_x2_backward(g_out))
+            up = layers.upsample_nearest_x2_backward(layers.crop(g_out, tape[out].shape))
+            g_ins = (g_out, layers.columns(layers.pad(up), up.shape))
         for name, g_in in zip(ins, g_ins):
             if g_in is not None:
                 g[name] = g[name] + g_in if name in g else g_in
     return grads
+
+
+def _conv_shape(x, w, stride):
+    """The (C, B, h, w) output shape of the conv of weights w over x."""
+    return (len(w), x.shape[1], *(-(-d // stride) for d in x.shape[2:]))
 
 
 def _to_rows(head_map, k: int):

@@ -561,7 +561,7 @@ def tape_forward(images, params, config, anchors):
     """network.forward with every tensor held as a (C, B, H, W) array."""
     from retina_kit import network
 
-    _, ops, heads, _ = network._build(config, anchors)
+    _, ops, heads = network._build(config, anchors)
     tape = {"image": np.ascontiguousarray(np.asarray(images).transpose(1, 0, 2, 3))}
     for kind, out, ins, param, stride in ops:
         x = tape[ins[0]]

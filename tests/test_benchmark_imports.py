@@ -36,7 +36,7 @@ def test_tracer_hooks_resolve_to_functions(monkeypatch):
     """Every tracer hook names a package function, or the tracer reports it absent and times nothing.
 
     The one exception is parallel.worker_map: its module was deleted at ed6677a,
-    and the hook goes with the tracer's replacement (ROADMAP item 1).
+    and the hook goes with the tracer's replacement (ROADMAP item 5).
     """
     tracing = load_perfbench("tracing", monkeypatch)
     absent = []

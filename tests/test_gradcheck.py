@@ -52,3 +52,15 @@ def test_sabotaged_gradient_is_caught(suite, config, param, step):
     report = run_gradcheck(run_config_from_dict({"seed": 0, **config}), perturb=perturb)
     assert not report["passed"]
     assert [s["name"] for s in report["suites"] if not s["passed"]] == [suite]
+
+
+def test_config_with_stride_32_passes_every_suite():
+    # end_to_end's scene grows to the largest stride: at a fixed 16x16 this config,
+    # which train accepts, was rejected as not divisible by its stride
+    levels = [{"stride": s, "base_size": 2.0 * s} for s in (8, 16, 32)]
+    cfg = run_config_from_dict(
+        {"seed": 0, "network": {"stem_channels": [8, 16, 32, 64, 64]}, "anchors": {"levels": levels}}
+    )
+    report = run_gradcheck(cfg)
+    assert [s["name"] for s in report["suites"] if not s["passed"]] == []
+    assert report["passed"]

@@ -9,6 +9,7 @@ from retina_kit.layers import (
     conv2d_forward,
     crop,
     pad,
+    padded_zeros,
     relu,
     relu_backward,
     sigmoid,
@@ -226,6 +227,12 @@ def same_bytes(a, b):
     return same_type and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
 
 
+def kind_id(k, stride, shape):
+    """A case id; the stride-1 3x3 conv keeps the shape-only ids it had before the other kinds."""
+    kind = [] if (k, stride) == (3, 1) else [f"k{k}s{stride}"]
+    return "-".join(kind + [str(d) for d in shape])
+
+
 class TestTapGemmOracle:
     """The conv pair gives the tap-GEMM oracle's bytes, on the padded path too."""
 
@@ -245,30 +252,34 @@ class TestTapGemmOracle:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize(
-        "batch, height, width",
-        # past 8,192 values per channel numpy sums a crop view in another order than
-        # the contiguous array, so the bias gradient must sum a contiguous copy
-        [(1, 4, 6), (3, 4, 6), (8, 4, 6), (3, 48, 64)],
+        "k, stride, batch, height, width",
+        [
+            pytest.param(k, stride, *shape, id=kind_id(k, stride, shape))
+            for k, stride in [(3, 1), (3, 2), (1, 1), (1, 2)]
+            # past 8,192 values per channel numpy sums a crop view in another order than
+            # the contiguous array, so the bias gradient must sum a contiguous copy
+            for shape in [(1, 4, 6), (3, 4, 6), (8, 4, 6), (3, 7, 10), (3, 48, 64)]
+        ],
     )
-    def test_padded_buffers_match_oracle_bytes(self, rng, batch, height, width, dtype):
-        # input read from its padded buffer, output written into one, gradient in columns
+    def test_padded_buffers_match_oracle_bytes(self, rng, k, stride, batch, height, width, dtype):
+        # input read from its padded buffer, output written into one, gradients in columns
         x = rng.standard_normal((4, batch, height, width)).astype(dtype)
-        w = rng.standard_normal((6, 4, 3, 3)).astype(dtype)
+        w = rng.standard_normal((6, 4, k, k)).astype(dtype)
         b = rng.standard_normal(6).astype(dtype)
         x_buf = pad(x)
-        out_shape = (6, batch, height, width)
-        out_buf = np.zeros((6, x_buf.shape[1]), dtype)
+        out_shape = (6, batch, -(-height // stride), -(-width // stride))
+        out_buf = padded_zeros(out_shape, dtype)
         x_view = crop(columns(x_buf, x.shape), x.shape)
-        out = conv2d_forward(x_view, w, b, 1, padded=x_buf, out=out_buf)
+        out = conv2d_forward(x_view, w, b, stride, padded=x_buf, out=out_buf)
         assert np.shares_memory(out, out_buf)
-        assert same_bytes(out, tap_gemm_conv2d_forward(x, w, b, 1))
+        assert same_bytes(out, tap_gemm_conv2d_forward(x, w, b, stride))
         assert same_bytes(out_buf, pad(np.ascontiguousarray(out)))  # the pads stay +0.0
 
         g = -np.abs(rng.standard_normal(out_shape)).astype(dtype)
         g_cols = columns(pad(g), out_shape).copy()
         g_view = crop(g_cols, out_shape)
-        gi, gw, gb = conv2d_backward(x, w, 1, g_view, padded=x_buf, grad_cols=g_cols)
-        want_gi, want_gw, want_gb = tap_gemm_conv2d_backward(x, w, 1, g)
+        gi, gw, gb = conv2d_backward(x_view, w, stride, g_view, padded=x_buf, grad_cols=g_cols)
+        want_gi, want_gw, want_gb = tap_gemm_conv2d_backward(x, w, stride, g)
         assert same_bytes(gw, want_gw) and same_bytes(gb, want_gb)
         # the input gradient in columns: the oracle's values with +0.0 in every junk column
         assert same_bytes(gi, columns(pad(want_gi), x.shape))
@@ -277,7 +288,7 @@ class TestTapGemmOracle:
         x = rng.standard_normal((2, 1, 4, 4))
         w = rng.standard_normal((3, 2, 3, 3))
         with pytest.raises(ValidationError, match="padded buffer"):
-            conv2d_forward(x, w, np.zeros(3), 2, padded=pad(x))
+            conv2d_forward(x, w, np.zeros(3), 2, padded=pad(x)[:, 1:])
         with pytest.raises(ValidationError, match="padded buffer"):
             conv2d_forward(x, w, np.zeros(3), 1, padded=pad(x)[:, 1:])
         out = np.zeros((3, pad(x).shape[1]), np.float32)  # float64 output into float32

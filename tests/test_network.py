@@ -274,6 +274,33 @@ class TestBackward:
         backward(cache, np.ones_like(cls_rows), np.ones_like(box_rows))
         assert asked.count(False) == 1 and asked[-1] is False  # stem0, walked last
 
+    def test_every_conv_keeps_the_padded_layout(self, rng, monkeypatch):
+        # every conv writes its output into a padded buffer, and every input gradient
+        # comes back in its input buffer's columns; only the head-output convs take
+        # their gradients as row views rather than as columns
+        from retina_kit import layers
+
+        calls = {"conv2d_forward": [], "conv2d_backward": []}
+        for name, fn_calls in calls.items():
+            def recording(*args, _real=getattr(layers, name), _calls=fn_calls, **kwargs):
+                _calls.append(kwargs)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(layers, name, recording)
+        cfg = run_config_from_dict({"seed": 0})
+        params = init_params(cfg.network, cfg.anchors, rng)
+        w, h = cfg.training.input_size
+        images = rng.standard_normal((8, 3, h, w)).astype(np.float32)
+        (cls_rows, box_rows), cache = forward(images, params, cfg.network, cfg.anchors)
+        backward(cache, np.ones_like(cls_rows), np.ones_like(box_rows))
+
+        fwd, bwd = calls["conv2d_forward"], calls["conv2d_backward"]
+        assert len(fwd) == len(bwd) == 20
+        assert all(any(kw["out"] is buf for buf in cache["bufs"].values()) for kw in fwd)
+        assert all(kw["padded"] is not None for kw in bwd if kw["input_grad"])
+        assert [kw["input_grad"] for kw in bwd].count(False) == 1
+        assert sum(kw["grad_cols"] is None for kw in bwd) == 2 * len(cache["heads"])
+
 
 def run_against_oracle(cfg, anchors, params, images, rng, row_sign=None):
     """Rows and every gradient equal the all-(C, B, H, W) tap-GEMM walk's, byte for byte."""
