@@ -8,14 +8,15 @@ report with both per-seed and mean sweep mAPs.
 Usage: python scripts/focal_vs_ce.py [workdir] [--seeds N] [--epochs E]
 """
 
-import argparse
+import sys
 from pathlib import Path
 
+from retina_kit.cli import UsageParser, exit_code
 from retina_kit.experiments import focal_vs_ce, write_report
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = UsageParser(description=__doc__)
     parser.add_argument("workdir", nargs="?", default="runs/focal_vs_ce")
     parser.add_argument("--base-seed", type=int, default=0)
     parser.add_argument("--seeds", type=int, default=3)
@@ -29,7 +30,8 @@ def main():
         f"mean sweep mAP: gamma=2 {report['mean_map_gamma2']:.4f} vs "
         f"gamma=0 {report['mean_map_gamma0']:.4f} -> {out}"
     )
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(exit_code(main))

@@ -4,14 +4,15 @@
 Usage: python scripts/run_desk_experiment.py [workdir] [--seed N] [--gamma G]
 """
 
-import argparse
+import sys
 from pathlib import Path
 
+from retina_kit.cli import UsageParser, exit_code
 from retina_kit.experiments import desk_config, make_split, train_and_eval, write_report
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = UsageParser(description=__doc__)
     parser.add_argument("workdir", nargs="?", default="runs/desk")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--gamma", type=float, default=2.0)
@@ -25,7 +26,8 @@ def main():
     out = workdir / "report.json"
     write_report(report, out)
     print(f"val mAP {report['map']:.4f}, AP@0.50 {report['ap50']:.4f} -> {out}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(exit_code(main))

@@ -47,7 +47,7 @@ class AnchorConfig:
     def __post_init__(self):
         check_fields(self, "anchors")
         for i, level in enumerate(self.levels):
-            check_fields(level, f"anchors.levels[{i}]")
+            check_fields(level, f"anchors.levels[{i}]", listed=True)
         strides = [(f"anchors.levels[{i}].stride", s) for i, s in enumerate(self.strides)]
         check_ordered(strides, strict=True)
         check_ordered([("anchors.neg_iou", self.neg_iou), ("anchors.pos_iou", self.pos_iou)])

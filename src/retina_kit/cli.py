@@ -141,7 +141,7 @@ def cmd_gradcheck(args) -> int:
     return 0
 
 
-class _Parser(argparse.ArgumentParser):
+class UsageParser(argparse.ArgumentParser):
     """A usage error is rejected input: it raises ValidationError, so main exits 1."""
 
     def error(self, message):
@@ -149,7 +149,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = UsageParser(
         prog="retina-kit",
         description="Desk-scale single-stage pedestrian detection pipeline.",
     )
@@ -198,9 +198,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    try:
+    def run():
         args = build_parser().parse_args(argv)
         return args.fn(args)
+
+    return exit_code(run)
+
+
+def exit_code(run) -> int:
+    """run()'s exit code, or the contract's for the error it raised, named on one stderr line."""
+    try:
+        return run()
     except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

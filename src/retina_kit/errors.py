@@ -66,11 +66,11 @@ def check_ordered(named, strict: bool = False) -> None:
             raise ValidationError(f"{a} {x} must be {'<' if strict else '<='} {b} {y}")
 
 
-def check_fields(obj, section: str) -> None:
-    """Check each field of a config dataclass against its annotation (see check_value)."""
+def check_fields(obj, section: str, listed: bool = False) -> None:
+    """Check each field of a config dataclass (a list entry if listed) against its annotation."""
     prefix = f"{section}." if section else ""
     for name, hint in _field_types(type(obj)).items():
-        object.__setattr__(obj, name, check_value(getattr(obj, name), hint, prefix + name))
+        object.__setattr__(obj, name, check_value(getattr(obj, name), hint, prefix + name, listed))
 
 
 @functools.cache
@@ -91,8 +91,8 @@ def check_value(value, hint, where: str, listed: bool = False):
     bool; str a string. tuple[T, ...] takes a non-empty list or tuple and
     tuple[T, T] one of two entries; both store a tuple, float entries as floats.
     Annotated[T, Bounds(...)] takes a T within the bounds, each entry of it for a
-    list. A config dataclass takes an instance, or an object of its fields; a
-    missing key takes the field's default.
+    list. A config dataclass takes an instance, or an object of its fields that
+    it checks itself (see check_fields); a missing key takes the field's default.
     """
     if typing.get_origin(hint) is typing.Annotated:
         value = check_value(value, hint.__origin__, where, listed)
@@ -120,8 +120,7 @@ def check_value(value, hint, where: str, listed: bool = False):
             raise ValidationError(
                 f"{where} must be an object" if where else "run config must be a JSON object"
             )
-        types = _field_types(hint)
-        unknown = sorted(set(value) - set(types))
+        unknown = sorted(set(value) - set(_field_types(hint)))
         if unknown:
             raise ValidationError(
                 f"{where} has unknown keys: {unknown}"
@@ -132,8 +131,7 @@ def check_value(value, hint, where: str, listed: bool = False):
         for f in dataclasses.fields(hint):  # a field with neither default nor factory is required
             if f.name not in value and f.default is f.default_factory is dataclasses.MISSING:
                 raise ValidationError(f"{prefix}{f.name} is missing")
-        given = {k: check_value(value[k], t, prefix + k, listed) for k, t in types.items() if k in value}
-        return hint(**given)
+        return hint(**value)
     else:  # tuple[T, ...] or tuple[T, T]
         item, *rest = typing.get_args(hint)
         if not isinstance(value, (list, tuple)):

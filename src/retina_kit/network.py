@@ -13,12 +13,11 @@ backward() all read it. forward() runs a (B, 3, H, W) minibatch in the
 channel-major (C, B, H, W) layout of `layers`; it takes the AnchorConfig (its
 strides pick the levels, scales x ratios fix the anchors per cell), records
 every op's output by name in its cache, and returns one logit and one
-box-delta row per image and anchor in generate_anchors order. Every tensor
-after the image lives in the padded buffer of `layers.pad` that the convs
-read, written once by its producer. backward() walks the ops in reverse from
-gradients on those rows, carrying every gradient in the column layout inside
-those buffers, and returns exact gradients for every parameter, summed over
-the batch and, for the shared heads, over levels, level 0 first.
+box-delta row per image and anchor in generate_anchors order. backward()
+walks the ops in reverse from gradients on those rows and returns exact
+gradients for every parameter, summed over the batch and, for the shared
+heads, over levels, level 0 first. Both walk plain arrays; the buffers the
+GEMMs read stay behind them, inside `layers`.
 """
 
 from __future__ import annotations
@@ -163,10 +162,7 @@ def forward(images, params, config: NetworkConfig, anchors: AnchorConfig):
     one box-delta row per anchor, in the order generate_anchors lays them out
     for an H x W image; an image's rows do not depend on the rest of its
     batch. cache["tensors"] holds every op's (C, B, h, w) output by name,
-    except the pre-activations a ReLU replaces; past the image, each entry
-    is the crop view of its padded buffer in cache["bufs"]. Every conv and
-    up_add writes its output straight into a zeroed buffer, and every ReLU
-    runs there in place, so the pads stay +0.0.
+    except the pre-activations a ReLU overwrites.
     """
     images = np.asarray(images)
     if images.ndim != 4 or images.shape[1] != INPUT_CHANNELS:
@@ -179,24 +175,15 @@ def forward(images, params, config: NetworkConfig, anchors: AnchorConfig):
         )
 
     tape = {"image": np.ascontiguousarray(images.transpose(1, 0, 2, 3))}
-    bufs = {}
     for kind, out, ins, param, stride in ops:
         x = tape[ins[0]]
         if kind == "conv":
-            w = params[f"{param}.w"]
-            bufs[out] = layers.padded_zeros(_conv_shape(x, w, stride), np.result_type(x, w))
-            tape[out] = layers.conv2d_forward(
-                x, w, params[f"{param}.b"], stride, padded=bufs.get(ins[0]), out=bufs[out]
-            )
+            tape[out] = layers.conv2d_forward(x, params[f"{param}.w"], params[f"{param}.b"], stride)
         elif kind == "relu":  # in place: nothing else reads a pre-activation
-            tape[out] = tape.pop(ins[0])
-            bufs[out] = bufs.pop(ins[0])
-            layers.relu(bufs[out], out=bufs[out])
+            tape[out] = layers.relu(tape.pop(ins[0]))
         else:
-            bufs[out] = layers.padded_zeros(x.shape, x.dtype)
-            tape[out] = layers.crop(layers.columns(bufs[out], x.shape), x.shape)
-            np.add(x, layers.upsample_nearest_x2(tape[ins[1]]), out=tape[out])
-    cache = {"params": params, "ops": ops, "tensors": tape, "heads": heads, "bufs": bufs}
+            tape[out] = layers.up_add(x, tape[ins[1]])
+    cache = {"params": params, "ops": ops, "tensors": tape, "heads": heads}
     cls_rows = np.concatenate([_to_rows(tape[c], 1) for c, _ in heads], axis=1)
     box_rows = np.concatenate([_to_rows(tape[b], 4) for _, b in heads], axis=1)
     return (cls_rows[:, :, 0], box_rows), cache
@@ -206,23 +193,19 @@ def backward(cache, cls_grad, box_grad) -> dict[str, np.ndarray]:
     """Exact reverse pass from gradients on the (B, N) / (B, N, 4) anchor rows.
 
     Walks the op list in reverse; a tensor read by several ops gets the sum
-    of their gradients. Each gradient travels in the column layout of the
-    tensor's padded buffer, with +0.0 in the junk columns, except that the
-    head-output convs take theirs as the (C, B, h, w) views of the rows,
-    whose memory order their bias gradients sum in. A stem stage past the
-    deepest level has no op, so its gradient is exactly zero; the image's own
-    gradient is never computed. The returned gradients are views of one
-    zeroed buffer, in the parameters' order (see optim.packed). The cache is
-    left as it was, so backward may run on it again.
+    of their gradients. A stem stage past the deepest level has no op, so its
+    gradient is exactly zero; the image's own gradient is never computed. The
+    returned gradients are views of one zeroed buffer, in the parameters'
+    order (see optim.packed). The cache is left as it was, so backward may
+    run on it again.
     """
-    tape, params, bufs = cache["tensors"], cache["params"], cache["bufs"]
+    tape, params = cache["tensors"], cache["params"]
     batch = tape["image"].shape[1]
     n = sum(tape[c].size for c, _ in cache["heads"]) // batch
     got = (np.shape(cls_grad), np.shape(box_grad))
     if got != ((batch, n), (batch, n, 4)):
         raise ValidationError(f"row gradients must be ({batch}, {n}) and (..., 4), got {got}")
     g, off = {}, 0
-    rows = {name for pair in cache["heads"] for name in pair}
     for c, b in cache["heads"]:
         end = off + tape[c].size // batch
         g[c] = _from_rows(cls_grad[:, off:end, None], tape[c].shape, 1)
@@ -233,30 +216,20 @@ def backward(cache, cls_grad, box_grad) -> dict[str, np.ndarray]:
     for kind, out, ins, param, stride in reversed(cache["ops"]):
         g_out = g.pop(out)
         if kind == "conv":
-            x, w = tape[ins[0]], params[f"{param}.w"]
-            cols = None if out in rows else g_out  # a head output's gradient is a view of the rows
-            g_view = g_out if cols is None else layers.crop(cols, _conv_shape(x, w, stride))
             gi, gw, gb = layers.conv2d_backward(
-                x, w, stride, g_view,
-                input_grad=ins[0] != "image", padded=bufs.get(ins[0]), grad_cols=cols,
+                tape[ins[0]], params[f"{param}.w"], stride, g_out, input_grad=ins[0] != "image"
             )
             grads[f"{param}.w"] += gw
             grads[f"{param}.b"] += gb
             g_ins = (gi,)
         elif kind == "relu":  # the output is positive exactly where its input was
-            g_ins = (layers.relu_backward(g_out, layers.columns(bufs[out], tape[out].shape)),)
+            g_ins = (layers.relu_backward(g_out, tape[out]),)
         else:
-            up = layers.upsample_nearest_x2_backward(layers.crop(g_out, tape[out].shape))
-            g_ins = (g_out, layers.columns(layers.pad(up), up.shape))
+            g_ins = (g_out, layers.upsample_nearest_x2_backward(g_out))
         for name, g_in in zip(ins, g_ins):
             if g_in is not None:
-                g[name] = g[name] + g_in if name in g else g_in
+                g[name] = layers.add(g[name], g_in) if name in g else g_in
     return grads
-
-
-def _conv_shape(x, w, stride):
-    """The (C, B, h, w) output shape of the conv of weights w over x."""
-    return (len(w), x.shape[1], *(-(-d // stride) for d in x.shape[2:]))
 
 
 def _to_rows(head_map, k: int):

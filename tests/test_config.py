@@ -399,3 +399,21 @@ def test_in_process_configs_check_bounds():
         AnchorConfig(levels=(AnchorLevel(8, 16.0), level))
     with pytest.raises(ValidationError, match=r"^anchors\.levels\[0\]\.base_size must be > 0, got -1\.0$"):
         AnchorConfig(levels=(AnchorLevel(8, -1.0),))
+
+
+def test_each_field_is_checked_once_per_load(monkeypatch):
+    # the object branch checks only keys, and each dataclass then checks its fields once:
+    # a second pass over any field would repeat a (field, annotation) pair
+    from retina_kit import config, errors
+
+    calls, want = [], RunConfig()
+    real = errors.check_value
+
+    def counting(value, hint, where, listed=False):
+        calls.append((where, repr(hint)))
+        return real(value, hint, where, listed)
+
+    monkeypatch.setattr(errors, "check_value", counting)
+    monkeypatch.setattr(config, "check_value", counting)
+    assert run_config_from_dict(DEFAULTS) == want
+    assert len(calls) == len(set(calls)) == 123

@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
 
-from oracles import naive_conv2d, rel_err, tap_gemm_conv2d_backward, tap_gemm_conv2d_forward
+from oracles import (
+    _tap_buffers,
+    naive_conv2d,
+    rel_err,
+    tap_gemm_conv2d_backward,
+    tap_gemm_conv2d_forward,
+)
+from retina_kit import layers
 from retina_kit.errors import ValidationError
 from retina_kit.layers import (
-    columns,
+    add,
     conv2d_backward,
     conv2d_forward,
-    crop,
-    pad,
-    padded_zeros,
     relu,
     relu_backward,
     sigmoid,
@@ -262,35 +266,69 @@ class TestTapGemmOracle:
         ],
     )
     def test_padded_buffers_match_oracle_bytes(self, rng, k, stride, batch, height, width, dtype):
-        # input read from its padded buffer, output written into one, gradients in columns
-        x = rng.standard_normal((4, batch, height, width)).astype(dtype)
+        # the conv reads its input as a layer view, the output of a conv before it, and its
+        # output gradient as a layer view, the input gradient of a conv after it
+        x = conv2d_forward(
+            rng.standard_normal((3, batch, height, width)).astype(dtype),
+            rng.standard_normal((4, 3, 3, 3)).astype(dtype), np.zeros(4, dtype), 1,
+        )
+        x_plain = np.ascontiguousarray(x)
         w = rng.standard_normal((6, 4, k, k)).astype(dtype)
         b = rng.standard_normal(6).astype(dtype)
-        x_buf = pad(x)
-        out_shape = (6, batch, -(-height // stride), -(-width // stride))
-        out_buf = padded_zeros(out_shape, dtype)
-        x_view = crop(columns(x_buf, x.shape), x.shape)
-        out = conv2d_forward(x_view, w, b, stride, padded=x_buf, out=out_buf)
-        assert np.shares_memory(out, out_buf)
-        assert same_bytes(out, tap_gemm_conv2d_forward(x, w, b, stride))
-        assert same_bytes(out_buf, pad(np.ascontiguousarray(out)))  # the pads stay +0.0
+        out = conv2d_forward(x, w, b, stride)
+        assert same_bytes(out, tap_gemm_conv2d_forward(x_plain, w, b, stride))
+        assert same_bytes(out.base, padded(out))  # the pads stay +0.0
 
-        g = -np.abs(rng.standard_normal(out_shape)).astype(dtype)
-        g_cols = columns(pad(g), out_shape).copy()
-        g_view = crop(g_cols, out_shape)
-        gi, gw, gb = conv2d_backward(x_view, w, stride, g_view, padded=x_buf, grad_cols=g_cols)
-        want_gi, want_gw, want_gb = tap_gemm_conv2d_backward(x, w, stride, g)
+        w_next = rng.standard_normal((5, 6, 3, 3)).astype(dtype)
+        g_next = rng.standard_normal((5, *out.shape[1:])).astype(dtype)
+        g = conv2d_backward(out, w_next, 1, g_next)[0]
+        gi, gw, gb = conv2d_backward(x, w, stride, g)
+        want_gi, want_gw, want_gb = tap_gemm_conv2d_backward(
+            x_plain, w, stride, np.ascontiguousarray(g)
+        )
         assert same_bytes(gw, want_gw) and same_bytes(gb, want_gb)
-        # the input gradient in columns: the oracle's values with +0.0 in every junk column
-        assert same_bytes(gi, columns(pad(want_gi), x.shape))
+        assert same_bytes(gi, want_gi)
+        # the input gradient's bare column layout, +0.0 in every junk column
+        margin = width + 2
+        assert same_bytes(gi.base, padded(want_gi)[:, margin:-margin])
 
-    def test_padded_buffer_of_wrong_layout_rejected(self, rng):
-        x = rng.standard_normal((2, 1, 4, 4))
-        w = rng.standard_normal((3, 2, 3, 3))
-        with pytest.raises(ValidationError, match="padded buffer"):
-            conv2d_forward(x, w, np.zeros(3), 2, padded=pad(x)[:, 1:])
-        with pytest.raises(ValidationError, match="padded buffer"):
-            conv2d_forward(x, w, np.zeros(3), 1, padded=pad(x)[:, 1:])
-        out = np.zeros((3, pad(x).shape[1]), np.float32)  # float64 output into float32
-        with pytest.raises(ValidationError, match="out is float32"):
-            conv2d_forward(x, w, np.zeros(3), 1, padded=pad(x), out=out)
+    @pytest.mark.parametrize("k, stride", [(3, 1), (3, 2), (1, 1), (1, 2)])
+    def test_array_layers_did_not_allocate_takes_the_plain_path(self, rng, k, stride):
+        # a layer view's shape, strides and offset into a buffer of its buffer's shape, but
+        # the buffer is not one layers allocated and its pads are not zero
+        x = rng.standard_normal((3, 3, 8, 12))
+        x = conv2d_forward(x, rng.standard_normal((4, 3, 3, 3)), np.zeros(4), 1)
+        w, b = rng.standard_normal((6, 4, k, k)), rng.standard_normal(6)
+        out = conv2d_forward(x, w, b, stride)
+        g = rng.standard_normal((5, *out.shape[1:]))
+        g = conv2d_backward(out, rng.standard_normal((5, 6, 3, 3)), 1, g)[0]
+        x_foreign, g_foreign = foreign_copy(x, rng), foreign_copy(g, rng)
+        assert same_bytes(conv2d_forward(x_foreign, w, b, stride), out)
+        want = conv2d_backward(x, w, stride, g)
+        for got, wanted in zip(conv2d_backward(x_foreign, w, stride, g_foreign), want):
+            assert same_bytes(got, wanted)
+
+        y, y_foreign = relu(out), relu(foreign_copy(out, rng))
+        assert np.all(y.base >= 0) and np.any(y_foreign.base < 0)  # only the view was gated
+        for got, want in [
+            (relu_backward(foreign_copy(g, rng), y_foreign), relu_backward(g, y)),
+            (add(g_foreign, g_foreign), add(g, g)),
+            (upsample_nearest_x2_backward(g_foreign), upsample_nearest_x2_backward(g)),
+        ]:
+            assert same_bytes(got, want) and layers._buffer(want) is not None
+            assert layers._buffer(got) is None
+
+
+def padded(x):
+    """The padded buffer of x's values: the layout a stride-1 3x3 conv's taps read."""
+    return _tap_buffers(np.ascontiguousarray(x), 3, 1)[0][0]
+
+
+def foreign_copy(view, rng):
+    """view's values in an array with its shape, strides and offset into a buffer of its
+    buffer's shape, filled with random values elsewhere, that layers did not allocate."""
+    buf = rng.standard_normal(view.base.shape).astype(view.dtype)
+    offset = view.__array_interface__["data"][0] - view.base.__array_interface__["data"][0]
+    foreign = np.ndarray(view.shape, view.dtype, buf, offset, view.strides)
+    foreign[...] = view
+    return foreign

@@ -274,19 +274,34 @@ class TestBackward:
         backward(cache, np.ones_like(cls_rows), np.ones_like(box_rows))
         assert asked.count(False) == 1 and asked[-1] is False  # stem0, walked last
 
-    def test_every_conv_keeps_the_padded_layout(self, rng, monkeypatch):
-        # every conv writes its output into a padded buffer, and every input gradient
-        # comes back in its input buffer's columns; only the head-output convs take
-        # their gradients as row views rather than as columns
+    def test_stride_1_convs_and_relus_read_the_buffers_behind_their_views(self, rng, monkeypatch):
+        # on a desk minibatch every stride-1 conv, forward and backward, reads its taps
+        # from its input's own buffer (only the stride-2 stems build tap buffers), every
+        # conv backward but the 4 head outputs' (whose gradients are views of the rows)
+        # reads its output gradient's columns, and every ReLU backward gates two buffers
         from retina_kit import layers
 
-        calls = {"conv2d_forward": [], "conv2d_backward": []}
-        for name, fn_calls in calls.items():
-            def recording(*args, _real=getattr(layers, name), _calls=fn_calls, **kwargs):
-                _calls.append(kwargs)
-                return _real(*args, **kwargs)
+        seen = {"taps": [], "bwd": [], "relu": []}
 
-            monkeypatch.setattr(layers, name, recording)
+        def is_view(a):
+            return layers._buffer(a) is not None
+
+        def tap_input(inp, k, stride, dtype, _real=layers._tap_input):
+            got = _real(inp, k, stride, dtype)
+            seen["taps"].append((stride, np.shares_memory(got[0], inp)))
+            return got
+
+        def bwd(inp, weights, stride, grad_out, input_grad=True, _real=layers.conv2d_backward):
+            seen["bwd"].append(is_view(grad_out))
+            return _real(inp, weights, stride, grad_out, input_grad)
+
+        def relu_bwd(grad_out, out, _real=layers.relu_backward):
+            seen["relu"].append(is_view(grad_out) and is_view(out))
+            return _real(grad_out, out)
+
+        for name, fn in [("_tap_input", tap_input), ("conv2d_backward", bwd),
+                         ("relu_backward", relu_bwd)]:
+            monkeypatch.setattr(layers, name, fn)
         cfg = run_config_from_dict({"seed": 0})
         params = init_params(cfg.network, cfg.anchors, rng)
         w, h = cfg.training.input_size
@@ -294,12 +309,9 @@ class TestBackward:
         (cls_rows, box_rows), cache = forward(images, params, cfg.network, cfg.anchors)
         backward(cache, np.ones_like(cls_rows), np.ones_like(box_rows))
 
-        fwd, bwd = calls["conv2d_forward"], calls["conv2d_backward"]
-        assert len(fwd) == len(bwd) == 20
-        assert all(any(kw["out"] is buf for buf in cache["bufs"].values()) for kw in fwd)
-        assert all(kw["padded"] is not None for kw in bwd if kw["input_grad"])
-        assert [kw["input_grad"] for kw in bwd].count(False) == 1
-        assert sum(kw["grad_cols"] is None for kw in bwd) == 2 * len(cache["heads"])
+        assert sorted(seen["taps"]) == [(1, True)] * 32 + [(2, False)] * 8
+        assert len(seen["bwd"]) == 20 and seen["bwd"].count(True) == 16
+        assert len(seen["relu"]) == 12 and all(seen["relu"])
 
 
 def run_against_oracle(cfg, anchors, params, images, rng, row_sign=None):
