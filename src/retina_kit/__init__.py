@@ -19,7 +19,7 @@ from .boxes import iou_matrix
 from .config import RunConfig, load_run_config, run_config_from_dict, run_config_to_dict
 from .data import AugmentConfig, SampleRecord, augment, preprocess, read_manifest, write_manifest
 from .errors import NumericError, RetinaKitError, ValidationError
-from .evaluation import average_precision, coco_map, match_detections
+from .evaluation import average_precision, coco_map, match_detections, match_images, pooled_map
 from .losses import LossConfig, sigmoid_focal_loss, smooth_l1, total_detection_loss
 from .network import NetworkConfig, backward, forward, init_params
 from .optim import AdamState, adam_step

@@ -22,7 +22,7 @@ from .errors import NumericError, RetinaKitError, ValidationError
 from .evaluation import coco_map
 from .gradcheck import run_gradcheck
 from .outputs import atomic_write
-from .postprocess import Detections, write_detections
+from .postprocess import Detections, detection_rows, write_detections
 from .ppm import load_ppm, save_ppm
 from .synth import synth_generate
 from .training import (
@@ -70,15 +70,18 @@ def cmd_eval(args) -> int:
             Detections.for_image(img_id, gts, np.ones(len(gts))) for img_id, gts in all_gts.items()
         )
         report = coco_map(dets, all_gts, cfg.eval)
+        rows = [detection_rows(dets)]
     else:
         params, _ = load_params_for_config(load_checkpoint(args.checkpoint), cfg)
-        report, dets = evaluate_params(params, cfg, samples)
+        report, rows = evaluate_params(params, cfg, samples, rows=True)
 
     report["config"] = run_config_to_dict(cfg)
     if not samples:
         report["warning"] = "empty manifest: no images were evaluated"
     out.mkdir(parents=True, exist_ok=True)
-    write_detections(dets, out / "detections.jsonl")
+    with atomic_write(out / "detections.jsonl") as f:
+        for text in rows:
+            f.write(text)
     with atomic_write(out / "report.json") as f:
         f.write(canonical_json(report) + "\n")
     print(f"mAP {report['map']:.4f} over {report['num_images']} images -> {out / 'report.json'}")

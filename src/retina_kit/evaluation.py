@@ -1,16 +1,23 @@
 """COCO-protocol average precision over an IoU threshold sweep.
 
-Matching is greedy in score order per image; true/false-positive flags are
-pooled globally (score descending, then image id, then per-image index) and
-summarized with 101-point interpolated AP. mAP averages AP over the sweep;
-a single pedestrian class means there is no class-averaging step.
+Scoring runs in two stages, as in the COCOeval protocol (Lin et al.,
+arXiv:1405.0312). The per-image stage (match_images) matches each image's
+detections greedily in score order and yields TP/FP flags; it needs only
+that image's detections and ground truth, so disjoint image sets can run it
+apart, as `eval`'s chunks do. The pooling stage (pooled_map) orders every
+flag globally (score descending, then image id, then per-image index) and
+summarizes them with 101-point interpolated AP. mAP averages AP over the
+sweep; a single pedestrian class means there is no class-averaging step.
+coco_map runs both stages on one set.
 
-As in the COCOeval protocol (Lin et al., arXiv:1405.0312), neither the
-per-image score order nor the pooled order depends on the IoU threshold, so
-each is computed once and every threshold is matched in the same pass.
+Neither the per-image score order nor the pooled order depends on the IoU
+threshold, so each is computed once and every threshold is matched in the
+same pass.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,16 +77,33 @@ def average_precision(tp_flags, total_gt_count: int) -> float:
     return sum(vals.tolist()) / float(RECALL_POINTS)
 
 
-def coco_map(dets: Detections, all_gts: dict, config: EvalConfig) -> dict:
-    """Evaluate detections against {image_id: (G, 4) boxes} ground truth.
+@dataclass(frozen=True)
+class ImageMatches:
+    """The per-image stage of coco_map on a set of images, ready to pool.
 
-    Returns a JSON-ready report with the per-threshold AP array, their mean,
-    and AP at 0.50 / 0.75 when those thresholds are in the sweep.
+    Row i is one detection; the rows run image by image in ascending id, each
+    image's best score first (ties keep input order). tp (T, N) bool holds its
+    flags over the sweep, scores (N,) float64 and image_ids (N,) int64 its
+    score and image, ranks (N,) int64 its position within its image.
+    num_images and gt_count count the set's images and ground-truth boxes.
     """
-    unknown = dets.image_ids[~np.isin(dets.image_ids, list(all_gts))]
+
+    tp: np.ndarray
+    scores: np.ndarray
+    image_ids: np.ndarray
+    ranks: np.ndarray
+    num_images: int
+    gt_count: int
+
+
+def match_images(dets: Detections, gts: dict, config: EvalConfig) -> ImageMatches:
+    """Match each image's detections against its {image_id: (G, 4) boxes} ground truth.
+
+    gts names every image of the set, those without detections included.
+    """
+    unknown = dets.image_ids[~np.isin(dets.image_ids, list(gts))]
     if unknown.size:
         raise ValidationError(f"detection references unknown image_id {unknown[0]}")
-    total_gt = sum(len(v) for v in all_gts.values())
 
     # per image, descending score; ties keep input order
     order = np.lexsort((-dets.scores, dets.image_ids))
@@ -89,11 +113,32 @@ def coco_map(dets: Detections, all_gts: dict, config: EvalConfig) -> dict:
     tp = np.zeros((len(config.iou_thresholds), len(order)), dtype=bool)
     for img_id, lo, n in zip(images.tolist(), starts.tolist(), counts.tolist()):
         tp[:, lo : lo + n], _ = match_detections(
-            boxes[lo : lo + n], all_gts[img_id], config.iou_thresholds
+            boxes[lo : lo + n], gts[img_id], config.iou_thresholds
         )
+    return ImageMatches(
+        tp=tp,
+        scores=dets.scores[order],
+        image_ids=image_ids,
+        ranks=np.arange(len(order)) - np.repeat(starts, counts),
+        num_images=len(gts),
+        gt_count=sum(len(v) for v in gts.values()),
+    )
 
-    rank = np.arange(len(order)) - np.repeat(starts, counts)
-    pooled = np.lexsort((rank, image_ids, -dets.scores[order]))
+
+def pooled_map(parts, config: EvalConfig) -> dict:
+    """The coco_map report of the per-image matches of disjoint image sets.
+
+    The pooled order is a total order on (score, image id, rank), so the
+    report does not depend on how the images were split or on the order of
+    the parts.
+    """
+    parts = list(parts) or [match_images(Detections.concat([]), {}, config)]
+    tp, scores, image_ids, ranks = (
+        np.concatenate([getattr(p, name) for p in parts], axis=-1)
+        for name in ("tp", "scores", "image_ids", "ranks")
+    )
+    total_gt = sum(p.gt_count for p in parts)
+    pooled = np.lexsort((ranks, image_ids, -scores))
     aps = [average_precision(flags, total_gt) for flags in tp[:, pooled]]
 
     def ap_at(value):
@@ -108,7 +153,16 @@ def coco_map(dets: Detections, all_gts: dict, config: EvalConfig) -> dict:
         "map": sum(aps) / float(len(aps)),
         "ap50": ap_at(0.50),
         "ap75": ap_at(0.75),
-        "num_images": len(all_gts),
+        "num_images": sum(p.num_images for p in parts),
         "total_gts": total_gt,
-        "undefined": total_gt == 0 and len(dets) == 0,
+        "undefined": total_gt == 0 and scores.size == 0,
     }
+
+
+def coco_map(dets: Detections, all_gts: dict, config: EvalConfig) -> dict:
+    """Evaluate detections against {image_id: (G, 4) boxes} ground truth.
+
+    Returns a JSON-ready report with the per-threshold AP array, their mean,
+    and AP at 0.50 / 0.75 when those thresholds are in the sweep.
+    """
+    return pooled_map([match_images(dets, all_gts, config)], config)

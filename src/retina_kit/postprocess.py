@@ -199,11 +199,18 @@ def decode_detections(
     return dets
 
 
-def write_detections(dets: Detections, path) -> None:
-    """One JSON object per detection; repr of a finite float is its JSON text."""
-    rows = zip(dets.image_ids.tolist(), dets.boxes.tolist(), dets.scores.tolist())
-    with atomic_write(path) as f:
-        for i, (x1, y1, x2, y2), s in rows:
-            box = f"[{x1!r}, {y1!r}, {x2!r}, {y2!r}]"
-            f.write(f'{{"image_id": {i}, "box": {box}, "score": {s!r}}}\n')
+def detection_rows(dets: Detections) -> str:
+    """The text of detections.jsonl: one JSON object per detection, in order.
 
+    The repr of a finite float, and so of a list of them, is its JSON text.
+    `eval` formats each chunk's rows where the chunk is decoded;
+    write_detections writes a whole set.
+    """
+    rows = zip(dets.image_ids.tolist(), dets.boxes.tolist(), dets.scores.tolist())
+    return "".join([f'{{"image_id": {i}, "box": {b}, "score": {s!r}}}\n' for i, b, s in rows])
+
+
+def write_detections(dets: Detections, path) -> None:
+    """dets as detections.jsonl at path (see detection_rows), written whole or not at all."""
+    with atomic_write(path) as f:
+        f.write(detection_rows(dets))

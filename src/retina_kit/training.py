@@ -7,10 +7,12 @@ batch's summed gradients are divided by the batch size and fed to Adam.
 Augmentation and assignment run one minibatch ahead in a forked worker
 process (see _prefetch), so they overlap the forward and backward; the main
 process does everything else. Evaluation reads, preprocesses, infers and
-decodes EVAL_CHUNK images at a time: the main process runs the even chunks
-and one forked worker the odd ones, and the main process takes their
-detections in chunk order, then scores them (see evaluate_params). Both
-workers run through _forked, and in-process where fork is unavailable.
+decodes EVAL_CHUNK images at a time, then matches each chunk's detections to
+its ground truth and, for `eval`, formats its detections.jsonl rows: the main
+process runs the even chunks and one forked worker the odd ones. The main
+process takes their matches and rows in chunk order and only pools the
+matches into the report (see evaluate_params). Both workers run through
+_forked, and in-process where fork is unavailable.
 Validation mAP runs the exact decode + NMS + COCO path used by `eval`, so the
 reported number is the deployable metric.
 """
@@ -41,12 +43,12 @@ from .checkpoint import (
 from .config import RunConfig, run_config_to_dict
 from .data import augment, preprocess, read_manifest
 from .errors import NumericError, RetinaKitError, ValidationError
-from .evaluation import coco_map
+from .evaluation import match_images, pooled_map
 from .losses import loss_targets, total_detection_loss
 from .network import backward, forward, init_params, param_shapes
 from .optim import AdamState, adam_step, flat_buffer, packed
 from .outputs import read_lines
-from .postprocess import Detections, decode_detections
+from .postprocess import Detections, decode_detections, detection_rows
 from .ppm import load_ppm
 
 STREAM_INIT = 202
@@ -115,37 +117,39 @@ def infer_detections(params, cfg: RunConfig, grid: AnchorGrid, tensors, image_id
     return decode_detections(cls_rows, box_rows, grid, cfg.eval, in_w, in_h, image_ids)
 
 
-def evaluate_params(params, cfg: RunConfig, samples: list[Sample]):
-    """Full eval, reading the images EVAL_CHUNK at a time; returns (report, Detections).
+def evaluate_params(params, cfg: RunConfig, samples: list[Sample], rows: bool = False):
+    """Full eval, reading the images EVAL_CHUNK at a time; returns (report, rows).
 
-    With two chunks or more, a forked worker runs the odd chunks end to end
-    while the main process runs the even ones. The main process takes each
-    chunk's detections and ground truth in chunk order, so the first error in
-    chunk order is the one raised, as in a serial run.
+    Each chunk is read, inferred, decoded and matched (evaluation.match_images)
+    where it runs, and with rows set also formatted (detection_rows); rows is
+    then detections.jsonl's text chunk by chunk, else None. With two chunks
+    or more, a forked worker runs the odd chunks end to end while the main
+    process runs the even ones. The main process takes each chunk's matches
+    and rows in chunk order, so the first error in chunk order is the one
+    raised, as in a serial run, then pools the matches (evaluation.pooled_map).
     """
     grid = generate_anchors(cfg.anchors, *cfg.training.input_size)
     chunks = [samples[start : start + EVAL_CHUNK] for start in range(0, len(samples), EVAL_CHUNK)]
 
-    def infer(chunk):
-        """The chunk's Detections, and its ground truth in the input frame by image id."""
+    def run(chunk):
+        """The chunk's ImageMatches, and its rows when asked for."""
         tensors, gts = [], {}
         for sample in chunk:
             tensor, gts[sample.image_id] = prepare_eval_input(sample, cfg)
             tensors.append(tensor)
-        return infer_detections(params, cfg, grid, tensors, [s.image_id for s in chunk]), gts
+        dets = infer_detections(params, cfg, grid, tensors, [s.image_id for s in chunk])
+        return match_images(dets, gts, cfg.eval), detection_rows(dets) if rows else None
 
     def odd_chunks(conn):
-        return map(infer, chunks[1::2])
+        return map(run, chunks[1::2])
 
-    parts = []
-    all_gts = {}
+    parts, texts = [], []
     with _forked(odd_chunks, "eval worker") if len(chunks) > 1 else nullcontext() as worker:
         for k, chunk in enumerate(chunks):
-            dets, gts = worker.recv() if k % 2 and worker else infer(chunk)
-            parts.append(dets)
-            all_gts.update(gts)
-    dets = Detections.concat(parts)
-    return coco_map(dets, all_gts, cfg.eval), dets
+            matches, text = worker.recv() if k % 2 and worker else run(chunk)
+            parts.append(matches)
+            texts.append(text)
+    return pooled_map(parts, cfg.eval), texts if rows else None
 
 
 @dataclass

@@ -4,7 +4,14 @@ import pytest
 from oracles import box_array, naive_average_precision, naive_coco_map, naive_match, random_box
 from retina_kit.boxes import BBox
 from retina_kit.errors import ValidationError
-from retina_kit.evaluation import average_precision, coco_map, match_detections
+from retina_kit.checkpoint import canonical_json
+from retina_kit.evaluation import (
+    average_precision,
+    coco_map,
+    match_detections,
+    match_images,
+    pooled_map,
+)
 from retina_kit.postprocess import Detections, EvalConfig
 
 
@@ -221,3 +228,80 @@ class TestCocoMap:
             naive_aps, naive_map = naive_coco_map(dets_by_image, gts_by_image, cfg.iou_thresholds)
             assert report["ap_per_threshold"] == naive_aps  # same floats
             assert report["map"] == naive_map
+
+
+
+class TestChunkedScoring:
+    """match_images on consecutive image chunks, then pooled_map, equals coco_map on the whole set.
+
+    `eval` matches each chunk where it is decoded and pools the chunks in the
+    main process. Scores come from three values, so they tie within an image
+    and across chunk borders; the images come in a shuffled id order, so a
+    pooled order taken from the chunks' positions rather than from (score,
+    image id, per-image rank) differs, as does one from an unstable sort.
+    """
+
+    cfg = EvalConfig(iou_thresholds=(0.3, 0.45, 0.6, 0.85))
+
+    def scene(self, rng):
+        """(Detections image by image in a shuffled id order, {image_id: (G, 4)}, that order)."""
+        order = rng.permutation(int(rng.integers(1, 13))).tolist()
+        parts, gts = [], {}
+        for img in order:
+            gt = box_array([random_box(rng, 0, 32, min_side=4) for _ in range(rng.integers(0, 4))])
+            # jittered copies of the ground truth, so flags differ along a tie, plus clutter
+            near = gt[rng.integers(0, len(gt), size=rng.integers(0, 6))] if len(gt) else gt
+            near = near + rng.uniform(-3, 3, size=near.shape)
+            near[:, 2:] = np.maximum(near[:, 2:], near[:, :2] + 1.0)
+            far = box_array([random_box(rng, 0, 32, min_side=2) for _ in range(rng.integers(0, 3))])
+            boxes = rng.permutation(np.concatenate([near, far]))
+            scores = rng.choice([0.25, 0.5, 0.75], len(boxes))
+            parts.append(Detections.for_image(img, boxes, scores))
+            gts[img] = gt
+        return Detections.concat(parts), gts, order
+
+    def chunked(self, rng, dets, gts, order):
+        """match_images on each run of consecutive images between random cuts; one run is empty."""
+        cuts = rng.integers(0, len(order) + 1, size=int(rng.integers(1, 4)))
+        parts = []
+        for images in np.split(np.array(order), np.sort(np.append(cuts, cuts[0]))):
+            rows = np.isin(dets.image_ids, images)
+            chunk = Detections(dets.boxes[rows], dets.scores[rows], dets.image_ids[rows])
+            parts.append(match_images(chunk, {i: gts[i] for i in images.tolist()}, self.cfg))
+        return parts
+
+    def test_pooled_chunks_equal_whole_set(self, rng):
+        for _ in range(100):
+            dets, gts, order = self.scene(rng)
+            parts = self.chunked(rng, dets, gts, order)
+            assert min(p.num_images for p in parts) == 0
+            want = coco_map(dets, gts, self.cfg)
+            pooled = pooled_map(parts, self.cfg)
+            assert canonical_json(pooled) == canonical_json(want)
+            shuffled = [parts[i] for i in rng.permutation(len(parts))]
+            assert canonical_json(pooled_map(shuffled, self.cfg)) == canonical_json(want)
+
+            by_image = {img: [] for img in gts}
+            for box, score, img in zip(dets.boxes, dets.scores.tolist(), dets.image_ids.tolist()):
+                by_image[img].append((BBox(*box), score))
+            gt_boxes = {img: [BBox(*b) for b in g] for img, g in gts.items()}
+            naive_aps, naive_map = naive_coco_map(by_image, gt_boxes, self.cfg.iou_thresholds)
+            assert pooled["ap_per_threshold"] == naive_aps  # same floats
+            assert pooled["map"] == naive_map
+
+    def test_scenes_tie_across_chunks(self, rng):
+        """The scenes above hold what the equality needs to mean something."""
+        ties = no_dets = no_gts = 0
+        for _ in range(100):
+            dets, gts, order = self.scene(rng)
+            parts = self.chunked(rng, dets, gts, order)
+            no_dets += len(set(gts) - set(dets.image_ids.tolist()))
+            no_gts += sum(len(g) == 0 for g in gts.values())
+            scores = [set(p.scores.tolist()) for p in parts if p.tp.any()]
+            ties += any(a & b for i, a in enumerate(scores) for b in scores[i + 1 :])
+        assert min(ties, no_dets, no_gts) > 10
+
+    def test_no_parts_is_the_empty_report(self):
+        empty = Detections.concat([])
+        assert pooled_map([], self.cfg) == coco_map(empty, {}, self.cfg)
+        assert pooled_map([match_images(empty, {}, self.cfg)], self.cfg)["undefined"]

@@ -21,6 +21,7 @@ from retina_kit.postprocess import (
     Detections,
     EvalConfig,
     decode_detections,
+    detection_rows,
     nms_indices,
     write_detections,
 )
@@ -374,6 +375,27 @@ class TestDetectionsIo:
             json.dumps({"image_id": i, "box": b, "score": s}) + "\n" for i, b, s in rows
         )
         assert path.read_text(encoding="utf-8") == want
+
+    def test_chunk_rows_join_to_the_written_file(self, tmp_path, rng):
+        # `eval` formats each chunk's rows where the chunk is decoded and
+        # writes them joined; empty chunks at the start, middle and end
+        boxes = rng.uniform(0, 64, size=(200, 4))
+        boxes[::3] = boxes[::3].round()
+        boxes[:, 2:] += boxes[:, :2] + 1.0
+        boxes[:3] = [[0.0, 0.0, 1.0, 2.0], [1e-05, 0.0, 0.5, 7.0], [3.0, 4.0, 50.0, 60.0]]
+        scores = rng.uniform(0, 1, size=200)
+        scores[:3] = [1e-05, 0.0, 1.0]
+        dets = Detections(boxes=boxes, scores=scores, image_ids=rng.integers(0, 1000, size=200))
+        write_detections(dets, tmp_path / "whole.jsonl")
+        cuts = [0, 0, 1, 57, 57, 140, 200, 200]
+        chunks = [
+            Detections(boxes[lo:hi], scores[lo:hi], dets.image_ids[lo:hi])
+            for lo, hi in zip(cuts, cuts[1:])
+        ]
+        joined = "".join(detection_rows(chunk) for chunk in chunks)
+        assert joined.encode("utf-8") == (tmp_path / "whole.jsonl").read_bytes()
+        assert joined.startswith('{"image_id": %d, "box": [0.0, 0.0, 1.0, 2.0], "score": 1e-05}\n'
+                                 % dets.image_ids[0])
 
     def test_bad_line_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -18,14 +18,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import retina_kit.cli as cli
+import retina_kit.postprocess as postprocess
 import retina_kit.training as training
 from oracles import read_detections
 from retina_kit.anchors import assign_targets, generate_anchors
-from retina_kit.checkpoint import build_checkpoint, canonical_json, save_checkpoint
+from retina_kit.checkpoint import (
+    build_checkpoint,
+    canonical_json,
+    load_checkpoint,
+    save_checkpoint,
+)
 from retina_kit.cli import main
 from retina_kit.config import load_run_config, run_config_to_dict
 from retina_kit.data import augment
 from retina_kit.errors import NumericError, ValidationError
+from retina_kit.evaluation import ImageMatches
 from retina_kit.losses import loss_targets
 from retina_kit.network import init_params
 from retina_kit.optim import AdamState
@@ -371,3 +379,54 @@ def test_eval_worker_killed_exits_two(eval_split, tmp_path, capsys, monkeypatch)
     result = evaluate(eval_split, tmp_path / "worker", capsys)
     assert result == (2, "error: eval worker exited with code 7\n")
     assert_no_outputs(tmp_path / "worker")
+
+
+def count_formatted(monkeypatch):
+    """A count of detection_rows calls shared by both processes; the text they return is marked."""
+    calls, real = multiprocessing.Value("i", 0), postprocess.detection_rows
+
+    def marked(dets):
+        with calls.get_lock():
+            calls.value += 1
+        return real(dets).replace('{"image_id"', '{"IMAGE_ID"')
+
+    for module in (postprocess, training, cli):
+        monkeypatch.setattr(module, "detection_rows", marked)
+    return calls
+
+
+def test_every_detections_file_comes_from_the_one_formatter(eval_split, tmp_path, capsys,
+                                                            monkeypatch):
+    cfg, manifest, ckpt = eval_split
+    formatted = count_formatted(monkeypatch)
+    assert evaluate(eval_split, tmp_path / "eval", capsys) == (0, "")
+    assert formatted.value == 3  # once per chunk, the worker's chunk included
+    assert main(["eval", "--config", cfg, "--replay-gt", "--manifest", manifest,
+                 "--out", str(tmp_path / "replay")]) == 0
+    image = Path(manifest).parent / "img_00005.ppm"
+    assert main(["detect", "--config", cfg, "--checkpoint", ckpt, "--image", str(image),
+                 "--annotate", "--out", str(tmp_path / "detect")]) == 0
+    assert formatted.value == 5
+    for out in ("eval", "replay", "detect"):
+        lines = (tmp_path / out / "detections.jsonl").read_text().splitlines()
+        assert lines and all(line.startswith('{"IMAGE_ID"') for line in lines), out
+
+
+def test_validation_formats_no_rows(split, eval_split, tmp_path, capsys, monkeypatch):
+    formatted = count_formatted(monkeypatch)
+    assert train(split, tmp_path / "worker", capsys, eval_split[1]) == (0, "")
+    assert formatted.value == 0
+
+
+@pytest.mark.parametrize("rows", [True, False])
+def test_eval_worker_sends_matches_and_rows_only(eval_split, monkeypatch, rows):
+    # no boxes and no ground truth cross the pipe, and no rows unless asked for
+    sent, real = [], training._Worker.recv
+    monkeypatch.setattr(training._Worker, "recv", lambda self: sent.append(real(self)) or sent[-1])
+    cfg = load_run_config(eval_split[0])
+    params, _ = training.load_params_for_config(load_checkpoint(eval_split[2]), cfg)
+    _, texts = training.evaluate_params(params, cfg, training.load_samples(eval_split[1]), rows)
+    [(matches, text)] = sent  # chunk 1 of 3
+    assert type(matches) is ImageMatches and matches.num_images == training.EVAL_CHUNK
+    assert text == (texts[1] if rows else None)
+
