@@ -11,8 +11,9 @@ decodes EVAL_CHUNK images at a time, then matches each chunk's detections to
 its ground truth and, for `eval`, formats its detections.jsonl rows: the main
 process runs the even chunks and one forked worker the odd ones. The main
 process takes their matches and rows in chunk order and only pools the
-matches into the report (see evaluate_params). Both workers run through
-_forked, and in-process where fork is unavailable.
+matches into the report (see evaluate_params). Each worker is an iterator
+over its items (see _forked), which runs in-process where fork is
+unavailable; the caller only iterates it.
 Validation mAP runs the exact decode + NMS + COCO path used by `eval`, so the
 reported number is the deployable metric.
 """
@@ -123,9 +124,10 @@ def evaluate_params(params, cfg: RunConfig, samples: list[Sample], rows: bool = 
     Each chunk is read, inferred, decoded and matched (evaluation.match_images)
     where it runs, and with rows set also formatted (detection_rows); rows is
     then detections.jsonl's text chunk by chunk, else None. With two chunks
-    or more, a forked worker runs the odd chunks end to end while the main
-    process runs the even ones. The main process takes each chunk's matches
-    and rows in chunk order, so the first error in chunk order is the one
+    or more, the odd chunks are the items of a forked worker (see _forked),
+    which runs them end to end while the main process runs the even ones.
+    The main process takes each chunk's matches and rows in chunk order, the
+    worker's as its next item, so the first error in chunk order is the one
     raised, as in a serial run, then pools the matches (evaluation.pooled_map).
     """
     grid = generate_anchors(cfg.anchors, *cfg.training.input_size)
@@ -140,13 +142,10 @@ def evaluate_params(params, cfg: RunConfig, samples: list[Sample], rows: bool = 
         dets = infer_detections(params, cfg, grid, tensors, [s.image_id for s in chunk])
         return match_images(dets, gts, cfg.eval), detection_rows(dets) if rows else None
 
-    def odd_chunks(conn):
-        return map(run, chunks[1::2])
-
     parts, texts = [], []
-    with _forked(odd_chunks, "eval worker") if len(chunks) > 1 else nullcontext() as worker:
+    with _forked(map(run, chunks[1::2]), "eval worker") if len(chunks) > 1 else nullcontext() as odd:
         for k, chunk in enumerate(chunks):
-            matches, text = worker.recv() if k % 2 and worker else run(chunk)
+            matches, text = next(odd) if k % 2 else run(chunk)
             parts.append(matches)
             texts.append(text)
     return pooled_map(parts, cfg.eval), texts if rows else None
@@ -213,20 +212,23 @@ def _minibatch_inputs(prepared, grid: AnchorGrid, cfg: RunConfig, n: int, start_
 WORKER_EXIT_TIMEOUT = 5.0
 
 
-def _serve(conn, main_end, messages, name: str) -> None:
-    """Forked worker: send each message messages(conn) yields, then None.
+def _serve(conn, main_end, items, name: str) -> None:
+    """Forked worker: send each of items, then None.
 
-    An exception raised instead is sent in the next message's place, its
-    traceback attached as a note, and the main process raises it when it
-    reads that message. The worker then holds its end of the pipe until the
-    main process closes its own, so a message sent to it never meets a
-    closed pipe.
+    Once it has sent item k, the worker waits for item k - 1's
+    acknowledgement before it makes item k + 1 (see _forked). An exception
+    raised instead is sent in the next item's place, its traceback attached
+    as a note, and the main process raises it when it reads that message.
+    The worker then holds its end of the pipe until the main process closes
+    its own, so an acknowledgement sent to it never meets a closed pipe.
     """
     main_end.close()  # the fork's copy; the pipe must close when the main process closes it
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the main process's to handle
     try:
-        for msg in messages(conn):
-            conn.send(msg)
+        for k, item in enumerate(items):
+            conn.send(item)
+            if k:
+                conn.recv()  # item k - 1's acknowledgement
         conn.send(None)
     except Exception as e:  # a send to a closed pipe lands here too, and its forward fails
         e.__notes__ = [*getattr(e, "__notes__", ()), f"in the {name}:\n{format_exc()}"]
@@ -237,56 +239,47 @@ def _serve(conn, main_end, messages, name: str) -> None:
             conn.recv()
 
 
-@dataclass
-class _Worker:
-    """The main process's end of a forked worker's pipe (see _forked)."""
-
-    conn: multiprocessing.connection.Connection
-    process: multiprocessing.Process
-    name: str
-
-    def send(self, obj) -> None:
-        try:
-            self.conn.send(obj)
-        except OSError:
-            raise self._exited() from None
-
-    def recv(self):
-        """The worker's next message, or None once it has no more; an error it sent is raised."""
-        try:
-            msg = self.conn.recv()
-        except (EOFError, OSError):
-            raise self._exited() from None
-        if isinstance(msg, BaseException):
-            raise msg
-        return msg
-
-    def _exited(self) -> RetinaKitError:
-        self.process.join()
-        return RetinaKitError(f"{self.name} exited with code {self.process.exitcode}")
-
-
 @contextmanager
-def _forked(messages, name: str):
-    """messages(conn) run in a forked worker process, whose _Worker end this yields.
+def _forked(items, name: str):
+    """The iterator items, made in a forked worker process and read through its pipe.
 
-    Yields None where fork is unavailable; the caller then does the work
-    in-process. The worker ends through os._exit, as every fork Process
-    does, so buffers the main process holds open are not flushed twice. On
-    leaving, the pipe is closed and the worker joined, or terminated after
+    Asking for the next item sends the worker an acknowledgement (None) of
+    the last one, and the worker makes item k + 2 only once item k is
+    acknowledged. So item k + 2 may reuse a buffer item k handed out, and
+    the worker is at most one item ahead of the one in use. An error the
+    worker raises is raised where its item would have been; a worker that
+    dies raises a RetinaKitError naming its exit code. Where fork is
+    unavailable this yields items itself, made in-process as it is read.
+    The worker ends through os._exit, as every fork Process does, so
+    buffers the main process holds open are not flushed twice. On leaving,
+    the pipe is closed and the worker joined, or terminated after
     WORKER_EXIT_TIMEOUT seconds.
     """
     if "fork" not in multiprocessing.get_all_start_methods():
-        yield None
+        yield items
         return
     conn, child_conn = multiprocessing.Pipe()
     process = multiprocessing.get_context("fork").Process(
-        target=_serve, args=(child_conn, conn, messages, name), daemon=True
+        target=_serve, args=(child_conn, conn, items, name), daemon=True
     )
     process.start()
     child_conn.close()
+
+    def received():
+        try:
+            msg = conn.recv()
+            while msg is not None and not isinstance(msg, BaseException):
+                yield msg
+                conn.send(None)  # msg's acknowledgement
+                msg = conn.recv()
+        except (EOFError, OSError):
+            process.join()
+            raise RetinaKitError(f"{name} exited with code {process.exitcode}") from None
+        if msg is not None:
+            raise msg
+
     try:
-        yield _Worker(conn, process, name)
+        yield received()
     finally:
         conn.close()
         process.join(WORKER_EXIT_TIMEOUT)
@@ -295,51 +288,30 @@ def _forked(messages, name: str):
             process.join()
 
 
-def _received(worker: _Worker, slots):
-    """The worker's minibatches; each image batch is a view of its slot.
-
-    The slot goes back to the worker when the next minibatch is asked for,
-    so a view must not be used past that.
-    """
-    slot = None
-    while True:
-        if slot is not None:
-            worker.send(slot)
-        msg = worker.recv()
-        if msg is None:
-            return
-        slot, count, labels, target_deltas = msg
-        yield slots[slot, :count], labels, target_deltas
-
-
 @contextmanager
 def _prefetch(inputs, batch_shape):
     """inputs, run one minibatch ahead in a forked worker process (see _forked).
 
-    Image batches travel through two shared-memory slots of batch_shape
-    (B, 3, H, W); the labels and targets, which are small, through the
-    worker's pipe. Where fork is unavailable, inputs runs in-process.
+    Minibatch k's images travel through shared-memory slot k % 2, one of two
+    of batch_shape (B, 3, H, W), and come back as a view of it; the labels
+    and targets, which are small, through the worker's pipe. Minibatch k + 2
+    is made and written to the same slot only once minibatch k is
+    acknowledged, so a view must not be used once the minibatch after it is
+    asked for.
     """
     nbytes = 2 * math.prod(batch_shape) * np.dtype(np.float32).itemsize
     slots = np.frombuffer(mmap.mmap(-1, nbytes), np.float32).reshape(2, *batch_shape)
 
-    def fill_slots(conn):
-        """Write each minibatch of inputs to a free slot, then announce it.
+    def fill_slots():
+        for k, (images, labels, target_deltas) in enumerate(inputs):
+            slots[k % 2, : len(images)] = images
+            yield len(images), labels, target_deltas
 
-        A message is (slot, count, labels, target_deltas). Both slots start
-        free; the main process sends a slot back once it is done with it,
-        and the worker waits for one before it writes.
-        """
-        free = [0, 1]
-        for images, labels, target_deltas in inputs:
-            if not free:
-                free.append(conn.recv())
-            slot = free.pop(0)
-            slots[slot, : len(images)] = images
-            yield slot, len(images), labels, target_deltas
-
-    with _forked(fill_slots, "minibatch worker") as worker:
-        yield inputs if worker is None else _received(worker, slots)
+    with _forked(fill_slots(), "minibatch worker") as received:
+        yield (
+            (slots[k % 2, :count], labels, target_deltas)
+            for k, (count, labels, target_deltas) in enumerate(received)
+        )
 
 
 def run_training(

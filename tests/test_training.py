@@ -12,6 +12,7 @@ import contextlib
 import json
 import multiprocessing
 import os
+import signal
 import time
 from pathlib import Path
 
@@ -80,8 +81,9 @@ def eval_split(tmp_path_factory):
 
 
 def in_process(monkeypatch):
-    """Run every forked worker's work in the main process, as where fork is unavailable."""
-    monkeypatch.setattr(training, "_forked", lambda messages, name: contextlib.nullcontext())
+    """Report the fork start method unavailable, so every worker's items run in the main process."""
+    methods = [m for m in multiprocessing.get_all_start_methods() if m != "fork"]
+    monkeypatch.setattr(training.multiprocessing, "get_all_start_methods", lambda: methods)
 
 
 def count_forwards(monkeypatch):
@@ -241,7 +243,7 @@ def test_worker_killed_mid_run_exits_two(split, tmp_path, capsys, monkeypatch):
     assert (code, err) == (2, "error: minibatch worker exited with code 7\n")
 
 
-def test_prefetch_never_overwrites_a_batch_in_use():
+def test_prefetch_never_overwrites_a_batch_in_use(monkeypatch):
     # 300 one-value batches of mixed sizes; a slot rewritten while its view is
     # still held shows up as a wrong value after the pause
     def inputs():
@@ -249,13 +251,55 @@ def test_prefetch_never_overwrites_a_batch_in_use():
             count = 1 + k % 3
             yield np.full((count, 3, 2, 2), k, np.float32), np.full((count, 5), k % 2, np.int8), k
 
-    with training._prefetch(inputs(), (3, 3, 2, 2)) as batches:
-        for k, (images, labels, tag) in enumerate(batches):
-            assert (len(images), tag) == (1 + k % 3, k)
-            if k % 7 == 0:
-                time.sleep(0.002)
-            assert np.all(images == k) and np.all(labels == k % 2)
-    assert k == 299
+    for forked in (True, False):
+        if not forked:
+            in_process(monkeypatch)
+        with training._prefetch(inputs(), (3, 3, 2, 2)) as batches:
+            for k, (images, labels, tag) in enumerate(batches):
+                assert (len(images), tag) == (1 + k % 3, k)
+                if k % 7 == 0:
+                    time.sleep(0.002)
+                assert np.all(images == k) and np.all(labels == k % 2)
+        assert k == 299
+        assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("forked", [True, False], ids=["forked", "in-process"])
+def test_prefetch_runs_at_most_one_minibatch_ahead(monkeypatch, forked):
+    # after minibatch k is taken, the worker has made at most minibatch k + 1,
+    # into the other slot: it makes k + 2 only once k is acknowledged
+    if not forked:
+        in_process(monkeypatch)
+    made = multiprocessing.Value("i", 0)
+
+    def inputs():
+        for k in range(40):
+            with made.get_lock():
+                made.value += 1
+            yield np.full((1, 3, 2, 2), k, np.float32), np.zeros((1, 5), np.int8), k
+
+    with training._prefetch(inputs(), (1, 3, 2, 2)) as batches:
+        for k, (_, _, tag) in enumerate(batches):
+            time.sleep(0.002)  # time for the worker to run as far ahead as it may
+            assert tag == k and made.value <= k + 2
+    assert k == 39
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_reads_every_acknowledgement():
+    # far more acknowledgements than a pipe holds unread; a worker that left
+    # them unread would block the main process's next one, and with it itself
+    def timed_out(signum, frame):
+        pytest.fail("the worker and the main process deadlocked")
+
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(30)
+    try:
+        with training._forked(iter(range(5000)), "test worker") as items:
+            assert list(items) == list(range(5000))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
     assert multiprocessing.active_children() == []
 
 
@@ -288,6 +332,22 @@ def test_eval_worker_outputs_equal_in_process(eval_split, tmp_path, capsys, monk
     dets = read_detections(tmp_path / "worker" / "detections.jsonl")
     assert set((dets.image_ids // training.EVAL_CHUNK).tolist()) == {0, 1, 2}
     assert worker == serial
+
+
+def test_eval_worker_with_many_chunks_equals_in_process(eval_split, tmp_path, capsys,
+                                                        monkeypatch):
+    assert evaluate(eval_split, tmp_path / "chunk32", capsys) == (0, "")
+    # 70 images in 9 chunks of 8 (the last of 6), the worker running chunks 1, 3, 5 and 7
+    monkeypatch.setattr(training, "EVAL_CHUNK", 8)
+    forwards = count_forwards(monkeypatch)
+    assert evaluate(eval_split, tmp_path / "worker", capsys) == (0, "")
+    assert len(forwards) == 5
+    in_process(monkeypatch)
+    assert evaluate(eval_split, tmp_path / "serial", capsys) == (0, "")
+    assert len(forwards) == 5 + 9
+    worker = tree(tmp_path / "worker")
+    assert sorted(worker) == ["detections.jsonl", "report.json"]
+    assert worker == tree(tmp_path / "serial") == tree(tmp_path / "chunk32")
 
 
 def test_validation_in_eval_worker_equals_in_process(split, eval_split, tmp_path, capsys,
@@ -421,8 +481,15 @@ def test_validation_formats_no_rows(split, eval_split, tmp_path, capsys, monkeyp
 @pytest.mark.parametrize("rows", [True, False])
 def test_eval_worker_sends_matches_and_rows_only(eval_split, monkeypatch, rows):
     # no boxes and no ground truth cross the pipe, and no rows unless asked for
-    sent, real = [], training._Worker.recv
-    monkeypatch.setattr(training._Worker, "recv", lambda self: sent.append(real(self)) or sent[-1])
+    sent, real = [], training._forked
+
+    @contextlib.contextmanager
+    def spied(items, name):
+        with real(items, name) as received:
+            assert len(multiprocessing.active_children()) == 1  # the items cross the pipe
+            yield (sent.append(item) or item for item in received)
+
+    monkeypatch.setattr(training, "_forked", spied)
     cfg = load_run_config(eval_split[0])
     params, _ = training.load_params_for_config(load_checkpoint(eval_split[2]), cfg)
     _, texts = training.evaluate_params(params, cfg, training.load_samples(eval_split[1]), rows)
