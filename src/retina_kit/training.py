@@ -4,9 +4,9 @@ Training reads and preprocesses every image once, into a cache. Pipeline
 per minibatch: augment and anchor assignment per image -> one forward over
 the stacked images -> the batch's detection losses -> one backward. The
 batch's summed gradients are divided by the batch size and fed to Adam.
-Augmentation and assignment run one minibatch ahead in a forked worker
-process (see _prefetch), so they overlap the forward and backward; the main
-process does everything else. Evaluation reads, preprocesses, infers and
+Augmentation and assignment run up to two minibatches ahead in a forked
+worker process (see _prefetch), overlapping the forward and backward; the
+main process does everything else. Evaluation reads, preprocesses, infers and
 decodes EVAL_CHUNK images at a time, then matches each chunk's detections to
 its ground truth and, for `eval`, formats its detections.jsonl rows: the main
 process runs the even chunks and one forked worker the odd ones. The main
@@ -215,7 +215,7 @@ WORKER_EXIT_TIMEOUT = 5.0
 def _serve(conn, main_end, items, name: str) -> None:
     """Forked worker: send each of items, then None.
 
-    Once it has sent item k, the worker waits for item k - 1's
+    Once it has sent item k, the worker waits for item k - 2's
     acknowledgement before it makes item k + 1 (see _forked). An exception
     raised instead is sent in the next item's place, its traceback attached
     as a note, and the main process raises it when it reads that message.
@@ -227,8 +227,8 @@ def _serve(conn, main_end, items, name: str) -> None:
     try:
         for k, item in enumerate(items):
             conn.send(item)
-            if k:
-                conn.recv()  # item k - 1's acknowledgement
+            if k > 1:
+                conn.recv()  # item k - 2's acknowledgement
         conn.send(None)
     except Exception as e:  # a send to a closed pipe lands here too, and its forward fails
         e.__notes__ = [*getattr(e, "__notes__", ()), f"in the {name}:\n{format_exc()}"]
@@ -244,9 +244,9 @@ def _forked(items, name: str):
     """The iterator items, made in a forked worker process and read through its pipe.
 
     Asking for the next item sends the worker an acknowledgement (None) of
-    the last one, and the worker makes item k + 2 only once item k is
-    acknowledged. So item k + 2 may reuse a buffer item k handed out, and
-    the worker is at most one item ahead of the one in use. An error the
+    the last one, and the worker makes item k + 3 only once item k is
+    acknowledged. So item k + 3 may reuse a buffer item k handed out, and
+    the worker is at most two items ahead of the one in use. An error the
     worker raises is raised where its item would have been; a worker that
     dies raises a RetinaKitError naming its exit code. Where fork is
     unavailable this yields items itself, made in-process as it is read.
@@ -290,26 +290,26 @@ def _forked(items, name: str):
 
 @contextmanager
 def _prefetch(inputs, batch_shape):
-    """inputs, run one minibatch ahead in a forked worker process (see _forked).
+    """inputs, run up to two minibatches ahead in a forked worker process (see _forked).
 
-    Minibatch k's images travel through shared-memory slot k % 2, one of two
+    Minibatch k's images travel through shared-memory slot k % 3, one of three
     of batch_shape (B, 3, H, W), and come back as a view of it; the labels
-    and targets, which are small, through the worker's pipe. Minibatch k + 2
+    and targets, which are small, through the worker's pipe. Minibatch k + 3
     is made and written to the same slot only once minibatch k is
     acknowledged, so a view must not be used once the minibatch after it is
     asked for.
     """
-    nbytes = 2 * math.prod(batch_shape) * np.dtype(np.float32).itemsize
-    slots = np.frombuffer(mmap.mmap(-1, nbytes), np.float32).reshape(2, *batch_shape)
+    nbytes = 3 * math.prod(batch_shape) * np.dtype(np.float32).itemsize
+    slots = np.frombuffer(mmap.mmap(-1, nbytes), np.float32).reshape(3, *batch_shape)
 
     def fill_slots():
         for k, (images, labels, target_deltas) in enumerate(inputs):
-            slots[k % 2, : len(images)] = images
+            slots[k % 3, : len(images)] = images
             yield len(images), labels, target_deltas
 
     with _forked(fill_slots(), "minibatch worker") as received:
         yield (
-            (slots[k % 2, :count], labels, target_deltas)
+            (slots[k % 3, :count], labels, target_deltas)
             for k, (count, labels, target_deltas) in enumerate(received)
         )
 

@@ -265,9 +265,9 @@ def test_prefetch_never_overwrites_a_batch_in_use(monkeypatch):
 
 
 @pytest.mark.parametrize("forked", [True, False], ids=["forked", "in-process"])
-def test_prefetch_runs_at_most_one_minibatch_ahead(monkeypatch, forked):
-    # after minibatch k is taken, the worker has made at most minibatch k + 1,
-    # into the other slot: it makes k + 2 only once k is acknowledged
+def test_prefetch_runs_at_most_two_minibatches_ahead(monkeypatch, forked):
+    # after minibatch k is taken, the worker has made at most minibatches k + 1
+    # and k + 2, into the other two slots: it makes k + 3 only once k is acknowledged
     if not forked:
         in_process(monkeypatch)
     made = multiprocessing.Value("i", 0)
@@ -281,7 +281,7 @@ def test_prefetch_runs_at_most_one_minibatch_ahead(monkeypatch, forked):
     with training._prefetch(inputs(), (1, 3, 2, 2)) as batches:
         for k, (_, _, tag) in enumerate(batches):
             time.sleep(0.002)  # time for the worker to run as far ahead as it may
-            assert tag == k and made.value <= k + 2
+            assert tag == k and made.value <= k + 3
     assert k == 39
     assert multiprocessing.active_children() == []
 
